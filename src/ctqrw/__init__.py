@@ -16,6 +16,7 @@ from .engine import (
     RenewalProbabilities,
     Trajectory,
     ensemble_average,
+    event_counts,
     renewal_probabilities,
     run_realization,
     series_solution,

@@ -5,9 +5,11 @@ Usage::
     ctqrw --config run.ini [--out-dir DIR] [--seed-override N] [--threads N]
 
 Exit codes: 0 success, 2 malformed configuration (message names the key),
-3 numeric failure (message names the operation).  ``CTQRW_THREADS`` is the
-environment fallback for ``--threads``; threads parallelize realizations
-and walkers only, and the outputs are byte-identical for any thread count.
+3 numeric failure (message names the operation).  ``--threads`` and its
+environment fallback ``CTQRW_THREADS`` are accepted for compatibility but
+change neither the output nor the work done: every Monte Carlo route runs
+one vectorized pass over all realizations, and the outputs are
+byte-identical for any thread count.
 
 CSV files carry one header row naming columns (times in seconds, other
 columns dimensionless), 17-significant-digit values, LF line endings.
@@ -86,22 +88,20 @@ def _solution_columns(states, grid):
 
 
 def _run_realizations(cfg, grid, out_csv):
-    emap = qubit_kraus(cfg.model)
-    waiting = waiting_from_kernel(cfg.kernels[0][1])
-    header = ["t"]
-    columns = [grid]
-    seeds = []
     from .seeding import derive_seed
 
+    emap = qubit_kraus(cfg.model)
+    waiting = waiting_from_kernel(cfg.kernels[0][1])
+    counts = engine.event_counts(waiting, grid, cfg.n_realizations, cfg.seed)
+    _, tables = engine.count_tables(cfg.initial, emap, int(counts.max()))
+    header = ["t"]
+    columns = [grid]
     for k in range(cfg.n_realizations):
-        seed = derive_seed(cfg.seed, k)
-        seeds.append(seed)
-        traj = engine.run_realization(cfg.initial, emap, waiting, grid, seed=seed)
         for name in ("M_x", "M_y", "M_z"):
             header.append(f"{name}_r{k}")
-            columns.append(traj.observables[name])
+            columns.append(tables[name][counts[k]])
     write_csv(out_csv, header, columns)
-    return seeds, {}
+    return [derive_seed(cfg.seed, k) for k in range(cfg.n_realizations)], {}
 
 
 def _run_ensemble(cfg, grid, out_csv):
@@ -294,7 +294,10 @@ def main(argv=None) -> int:
     parser.add_argument("--out-dir", default=".", help="directory for CSV/manifest outputs")
     parser.add_argument("--seed-override", type=int, default=None)
     parser.add_argument(
-        "--threads", type=int, default=None, help="worker threads (CTQRW_THREADS fallback)"
+        "--threads",
+        type=int,
+        default=None,
+        help="accepted for compatibility; changes neither output nor work (CTQRW_THREADS fallback)",
     )
     args = parser.parse_args(argv)
     return run(args.config, args.out_dir, args.seed_override, args.threads)

@@ -133,6 +133,18 @@ def _get_float(section, key: str, section_name: str) -> float:
         raise ConfigError(f"{section_name}.{key}: not a number ({section[key]!r})") from exc
 
 
+def _get_count(section, key: str, section_name: str, default: int) -> int:
+    """Integer `section_name.key` that must be at least 1."""
+    text = section.get(key, str(default))
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise ConfigError(f"{section_name}.{key}: not an integer ({text!r})") from exc
+    if value < 1:
+        raise ConfigError(f"{section_name}.{key} must be >= 1, got {value}")
+    return value
+
+
 def _parse_kernel(section, name: str):
     ktype = section.get("type", "").strip()
     if ktype == "markovian":
@@ -247,22 +259,22 @@ def parse_config(path: str) -> ExperimentConfig:
     if "grid" in parser:
         g = parser["grid"]
         cfg.t_max_over_scale = float(g.get("t_max_over_T", 10.0))
-        cfg.n_points = int(g.get("n_points", 200))
-    if cfg.n_points < 1:
-        raise ConfigError("grid.n_points must be >= 1")
+        cfg.n_points = _get_count(g, "n_points", "grid", 200)
     if "initial" in parser:
         cfg.initial = _parse_initial(parser["initial"].get("state", "plus_x"))
     if "ensemble" in parser:
-        cfg.n_realizations = int(parser["ensemble"].get("n_realizations", 10000))
+        cfg.n_realizations = _get_count(parser["ensemble"], "n_realizations", "ensemble", 10000)
     if "realizations" in parser:
-        cfg.n_realizations = int(parser["realizations"].get("n_realizations", 3))
+        cfg.n_realizations = _get_count(
+            parser["realizations"], "n_realizations", "realizations", 3
+        )
     if "solve" in parser:
         cfg.route = parser["solve"].get("route", "closed").strip()
         if cfg.route not in ("closed", "volterra", "subordination", "series"):
             raise ConfigError(f"solve.route: unknown route {cfg.route!r}")
     if "wigner" in parser:
         w = parser["wigner"]
-        cfg.n_walkers = int(w.get("n_walkers", 10000))
+        cfg.n_walkers = _get_count(w, "n_walkers", "wigner", 10000)
         cfg.jumps = _parse_jumps(w)
     if "intrinsic" in parser:
         cfg.spectrum = _parse_spectrum(parser["intrinsic"])
@@ -285,8 +297,6 @@ def _validate(cfg: ExperimentConfig):
         cfg.jumps = GaussianJumps()
     if cfg.kind == "intrinsic" and cfg.spectrum is None:
         raise ConfigError("experiment kind 'intrinsic' needs an [intrinsic] section")
-    if cfg.kind == "ensemble" and cfg.n_realizations < 1:
-        raise ConfigError("ensemble.n_realizations must be >= 1")
 
 
 def figure_presets(n: int) -> ExperimentConfig:

@@ -3,29 +3,33 @@
 One realization draws renewal intervals from the waiting-time distribution;
 after the n-th event the state is ``E^n[rho0]`` (the unitary part commutes
 with the scattering map, so states are piecewise constant between events
-and observable sampling on a grid is exact).  The ensemble average over
-seeds converges to ``rho(t) = sum_n P_n(t) E^n[rho0]``, which the
-deterministic series route evaluates directly from convolution-quadrature
-renewal probabilities.
+and observable sampling on a grid is exact).  The only per-realization
+randomness is therefore the event count N(t): every Monte Carlo route
+draws counts from one vectorized renewal core and gathers from per-n
+tables of ``E^n[rho0]`` computed once.  The ensemble average converges to
+``rho(t) = sum_n P_n(t) E^n[rho0]``, which the deterministic series route
+evaluates directly from convolution-quadrature renewal probabilities.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import fftconvolve
 
 from . import seeding
-from .errors import GridTooCoarseError, TruncationError
+from .errors import BadParametersError, GridTooCoarseError, TruncationError
 from .kernels import (
     WaitingTimeDistribution,
-    sample_waiting,
     survival_cell_integrals,
+    uniforms_per_draw,
+    waiting_from_uniforms,
     waiting_survival,
 )
 from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, KrausMap, apply_kraus, linear_entropy
 
 _NORMALIZATION_DRIFT = 1e-4
+
+DRAWS_PER_BLOCK = 16  # waiting times a stream draws per refill
 
 
 def default_observables(dim: int) -> dict:
@@ -66,17 +70,98 @@ def _check_grid(grid) -> np.ndarray:
     return grid
 
 
+def _renewal_events(waiting: WaitingTimeDistribution, t_end: float, rngs):
+    """Every renewal event in (0, t_end] of each stream in `rngs`.
+
+    Each round, every live stream fills one (DRAWS_PER_BLOCK, k) row of raw
+    uniforms, k per waiting time and interleaved per draw, which is the
+    order of successive scalar ``sample_waiting`` calls.  The rows become
+    waiting times in one vectorized call, and each clock is accumulated by
+    a cumsum that starts from its running value, so event times round
+    exactly as ``clock += tau``.  A stream stays live until its clock
+    passes `t_end`; the generators are left just after their last block.
+    Returns flat (stream index, event time) arrays.
+    """
+    width = uniforms_per_draw(waiting)
+    clock = np.zeros(len(rngs))
+    live = np.arange(len(rngs))
+    owners, times = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    while live.size:
+        u = np.empty((live.size, DRAWS_PER_BLOCK, width))
+        for row, k in zip(u, live):
+            rngs[k].random(out=row)
+        taus = waiting_from_uniforms(waiting, u)
+        clocks = np.cumsum(np.concatenate([clock[live, None], taus], axis=1), axis=1)[:, 1:]
+        hit = clocks <= t_end
+        owners.append(np.broadcast_to(live[:, None], hit.shape)[hit])
+        times.append(clocks[hit])
+        clock[live] = clocks[:, -1]
+        live = live[clocks[:, -1] <= t_end]
+    return np.concatenate(owners), np.concatenate(times)
+
+
+def renewal_counts(waiting: WaitingTimeDistribution, grid, rngs) -> np.ndarray:
+    """Event counts N(t) on `grid`, shape (len(rngs), n_grid), one row per
+    generator; each generator is advanced past the draws it supplied."""
+    grid = _check_grid(grid)
+    owners, times = _renewal_events(waiting, float(grid[-1]), rngs)
+    # an event at time s counts at every grid point t >= s
+    first = np.searchsorted(grid, times, side="left")
+    starts = np.bincount(owners * grid.size + first, minlength=len(rngs) * grid.size)
+    return np.cumsum(starts.reshape(len(rngs), grid.size), axis=1)
+
+
+def event_counts(waiting: WaitingTimeDistribution, grid, n: int, base_seed: int) -> np.ndarray:
+    """Event counts of realizations 0..n-1, shape (n, n_grid).
+
+    Row k is the count of stream ``seeding.stream(derive_seed(base_seed, k))``,
+    equal to ``searchsorted(draw_event_times(...), grid, side="right")`` of
+    that stream.
+    """
+    if n < 1:
+        raise BadParametersError(f"need at least one realization, got n = {n}")
+    return renewal_counts(waiting, grid, seeding.realization_streams(base_seed, n))
+
+
 def draw_event_times(
     waiting: WaitingTimeDistribution, t_end: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Renewal event times in (0, t_end]; empty array if the first interval
-    overshoots."""
-    times = []
-    clock = sample_waiting(waiting, rng)
-    while clock <= t_end:
-        times.append(clock)
-        clock += sample_waiting(waiting, rng)
-    return np.asarray(times)
+    overshoots.  `rng` is advanced in whole blocks of DRAWS_PER_BLOCK
+    waiting times, as in :func:`renewal_counts`."""
+    return _renewal_events(waiting, float(t_end), [rng])[1]
+
+
+def _kraus_powers(emap: KrausMap, rho: np.ndarray, n_max: int) -> np.ndarray:
+    """``E^n[rho]`` for n = 0..n_max, shape (n_max+1, d, d)."""
+    powers = [rho]
+    for _ in range(n_max):
+        powers.append(apply_kraus(emap, powers[-1]))
+    return np.asarray(powers)
+
+
+def _assemble(weights: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """States ``sum_n weights[n, k] E^n[rho0]`` per grid point k."""
+    return np.einsum("nk,nij->kij", weights, powers)
+
+
+def count_tables(rho0, emap: KrausMap, n_max: int, observables: dict | None = None):
+    """Per-count tables: ``E^n[rho0]`` for n = 0..n_max and each observable
+    (default :func:`default_observables`, plus ``linear_entropy``) on them.
+
+    Returns (powers, {name: values of shape (n_max+1,)}); a realization
+    with counts N on the grid has series ``table[N]``.
+    """
+    rho = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
+    if observables is None:
+        observables = default_observables(rho.shape[0])
+    powers = _kraus_powers(emap, rho, n_max)
+    tables = {
+        name: np.einsum("ij,nji->n", np.asarray(op, dtype=complex), powers).real
+        for name, op in observables.items()
+    }
+    tables["linear_entropy"] = np.array([linear_entropy(s) for s in powers])
+    return powers, tables
 
 
 def run_realization(
@@ -90,31 +175,16 @@ def run_realization(
 ) -> Trajectory:
     """Simulate one realization, fully reproducible from `seed`."""
     grid = _check_grid(grid)
-    rho = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
-    rng = seeding.stream(seed)
-    events = draw_event_times(waiting, float(grid[-1]), rng)
-
-    states = [rho]
-    for _ in range(len(events)):
-        states.append(apply_kraus(emap, states[-1]))
-    states = np.asarray(states)
-
-    if observables is None:
-        observables = default_observables(rho.shape[0])
+    events = draw_event_times(waiting, float(grid[-1]), seeding.stream(seed))
     # state index per grid point: number of events that occurred by then
     idx = np.searchsorted(events, grid, side="right")
-    series = {}
-    for name, op in observables.items():
-        per_state = np.einsum("ij,nji->n", np.asarray(op, dtype=complex), states).real
-        series[name] = per_state[idx]
-    series["linear_entropy"] = np.array([linear_entropy(s) for s in states])[idx]
-
+    powers, tables = count_tables(rho0, emap, events.size, observables)
     return Trajectory(
         seed=seed,
         grid=grid,
         event_times=events,
-        observables=series,
-        states=states[idx] if store_states else None,
+        observables={name: table[idx] for name, table in tables.items()},
+        states=powers[idx] if store_states else None,
     )
 
 
@@ -130,39 +200,23 @@ def ensemble_average(
 ) -> EnsembleStats:
     """Monte Carlo mean and standard error over `n_realizations` streams.
 
-    Realization k uses the seed ``splitmix64(base_seed + k * GOLDEN)``;
-    reductions run over gathered per-realization arrays with numpy pairwise
-    summation, so the output is bit-identical for any thread count.
+    Realization k has the counts of :func:`event_counts`; its observable
+    series are gathered from :func:`count_tables` and reduced with numpy
+    summation over the gathered (n_realizations, n_grid) arrays.  The mean
+    state is ``sum_n P_n(t) E^n[rho0]`` with P_n the empirical count
+    distribution.  `threads` is accepted for compatibility and changes
+    neither the result nor the work done.
     """
     if n_realizations < 1:
-        raise ValueError("n_realizations must be >= 1")
+        raise BadParametersError(f"n_realizations must be >= 1, got {n_realizations}")
     grid = _check_grid(grid)
-    rho = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
-    dim = rho.shape[0]
-    if observables is None:
-        observables = default_observables(dim)
-    names = list(observables.keys()) + ["linear_entropy"]
-
-    def one(k: int):
-        traj = run_realization(
-            rho, emap, waiting, grid,
-            seed=seeding.derive_seed(base_seed, k),
-            observables=observables, store_states=True,
-        )
-        return traj
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trajectories = list(pool.map(one, range(n_realizations)))
-    else:
-        trajectories = [one(k) for k in range(n_realizations)]
-
     n = n_realizations
+    counts = event_counts(waiting, grid, n, base_seed)
+    powers, tables = count_tables(rho0, emap, int(counts.max()), observables)
     means, stderrs = {}, {}
-    for name in names:
-        samples = np.stack([t.observables[name] for t in trajectories])  # (n, n_grid)
-        total = np.sum(samples, axis=0)
-        mean = total / n
+    for name, table in tables.items():
+        samples = table[counts]  # (n, n_grid)
+        mean = np.sum(samples, axis=0) / n
         if n > 1:
             sq = np.sum((samples - mean) ** 2, axis=0)
             stderrs[name] = np.sqrt(sq / (n - 1) / n)
@@ -170,19 +224,13 @@ def ensemble_average(
             stderrs[name] = np.zeros_like(mean)
         means[name] = mean
 
-    # fixed chunk tree keeps the state mean deterministic without storing
-    # n_realizations * n_grid full state histories at once
-    chunk = 256
-    partials = []
-    for lo in range(0, n, chunk):
-        block = np.stack([t.states for t in trajectories[lo : lo + chunk]])
-        partials.append(block.sum(axis=0))
-    mean_state = np.sum(np.stack(partials), axis=0) / n
-
+    histogram = np.bincount(
+        (counts * grid.size + np.arange(grid.size)).ravel(), minlength=powers.shape[0] * grid.size
+    ).reshape(powers.shape[0], grid.size)
     return EnsembleStats(
         n_realizations=n,
         grid=grid,
-        mean_state=mean_state,
+        mean_state=_assemble(histogram / n, powers),
         observable_means=means,
         observable_stderrs=stderrs,
     )
@@ -323,11 +371,8 @@ def series_solution(
             f"renewal tail {probs.tail[-1]:.2e} at t={grid[-1]:g} exceeds tol={tol:g} "
             f"with n_max={probs.n_max}"
         )
-    powers = [rho]
-    for _ in range(probs.n_max):
-        powers.append(apply_kraus(emap, powers[-1]))
-    powers = np.asarray(powers)  # (n_max+1, d, d)
-    states = np.einsum("nk,nij->kij", probs.table, powers)
+    powers = _kraus_powers(emap, rho, probs.n_max)
+    states = _assemble(probs.table, powers)
     spread = np.max(np.abs(powers - powers.mean(axis=0)))
     bound = probs.tail * spread
     return states, bound

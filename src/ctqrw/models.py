@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from . import solvers
+from . import engine, solvers
 from .errors import (
     BadMomentsError,
     BadParametersError,
@@ -25,7 +25,6 @@ from .kernels import (
     MarkovianKernel,
     MemoryKernel,
     classify_kernel,
-    sample_waiting,
     waiting_from_kernel,
 )
 from .quantum import (
@@ -37,7 +36,7 @@ from .quantum import (
     KrausMap,
     dissipator,
 )
-from .seeding import stream
+from .seeding import realization_streams
 from .solvers import telegraph_h
 
 # ---------------------------------------------------------------------------
@@ -278,22 +277,24 @@ class GaussianJumps:
     mean: complex = 0.0
     mean_sq: complex = 0.0
     mean_abs_sq: float = 1.0
+    _factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = self.mean_abs_sq - abs(self.mean) ** 2
         p = self.mean_sq - self.mean**2
         if c < -1e-12 or abs(p) > c + 1e-12:
             raise BadMomentsError("inconsistent Gaussian jump moments")
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        c = self.mean_abs_sq - abs(self.mean) ** 2
-        p = self.mean_sq - self.mean**2
         var_x = max((c + p.real) / 2.0, 0.0)
         var_y = max((c - p.real) / 2.0, 0.0)
         cov = p.imag / 2.0
-        cov_mat = np.array([[var_x, cov], [cov, var_y]])
-        xy = rng.multivariate_normal([self.mean.real, self.mean.imag], cov_mat, size=n)
-        return xy[:, 0] + 1j * xy[:, 1]
+        # covariance = F F^T; clipping the eigenvalues keeps degenerate and
+        # point-like laws valid
+        eigvals, eigvecs = np.linalg.eigh(np.array([[var_x, cov], [cov, var_y]]))
+        object.__setattr__(self, "_factor", eigvecs * np.sqrt(np.clip(eigvals, 0.0, None)))
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        xy = rng.standard_normal((n, 2)) @ self._factor.T
+        return (self.mean.real + xy[:, 0]) + 1j * (self.mean.imag + xy[:, 1])
 
     def characteristic(self, k: np.ndarray) -> np.ndarray:
         """E exp(i Re(k conj(b)))."""
@@ -414,40 +415,27 @@ class WignerWalkResult:
 def wigner_ctrw(cfg: WignerWalkConfig, grid, base_seed: int, n0: float = 0.0) -> WignerWalkResult:
     """Ensemble of phase-space walkers with renewal jump times.
 
-    Each walker owns a seed-split stream; at every renewal event it jumps
-    by a draw from the jump law.  The mean excitation estimate is
+    Walker k draws its renewal events from realization stream k (see
+    :func:`ctqrw.seeding.realization_streams`) and then, from the same
+    stream, one jump per event.  The mean excitation estimate is
     ``n(t) = n(0) + <|b|^2> x (empirical mean event count)``; it is None
     for jump laws without second moments.  Raises
-    :class:`DangerousKernelError` for kernels without a waiting density.
+    :class:`DangerousKernelError` for kernels without a waiting density and
+    :class:`BadParametersError` for fewer than one walker.
     """
+    n_w = int(cfg.n_walkers)
+    if n_w < 1:
+        raise BadParametersError(f"n_walkers must be >= 1, got {n_w}")
     verdict = classify_kernel(cfg.kernel)
     if not verdict.is_safe:
         raise DangerousKernelError(verdict.certificate)
     waiting = waiting_from_kernel(cfg.kernel)
     grid = np.asarray(grid, dtype=float)
-    t_end = float(grid[-1])
-    n_w = int(cfg.n_walkers)
-    positions = np.empty((grid.size, n_w), dtype=complex)
-    counts = np.empty((grid.size, n_w), dtype=np.int64)
-    chunk = 16
-    for wlk in range(n_w):
-        rng = stream(base_seed, wlk)
-        times = []
-        clock = 0.0
-        while True:
-            draws = sample_waiting(waiting, rng, size=chunk)
-            cum = clock + np.cumsum(draws)
-            times.append(cum[cum <= t_end])
-            clock = float(cum[-1])
-            if clock > t_end:
-                break
-        events = np.concatenate(times)
-        jumps = cfg.jumps.sample(rng, events.size)
-        path = complex(cfg.initial) + np.concatenate([[0.0 + 0.0j], np.cumsum(jumps)])
-        idx = np.searchsorted(events, grid, side="right")
-        positions[:, wlk] = path[idx]
-        counts[:, wlk] = idx
-    mean_counts = counts.mean(axis=1)
+    rngs = realization_streams(base_seed, n_w)
+    counts = engine.renewal_counts(waiting, grid, rngs)  # (n_walkers, n_grid)
+    paths = complex(cfg.initial) + _event_sums(rngs, counts[:, -1], cfg.jumps.sample)
+    positions = np.take_along_axis(paths, counts, axis=1).T
+    mean_counts = counts.mean(axis=0)
     n_est = None
     if not isinstance(cfg.jumps, LevyJumps):
         n_est = n0 + cfg.jumps.mean_abs_sq * mean_counts
@@ -461,6 +449,16 @@ def wigner_ctrw(cfg: WignerWalkConfig, grid, base_seed: int, n0: float = 0.0) ->
         radial_bins=edges,
         radial_counts=hist,
     )
+
+
+def _event_sums(rngs, totals: np.ndarray, sample) -> np.ndarray:
+    """Row k: 0, then the running sum of ``sample(rngs[k], totals[k])``,
+    zero padded to a common length, so ``row[n]`` is the sum of the first
+    n draws of stream k."""
+    draws = np.concatenate([sample(rng, int(c)) for rng, c in zip(rngs, totals)])
+    steps = np.zeros((len(rngs), int(totals.max()) + 1), dtype=draws.dtype)
+    steps[:, 1:][np.arange(steps.shape[1] - 1) < totals[:, None]] = draws
+    return np.cumsum(steps, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +568,9 @@ def intrinsic_decoherence(
     exponential kernels; the fractional kernel needs a complex-argument
     Mittag-Leffler function and is delegated to the Volterra quadrature),
     "volterra" always uses the quadrature, and "stochastic" samples renewal
-    events with random phases (safe kernels).  Populations are conserved
-    exactly (gamma_nn = 0).
+    events with random phases (safe kernels): realization k draws its
+    events from realization stream k and then one phase per event from the
+    same stream.  Populations are conserved exactly (gamma_nn = 0).
     """
     grid = np.asarray(grid, dtype=float)
     m = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
@@ -580,29 +579,22 @@ def intrinsic_decoherence(
     g = spectrum.rates()
 
     if route == "stochastic":
+        if n_realizations < 1:
+            raise BadParametersError(f"n_realizations must be >= 1, got {n_realizations}")
         verdict = classify_kernel(kernel)
         if not verdict.is_safe:
             raise DangerousKernelError(verdict.certificate)
         waiting = waiting_from_kernel(kernel)
-        om = spectrum.bohr_frequencies()
-        acc = np.zeros((grid.size, spectrum.dim, spectrum.dim), dtype=complex)
-        for r in range(n_realizations):
-            rng = stream(base_seed, r)
-            events = []
-            clock = sample_waiting(waiting, rng)
-            while clock <= grid[-1]:
-                events.append(clock)
-                clock += sample_waiting(waiting, rng)
-            events = np.asarray(events)
-            taus = spectrum.phase.sample(rng, events.size)
-            idx = np.searchsorted(events, grid, side="right")
-            # cumulative phase factor after each event
-            phases = np.concatenate(
-                [[0.0], np.cumsum(taus)]
-            )  # total extra Hamiltonian time
-            factors = np.exp(-1j * om[None, :, :] * phases[idx][:, None, None])
-            acc += factors * m[None, :, :]
-        states = acc / n_realizations
+        rngs = realization_streams(base_seed, n_realizations)
+        counts = engine.renewal_counts(waiting, grid, rngs)
+        # total extra Hamiltonian time per realization and grid point
+        phases = np.take_along_axis(
+            _event_sums(rngs, counts[:, -1], spectrum.phase.sample), counts, axis=1
+        )
+        mean_factor = np.empty((grid.size, spectrum.dim, spectrum.dim), dtype=complex)
+        for (n, mm), omega in np.ndenumerate(spectrum.bohr_frequencies()):
+            mean_factor[:, n, mm] = np.sum(np.exp(-1j * omega * phases), axis=0) / n_realizations
+        states = mean_factor * m[None, :, :]
         return IntrinsicResult(grid=grid, states=states, rates=g)
 
     if route == "closed":

@@ -29,3 +29,13 @@ def derive_seed(base_seed: int, index: int) -> int:
 def stream(base_seed: int, index: int = 0) -> np.random.Generator:
     """Independent generator for one realization/walker stream."""
     return np.random.Generator(np.random.PCG64(derive_seed(base_seed, index)))
+
+
+def realization_streams(base_seed: int, n: int) -> list:
+    """Generators of realizations 0..n-1 of a Monte Carlo run.
+
+    Realization k draws from ``stream(derive_seed(base_seed, k))``; every
+    stochastic route uses this mapping, so realization k can be rebuilt
+    alone from its seed.
+    """
+    return [stream(derive_seed(base_seed, k)) for k in range(n)]

@@ -234,8 +234,7 @@ n_points = 40
     assert defects.min() > -1e-9
 
 
-def test_wigner_run(tmp_path):
-    text = """
+GOOD_WIGNER = """
 [experiment]
 kind = wigner
 seed = 4
@@ -253,10 +252,37 @@ mean_abs_sq = 0.5
 n_points = 12
 t_max_over_T = 5
 """
+
+
+def test_wigner_run(tmp_path):
     out = tmp_path / "o"
-    assert cli.run(write(tmp_path, text), str(out)) == 0
+    assert cli.run(write(tmp_path, GOOD_WIGNER), str(out)) == 0
     header = (out / "output.csv").read_text().splitlines()[0]
     assert header == "t,mean_count,n_estimate"
+
+
+@pytest.mark.parametrize(
+    "text, line, key",
+    [
+        (GOOD_WIGNER, "n_walkers = 0", "wigner.n_walkers"),
+        (GOOD_WIGNER, "n_walkers = -5", "wigner.n_walkers"),
+        (GOOD_WIGNER, "n_walkers = many", "wigner.n_walkers"),
+        (GOOD_ENSEMBLE, "n_realizations = 0", "ensemble.n_realizations"),
+        (
+            GOOD_ENSEMBLE.replace("kind = ensemble", "kind = realizations").replace(
+                "[ensemble]", "[realizations]"
+            ),
+            "n_realizations = -1",
+            "realizations.n_realizations",
+        ),
+    ],
+)
+def test_counts_below_one_are_config_errors(tmp_path, capsys, text, line, key):
+    name = line.split(" = ")[0]
+    bad = "\n".join(line if row.startswith(name + " =") else row for row in text.splitlines())
+    assert cli.run(write(tmp_path, bad), str(tmp_path / "o")) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_intrinsic_run(tmp_path):

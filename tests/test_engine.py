@@ -262,3 +262,127 @@ def test_ensemble_agrees_with_series_all_safe_kernels(plus_x_state):
         # already scattered and the empirical stderr collapses to zero
         bound = 3 * stats.observable_stderrs["M_x"] + 3.0 / n_real
         assert np.all(diff <= bound), kern
+
+
+def _scalar_event_times(waiting, t_end, rng):
+    """Reference renewal loop: one scalar draw per interval."""
+    from ctqrw.kernels import sample_waiting
+
+    times = []
+    clock = sample_waiting(waiting, rng)
+    while clock <= t_end:
+        times.append(clock)
+        clock += sample_waiting(waiting, rng)
+    return np.asarray(times)
+
+
+def _empirical_waiting():
+    from ctqrw.kernels import LaplaceKernel, waiting_from_kernel
+
+    return waiting_from_kernel(LaplaceKernel(transform=lambda u: 0.75 / (u + 2.0)))
+
+
+@pytest.mark.parametrize(
+    "waiting",
+    [
+        ExponentialWaiting(rate=0.5),
+        HypoexponentialWaiting(r1=0.5, r2=1.5),
+        MittagLefflerWaiting(amplitude=1 / np.sqrt(2), alpha=0.5),
+        MittagLefflerWaiting(amplitude=1.0, alpha=1.0),
+        "empirical",
+    ],
+)
+@pytest.mark.parametrize("t_end", [20.0, 150.0])
+def test_event_counts_match_scalar_renewal_loop(waiting, t_end):
+    # bit-identical to drawing one interval at a time from each stream; the
+    # long grid needs several block refills per stream
+    if waiting == "empirical":
+        waiting = _empirical_waiting()
+    grid = np.linspace(0.0, t_end, 97)
+    n, base_seed = 60, 31
+    counts = engine.event_counts(waiting, grid, n, base_seed)
+    assert counts.shape == (n, grid.size)
+    refills = 0
+    for k in range(n):
+        seed = derive_seed(base_seed, k)
+        reference = _scalar_event_times(waiting, t_end, stream(seed))
+        assert np.array_equal(engine.draw_event_times(waiting, t_end, stream(seed)), reference)
+        assert np.array_equal(counts[k], np.searchsorted(reference, grid, side="right"))
+        refills += reference.size >= engine.DRAWS_PER_BLOCK
+    if t_end > 100.0:
+        assert refills > 0
+
+
+def test_monte_carlo_counts_reject_empty_ensembles(plus_x_state):
+    from ctqrw.errors import BadParametersError
+
+    w = ExponentialWaiting(rate=1.0)
+    with pytest.raises(BadParametersError):
+        engine.event_counts(w, GRID, 0, base_seed=1)
+    with pytest.raises(BadParametersError):
+        engine.ensemble_average(plus_x_state, qubit_kraus(Depolarizing()), w, GRID, 0, 1)
+
+
+def test_ensemble_mean_state_is_count_histogram_assembly(plus_x_state):
+    emap = qubit_kraus(Depolarizing())
+    w = HypoexponentialWaiting(r1=0.5, r2=1.5)
+    stats = engine.ensemble_average(plus_x_state, emap, w, GRID, 300, base_seed=4)
+    trajs = [
+        engine.run_realization(
+            plus_x_state, emap, w, GRID, seed=derive_seed(4, k), store_states=True
+        )
+        for k in range(300)
+    ]
+    manual = np.mean(np.stack([t.states for t in trajs]), axis=0)
+    assert np.max(np.abs(stats.mean_state - manual)) < 1e-14
+
+
+def test_wigner_positions_rebuild_per_walker():
+    from ctqrw.kernels import FractionalKernel, waiting_from_kernel
+    from ctqrw.models import GaussianJumps, WignerWalkConfig, wigner_ctrw
+
+    kern = FractionalKernel(amplitude=1.0, alpha=0.7)
+    jumps = GaussianJumps(mean=0.2 - 0.1j, mean_sq=0.3 + 0.2j, mean_abs_sq=1.0)
+    cfg = WignerWalkConfig(jumps=jumps, kernel=kern, n_walkers=40, initial=0.5 + 1.0j)
+    grid = np.linspace(0.0, 30.0, 61)
+    res = wigner_ctrw(cfg, grid, base_seed=9)
+    waiting = waiting_from_kernel(kern)
+    for k in range(cfg.n_walkers):
+        rng = stream(derive_seed(9, k))
+        events = engine.draw_event_times(waiting, grid[-1], rng)
+        path = cfg.initial + np.concatenate([[0.0], np.cumsum(jumps.sample(rng, events.size))])
+        idx = np.searchsorted(events, grid, side="right")
+        assert np.array_equal(res.positions[:, k], path[idx])
+
+
+def test_intrinsic_stochastic_single_stream_rebuild():
+    from ctqrw.kernels import (
+        ExponentialKernel,
+        uniforms_per_draw,
+        waiting_from_kernel,
+        waiting_from_uniforms,
+    )
+    from ctqrw.models import ExponentialPhase, SpectrumModel, intrinsic_decoherence
+
+    kern = ExponentialKernel(amplitude=0.75, decay=2.0)
+    spec = SpectrumModel(levels=np.array([0.0, 1.0, 2.5]), phase=ExponentialPhase(tau_b=0.4))
+    rho0 = np.full((3, 3), 1 / 3, dtype=complex)
+    grid = np.linspace(0.0, 80.0, 81)
+    res = intrinsic_decoherence(
+        spec, kern, rho0, grid, route="stochastic", n_realizations=1, base_seed=12
+    )
+    # hand-rolled: blocks of interleaved uniforms, then one phase per event
+    waiting = waiting_from_kernel(kern)
+    rng = stream(derive_seed(12, 0))
+    clock, events = 0.0, []
+    while clock <= grid[-1]:
+        block = rng.random((engine.DRAWS_PER_BLOCK, uniforms_per_draw(waiting)))
+        for tau in waiting_from_uniforms(waiting, block):
+            clock += tau
+            if clock <= grid[-1]:
+                events.append(clock)
+    taus = spec.phase.sample(rng, len(events))
+    phase = np.concatenate([[0.0], np.cumsum(taus)])[np.searchsorted(events, grid, side="right")]
+    expected = np.exp(-1j * spec.bohr_frequencies()[None] * phase[:, None, None]) * rho0
+    assert len(events) > engine.DRAWS_PER_BLOCK
+    assert np.max(np.abs(res.states - expected)) < 1e-14

@@ -260,6 +260,21 @@ def test_levy_characteristic_function_empirical():
         assert abs(emp - law.characteristic(np.array([k]))[0]) < 5e-3
 
 
+def test_gaussian_jumps_degenerate_and_point_like():
+    rng = stream(2028, 0)
+    point = GaussianJumps(mean=0.3 - 0.2j, mean_sq=(0.3 - 0.2j) ** 2, mean_abs_sq=0.13)
+    assert np.allclose(point.sample(rng, 1000), 0.3 - 0.2j, rtol=0, atol=1e-7)
+    real_line = GaussianJumps(mean=0.0, mean_sq=1.0, mean_abs_sq=1.0)
+    draws = real_line.sample(rng, 100_000)
+    assert np.max(np.abs(draws.imag)) < 1e-12
+    assert draws.real.var() == pytest.approx(1.0, abs=0.02)
+    tilted = GaussianJumps(mean=1.0 + 0.5j, mean_sq=(1.0 + 0.5j) ** 2 + 0.4j, mean_abs_sq=1.25 + 0.8)
+    draws = tilted.sample(rng, 200_000)
+    assert np.mean(draws) == pytest.approx(1.0 + 0.5j, abs=0.01)
+    assert np.mean(draws**2) == pytest.approx(tilted.mean_sq, abs=0.02)
+    assert np.mean(np.abs(draws) ** 2) == pytest.approx(tilted.mean_abs_sq, abs=0.02)
+
+
 def test_fourier_mode_rates():
     law = LevyJumps(mu=1.0, sigma=1.0)
     assert fourier_mode_rate(law, 0.0) == pytest.approx(0.0)
