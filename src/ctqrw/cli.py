@@ -260,10 +260,7 @@ def run(config_path: str, out_dir: str = ".", seed_override: int | None = None,
         elif cfg.threads is None and os.environ.get("CTQRW_THREADS"):
             cfg.threads = int(os.environ["CTQRW_THREADS"])
         grid = cfg.grid()
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

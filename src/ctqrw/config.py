@@ -101,8 +101,7 @@ class ExperimentConfig:
 def _bloch_state(x: float, y: float, z: float) -> np.ndarray:
     from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z
 
-    m = 0.5 * (np.eye(2, dtype=complex) + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
-    return m
+    return 0.5 * (np.eye(2, dtype=complex) + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
 
 
 def _parse_initial(text: str) -> np.ndarray:
@@ -124,13 +123,19 @@ def _parse_initial(text: str) -> np.ndarray:
     raise ConfigError(f"initial.state: unknown preset {text!r}")
 
 
-def _get_float(section, key: str, section_name: str) -> float:
+def _get_float(section, key: str, section_name: str, default: float | None = None) -> float:
+    """Finite float `section_name.key`; `default` when the key is absent."""
+    if key not in section and default is not None:
+        return default
     if key not in section:
         raise ConfigError(f"missing key {section_name}.{key}")
     try:
-        return float(section[key])
+        value = float(section[key])
     except ValueError as exc:
         raise ConfigError(f"{section_name}.{key}: not a number ({section[key]!r})") from exc
+    if not np.isfinite(value):
+        raise ConfigError(f"{section_name}.{key} must be finite, got {value!r}")
+    return value
 
 
 def _get_count(section, key: str, section_name: str, default: int) -> int:
@@ -235,7 +240,7 @@ def parse_config(path: str) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError("experiment.seed: not an integer") from exc
     if "threads" in exp:
-        cfg.threads = int(exp["threads"])
+        cfg.threads = _get_count(exp, "threads", "experiment", 1)
 
     if kind.startswith("figure"):
         preset = figure_presets(int(kind[-1]))
@@ -258,7 +263,9 @@ def parse_config(path: str) -> ExperimentConfig:
         cfg.model = _parse_model(parser["model"])
     if "grid" in parser:
         g = parser["grid"]
-        cfg.t_max_over_scale = float(g.get("t_max_over_T", 10.0))
+        cfg.t_max_over_scale = _get_float(g, "t_max_over_T", "grid", 10.0)
+        if cfg.t_max_over_scale <= 0:
+            raise ConfigError(f"grid.t_max_over_T must be > 0, got {cfg.t_max_over_scale!r}")
         cfg.n_points = _get_count(g, "n_points", "grid", 200)
     if "initial" in parser:
         cfg.initial = _parse_initial(parser["initial"].get("state", "plus_x"))

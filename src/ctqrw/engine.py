@@ -14,18 +14,17 @@ evaluates directly from convolution-quadrature renewal probabilities.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+import scipy.fft
 
 from . import seeding
 from .errors import BadParametersError, GridTooCoarseError, TruncationError
 from .kernels import (
     WaitingTimeDistribution,
     survival_cell_integrals,
-    uniforms_per_draw,
     waiting_from_uniforms,
     waiting_survival,
 )
-from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, KrausMap, apply_kraus, linear_entropy
+from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, KrausMap, apply_kraus, as_matrix, linear_entropy
 
 _NORMALIZATION_DRIFT = 1e-4
 
@@ -64,9 +63,9 @@ class EnsembleStats:
 def _check_grid(grid) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
-        raise ValueError("grid must be a nonempty 1-d array")
+        raise BadParametersError("grid must be a nonempty 1-d array")
     if grid[0] < 0 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be increasing and start at t >= 0")
+        raise BadParametersError("grid must be increasing and start at t >= 0")
     return grid
 
 
@@ -82,7 +81,7 @@ def _renewal_events(waiting: WaitingTimeDistribution, t_end: float, rngs):
     passes `t_end`; the generators are left just after their last block.
     Returns flat (stream index, event time) arrays.
     """
-    width = uniforms_per_draw(waiting)
+    width = waiting.uniforms
     clock = np.zeros(len(rngs))
     live = np.arange(len(rngs))
     owners, times = [np.empty(0, dtype=np.intp)], [np.empty(0)]
@@ -152,7 +151,7 @@ def count_tables(rho0, emap: KrausMap, n_max: int, observables: dict | None = No
     Returns (powers, {name: values of shape (n_max+1,)}); a realization
     with counts N on the grid has series ``table[N]``.
     """
-    rho = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
+    rho = as_matrix(rho0)
     if observables is None:
         observables = default_observables(rho.shape[0])
     powers = _kraus_powers(emap, rho, n_max)
@@ -207,8 +206,6 @@ def ensemble_average(
     distribution.  `threads` is accepted for compatibility and changes
     neither the result nor the work done.
     """
-    if n_realizations < 1:
-        raise BadParametersError(f"n_realizations must be >= 1, got {n_realizations}")
     grid = _check_grid(grid)
     n = n_realizations
     counts = event_counts(waiting, grid, n, base_seed)
@@ -315,15 +312,21 @@ def renewal_probabilities(
     def restrict(row):
         return row[index] if index is not None else np.interp(grid, fine, row)
 
+    # P_n[k] = sum_{m=0}^{k-1} prev[k-1-m] A1[m] + prev[k-m] (A0[m]-A1[m]):
+    # two full linear convolutions by real FFT at the next fast length, with
+    # the fixed weights transformed once
+    size1 = scipy.fft.next_fast_len(2 * fine.size - 2, True)
+    size2 = scipy.fft.next_fast_len(2 * fine.size - 3, True)
+    w1 = scipy.fft.rfft(a1, size1)
+    w2 = scipy.fft.rfft(a0 - a1, size2)
     prev = waiting_survival(waiting, fine)
     rows = [restrict(prev)]
     total_fine = prev.copy()
     cap = 512 if n_max is None else int(n_max)
     n = 0
     while n < cap:
-        # P_n[k] = sum_{m=0}^{k-1} prev[k-1-m] A1[m] + prev[k-m] (A0[m]-A1[m])
-        c1 = fftconvolve(prev, a1)[: fine.size - 1]
-        c2 = fftconvolve(prev[1:], a0 - a1)[: fine.size - 1]
+        c1 = scipy.fft.irfft(scipy.fft.rfft(prev, size1) * w1, size1)[: fine.size - 1]
+        c2 = scipy.fft.irfft(scipy.fft.rfft(prev[1:], size2) * w2, size2)[: fine.size - 1]
         nxt = np.zeros_like(prev)
         nxt[1:] = c1 + c2
         nxt = np.clip(nxt, 0.0, None)
@@ -364,7 +367,7 @@ def series_solution(
     `tol` at the allowed truncation.
     """
     grid = _check_grid(grid)
-    rho = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
+    rho = as_matrix(rho0)
     probs = renewal_probabilities(waiting, n_max, grid, min_points=min_points, tail_tol=tol / 10)
     if probs.tail[-1] > tol:
         raise TruncationError(

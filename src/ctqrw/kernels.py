@@ -18,6 +18,9 @@ Built-in variants (units in seconds):
 * ``LaplaceKernel(transform)``: user-supplied Ktilde(u); classified by a
   finite numeric complete-monotonicity probe and handled by fixed-Talbot
   inversion.
+
+Each variant is a frozen dataclass carrying its own formulas; the module
+functions add only what all variants share.
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.special import gamma as _gamma
-from scipy.special import roots_legendre
+from scipy.special import gammaln, roots_legendre
 
 from . import laplace, special
 from .errors import (
@@ -37,11 +40,162 @@ from .errors import (
 )
 
 # ---------------------------------------------------------------------------
+# decay factors h_lam(t)
+
+
+def telegraph_h(t, lam, gamma: float, a_eps: float):
+    """Exponential-kernel decay factor.
+
+    ``h(t) = e^{-gamma t/2} [cosh(t Phi/2) + (gamma/Phi) sinh(t Phi/2)]``
+    with ``Phi = sqrt(gamma^2 - 4 lam a_eps)``; h is even in Phi, so the
+    complex square root branch is irrelevant, the oscillatory regime
+    Phi^2 < 0 comes out through cosh(i x) = cos(x), and a sinh(z)/z series
+    guard removes the cancellation at the degeneracy Phi -> 0.  Accepts
+    complex lam.  h(0) = 1, h'(0) = 0.
+    """
+    t = np.asarray(t, dtype=float)
+    phi = np.sqrt(complex(gamma * gamma - 4.0 * complex(lam) * a_eps))
+    z = 0.5 * t * phi
+    big = np.abs(z.real) > 30.0
+    small = np.abs(z) < 1e-6
+    z_safe = np.where(small | big, 1.0, z)
+    sinhc = np.where(small, 1.0 + z * z / 6.0, np.sinh(z_safe) / z_safe)
+    z_mod = np.where(big, 0.0, z)  # the big branch is overwritten below
+    out = np.asarray(
+        np.exp(-0.5 * gamma * t) * (np.cosh(z_mod) + 0.5 * gamma * t * sinhc), dtype=complex
+    )
+    if big.any():
+        # log-stabilized two-exponential form: both exponents have
+        # nonpositive real part for decaying dynamics, so nothing overflows
+        ratio = gamma / phi
+        e_plus = np.exp(z - 0.5 * gamma * t)
+        e_minus = np.exp(-z - 0.5 * gamma * t)
+        stable = 0.5 * (1.0 + ratio) * e_plus + 0.5 * (1.0 - ratio) * e_minus
+        out = np.where(big, stable, out)
+    if np.max(np.abs(out.imag)) <= 1e-12 * max(1.0, np.max(np.abs(out.real))):
+        out = out.real
+    return out
+
+
+def _real_rate(lam) -> float:
+    lam_c = complex(lam)
+    if abs(lam_c.imag) > 1e-10 * max(1.0, abs(lam_c.real)):
+        raise UnsupportedKernelError(
+            f"complex damping rate {lam_c} unsupported by this decay function"
+        )
+    return float(lam_c.real)
+
+
+# ---------------------------------------------------------------------------
 # kernel variants
 
 
+class MemoryKernel:
+    """Common base of the kernel variants.
+
+    A variant defines ``laplace(u)``, Ktilde at real or complex u, and the
+    property ``time_scale``, the characteristic time T.  The defaults here
+    build everything else from ``laplace`` alone by fixed-Talbot inversion
+    and the numeric complete-monotonicity probe, which is how
+    :class:`LaplaceKernel` is served; the built-in variants override them
+    with closed forms.  Only built-ins have a closed-form ``decay_factor``
+    and ``short_time_law``.
+    """
+
+    def _waiting_laplace(self, u):
+        k = self.laplace(u)
+        return k / (u + k)
+
+    def waiting(self, grid=None):
+        """The dual waiting-time distribution, tabulated on `grid` (default:
+        4000 points up to 20 T).  Raises :class:`NotADistributionError` with
+        a witness time when the inverted density goes negative."""
+        if grid is None:
+            t_max = 20.0 * self.time_scale
+            grid = np.linspace(t_max / 4000.0, t_max, 4000)
+        pdf = laplace.invert(self._waiting_laplace, grid)
+        if pdf.min() < -1e-9 * max(pdf.max(), 1e-30):
+            i = int(np.argmin(pdf))
+            raise NotADistributionError(float(grid[i]), float(pdf[i]))
+        return EmpiricalWaiting(times=grid, pdf=np.clip(pdf, 0.0, None))
+
+    def verdict(self, probe_order: int = 8) -> "KernelVerdict":
+        """Numeric probe: wtilde(u) = 1/(u/Ktilde(u) + 1) must be positive
+        with alternating derivative signs up to `probe_order` on a log grid
+        spanning [1e-3, 1e3] times the kernel rate, and the inverted density
+        must be nonnegative."""
+        rate = 1.0 / self.time_scale
+        for u0 in np.geomspace(1e-3 * rate, 1e3 * rate, 25):
+            coeffs = _circle_derivatives(self._waiting_laplace, float(u0), 0.5 * float(u0), probe_order)
+            signs = coeffs * (-1.0) ** np.arange(probe_order + 1)
+            bad = np.where(signs < -1e-9 * np.max(np.abs(coeffs)))[0]
+            if bad.size:
+                return KernelVerdict(
+                    verdict="dangerous",
+                    certificate=(
+                        f"CM probe failed at u={u0:.3g}: derivative order {bad[0]} has the "
+                        "wrong sign"
+                    ),
+                    witness={"u": float(u0), "order": int(bad[0])},
+                )
+        try:
+            self.waiting()
+        except NotADistributionError as exc:
+            return KernelVerdict(
+                verdict="dangerous",
+                certificate=f"inverted waiting density negative at t={exc.witness_t:g}",
+                witness={"t": exc.witness_t, "w_value": exc.value},
+            )
+        return KernelVerdict(
+            verdict="safe-conditional",
+            certificate=(
+                f"numeric probe only: wtilde sign-alternating through order {probe_order} "
+                "on the log grid and inverted density nonnegative"
+            ),
+            witness={"order": probe_order},
+        )
+
+    def mean_count(self, t: np.ndarray) -> np.ndarray:
+        """<N(t)> = int_0^t K(t-s) s ds, by inversion of Ktilde(u)/u^2."""
+        return laplace.invert_grid(lambda u: self.laplace(u) / u**2, t)
+
+    def second_moment(self, t: float) -> float:
+        """int tau^2 P(t, tau) dtau = L^-1[2 Ktilde^2/u^3](t) of the internal time."""
+        return float(laplace.invert(lambda u: 2.0 * self.laplace(u) ** 2 / u**3, t))
+
+    def decay_factor(self, lam, t):
+        """Closed-form h_lam(t), the solution of h' = -lam K * h, h(0) = 1."""
+        raise UnsupportedKernelError("closed-form decay functions exist for built-in kernels only")
+
+    def talbot_decay_factor(self, lam, t) -> np.ndarray:
+        """h_lam(t) by fixed-Talbot inversion of ``1/(u + lam Ktilde(u))``.
+
+        The rule keeps real parts only, so Re h and Im h are inverted from the
+        transforms ``(h(lam) + h(conj lam))/2`` and ``(h(lam) - h(conj lam))/2i``
+        of real functions; for real lam the second vanishes.  h(0) = 1.
+        """
+        lam = complex(lam)
+
+        def htilde(u, rate):
+            return 1.0 / (u + rate * self.laplace(u))
+
+        t = np.asarray(t, dtype=float)
+        out = np.ones(t.shape, dtype=complex)
+        pos = t > 0
+        out[pos] = laplace.invert(lambda u: (htilde(u, lam) + htilde(u, lam.conjugate())) / 2, t[pos])
+        out[pos] += 1j * laplace.invert(
+            lambda u: (htilde(u, lam) - htilde(u, lam.conjugate())) / 2j, t[pos]
+        )
+        return out
+
+    def short_time_law(self) -> tuple[float, float]:
+        """(exponent, prefactor) of the leading linear-entropy law
+        ``delta(t) ~ prefactor <<E>> t^exponent``."""
+        raise UnsupportedKernelError("short-time laws exist for built-in kernels")
+
+
 @dataclass(frozen=True)
-class MarkovianKernel:
+class MarkovianKernel(MemoryKernel):
     """Delta kernel K(t) = rate * delta(t); rate A1 in 1/sec."""
 
     rate: float
@@ -50,9 +204,35 @@ class MarkovianKernel:
         if self.rate <= 0:
             raise BadParametersError(f"rate must be > 0, got {self.rate}")
 
+    def laplace(self, u):
+        return self.rate * np.ones_like(np.asarray(u))
+
+    @property
+    def time_scale(self) -> float:
+        return 1.0 / self.rate
+
+    def waiting(self, grid=None):
+        return ExponentialWaiting(rate=self.rate)
+
+    def verdict(self, probe_order: int = 8) -> "KernelVerdict":
+        return KernelVerdict(
+            verdict="safe",
+            certificate=f"exponential waiting density {self.rate:g} exp(-{self.rate:g} t)",
+        )
+
+    def mean_count(self, t):
+        return self.rate * t
+
+    def decay_factor(self, lam, t):
+        """exp(-lam A1 t); complex lam gives a complex factor."""
+        return np.exp(-lam * self.rate * np.asarray(t, dtype=float))
+
+    def short_time_law(self):
+        return 1.0, 2.0 * self.rate
+
 
 @dataclass(frozen=True)
-class ExponentialKernel:
+class ExponentialKernel(MemoryKernel):
     """K(t) = amplitude * exp(-decay * t); amplitude A_eps in 1/sec^2, decay gamma in 1/sec."""
 
     amplitude: float
@@ -66,19 +246,50 @@ class ExponentialKernel:
     def discriminant(self) -> float:
         return self.decay**2 - 4.0 * self.amplitude
 
-    def waiting_rates(self) -> tuple[float, float]:
-        """Hypoexponential rates r1 <= r2 (safe regime only)."""
-        d = self.discriminant
-        if d < 0:
-            raise DangerousKernelError(
-                f"gamma^2 = {self.decay**2:g} < 4 A_eps = {4 * self.amplitude:g}"
+    def laplace(self, u):
+        return self.amplitude / (np.asarray(u) + self.decay)
+
+    @property
+    def time_scale(self) -> float:
+        return self.decay / self.amplitude
+
+    def waiting(self, grid=None):
+        verdict = self.verdict()
+        if not verdict.is_safe:
+            raise NotADistributionError(verdict.witness["t"], verdict.witness["w_value"])
+        return HypoexponentialWaiting(**verdict.witness)
+
+    def verdict(self, probe_order: int = 8) -> "KernelVerdict":
+        if self.discriminant >= 0:
+            # hypoexponential rates r1 <= r2
+            s = np.sqrt(self.discriminant)
+            r1, r2 = (self.decay - s) / 2.0, (self.decay + s) / 2.0
+            return KernelVerdict(
+                verdict="safe",
+                certificate=f"hypoexponential waiting with rates r1={r1:g}, r2={r2:g}",
+                witness={"r1": r1, "r2": r2},
             )
-        s = np.sqrt(d)
-        return (self.decay - s) / 2.0, (self.decay + s) / 2.0
+        t_w, w_val, log10_w = _exponential_negative_witness(self)
+        return KernelVerdict(
+            verdict="dangerous",
+            certificate=f"waiting density negative at t={t_w:g} (first negative lobe)",
+            witness={"t": t_w, "w_value": w_val, "log10_abs_w": log10_w},
+        )
+
+    def mean_count(self, t):
+        a, g = self.amplitude, self.decay
+        return (a / g) * t - (a / g**2) * (1.0 - np.exp(-g * t))
+
+    def decay_factor(self, lam, t):
+        """The telegraph factor :func:`telegraph_h`; accepts complex lam."""
+        return telegraph_h(t, lam, self.decay, self.amplitude)
+
+    def short_time_law(self):
+        return 2.0, self.amplitude
 
 
 @dataclass(frozen=True)
-class FractionalKernel:
+class FractionalKernel(MemoryKernel):
     """Ktilde(u) = amplitude * u^(1-alpha); amplitude A_alpha in 1/sec^alpha, 0 < alpha <= 1."""
 
     amplitude: float
@@ -90,9 +301,43 @@ class FractionalKernel:
         if not (0.0 < self.alpha <= 1.0):
             raise BadParametersError(f"alpha must be in (0, 1], got {self.alpha}")
 
+    def laplace(self, u):
+        return self.amplitude * np.asarray(u) ** (1.0 - self.alpha)
+
+    @property
+    def time_scale(self) -> float:
+        return self.amplitude ** (-1.0 / self.alpha)
+
+    def waiting(self, grid=None):
+        return MittagLefflerWaiting(amplitude=self.amplitude, alpha=self.alpha)
+
+    def verdict(self, probe_order: int = 8) -> "KernelVerdict":
+        return KernelVerdict(
+            verdict="safe",
+            certificate=(
+                f"Mittag-Leffler waiting density, alpha={self.alpha:g}; wtilde is CM "
+                "for 0 < alpha <= 1"
+            ),
+        )
+
+    def mean_count(self, t):
+        return self.amplitude * t**self.alpha / _gamma(1.0 + self.alpha)
+
+    def second_moment(self, t):
+        return 2.0 * self.amplitude**2 * t ** (2 * self.alpha) / np.exp(gammaln(1 + 2 * self.alpha))
+
+    def decay_factor(self, lam, t):
+        """E_alpha(-lam A_alpha t^alpha) for real lam; complex lam raises
+        :class:`UnsupportedKernelError` (no complex-argument Mittag-Leffler)."""
+        rate = _real_rate(lam) * self.amplitude
+        return special.mittag_leffler(self.alpha, rate * np.asarray(t, dtype=float) ** self.alpha)
+
+    def short_time_law(self):
+        return self.alpha, 2.0 * self.amplitude / np.exp(gammaln(1.0 + self.alpha))
+
 
 @dataclass(frozen=True)
-class LaplaceKernel:
+class LaplaceKernel(MemoryKernel):
     """Kernel given through its Laplace transform Ktilde(u).
 
     `transform` must accept complex u (the classifier and the Talbot
@@ -107,47 +352,71 @@ class LaplaceKernel:
         if self.scale <= 0:
             raise BadParametersError("scale must be > 0")
 
+    def laplace(self, u):
+        return self.transform(np.asarray(u))
 
-MemoryKernel = MarkovianKernel | ExponentialKernel | FractionalKernel | LaplaceKernel
+    @property
+    def time_scale(self) -> float:
+        return 1.0 / self.scale
 
 
 def kernel_laplace(kernel: MemoryKernel, u):
     """Ktilde(u) for real or complex u (u > 0 on the real axis)."""
-    if isinstance(kernel, MarkovianKernel):
-        return kernel.rate * np.ones_like(np.asarray(u))
-    if isinstance(kernel, ExponentialKernel):
-        return kernel.amplitude / (np.asarray(u) + kernel.decay)
-    if isinstance(kernel, FractionalKernel):
-        return kernel.amplitude * np.asarray(u) ** (1.0 - kernel.alpha)
-    if isinstance(kernel, LaplaceKernel):
-        return kernel.transform(np.asarray(u))
-    raise UnsupportedKernelError(f"unknown kernel {kernel!r}")
+    return kernel.laplace(u)
 
 
 def kernel_time_scale(kernel: MemoryKernel) -> float:
     """The characteristic time T with A1 = A_alpha^(1/alpha) = A_eps/gamma = 1/T."""
-    if isinstance(kernel, MarkovianKernel):
-        return 1.0 / kernel.rate
-    if isinstance(kernel, ExponentialKernel):
-        return kernel.decay / kernel.amplitude
-    if isinstance(kernel, FractionalKernel):
-        return kernel.amplitude ** (-1.0 / kernel.alpha)
-    return 1.0 / kernel.scale
+    return kernel.time_scale
 
 
 # ---------------------------------------------------------------------------
 # waiting-time distributions
 
+_ML_TINY = 1e-12
+
+
+class WaitingTimeDistribution:
+    """Common base of the waiting-time variants.
+
+    A variant defines ``density(t)`` and ``survival(t)`` on float arrays
+    t >= 0, and ``from_uniforms(u)``, which turns ``u[..., j]``, j <
+    ``uniforms``, into one waiting time per draw (elementwise, so any batch
+    layout gives the same values).  The default draw is the inverse CDF
+    ``quantile`` of a single uniform.  ``laplace`` is wtilde(u) where a
+    closed form exists.
+    """
+
+    uniforms = 1
+
+    def from_uniforms(self, u: np.ndarray) -> np.ndarray:
+        return self.quantile(u[..., 0])
+
+    def laplace(self, u):
+        raise UnsupportedKernelError("no closed-form transform for this variant")
+
 
 @dataclass(frozen=True)
-class ExponentialWaiting:
+class ExponentialWaiting(WaitingTimeDistribution):
     """w(t) = rate * exp(-rate t)."""
 
     rate: float
 
+    def density(self, t):
+        return self.rate * np.exp(-self.rate * t)
+
+    def survival(self, t):
+        return np.exp(-self.rate * t)
+
+    def laplace(self, u):
+        return self.rate / (self.rate + u)
+
+    def quantile(self, q):
+        return -np.log1p(-q) / self.rate
+
 
 @dataclass(frozen=True)
-class HypoexponentialWaiting:
+class HypoexponentialWaiting(WaitingTimeDistribution):
     """Sum of two independent exponentials with rates r1, r2.
 
     Dual to the safe exponential kernel: r1 r2 = A_eps, r1 + r2 = gamma.
@@ -156,17 +425,69 @@ class HypoexponentialWaiting:
     r1: float
     r2: float
 
+    uniforms = 2
+
+    def density(self, t):
+        r1, r2 = self.r1, self.r2
+        if abs(r2 - r1) < 1e-12 * r2:
+            return r1 * r2 * t * np.exp(-r1 * t)
+        return r1 * r2 / (r2 - r1) * (np.exp(-r1 * t) - np.exp(-r2 * t))
+
+    def survival(self, t):
+        r1, r2 = self.r1, self.r2
+        if abs(r2 - r1) < 1e-12 * r2:
+            return (1.0 + r1 * t) * np.exp(-r1 * t)
+        return (r2 * np.exp(-r1 * t) - r1 * np.exp(-r2 * t)) / (r2 - r1)
+
+    def laplace(self, u):
+        return (self.r1 / (self.r1 + u)) * (self.r2 / (self.r2 + u))
+
+    def from_uniforms(self, u):
+        return -np.log1p(-u[..., 0]) / self.r1 + -np.log1p(-u[..., 1]) / self.r2
+
 
 @dataclass(frozen=True)
-class MittagLefflerWaiting:
+class MittagLefflerWaiting(WaitingTimeDistribution):
     """Survival E_alpha(-amplitude * t^alpha); heavy tail ~ t^-(1+alpha)."""
 
     amplitude: float
     alpha: float
 
+    uniforms = 2
+
+    def density(self, t):
+        """Diverges as t^(alpha-1) at 0 for alpha < 1."""
+        a, al = self.amplitude, self.alpha
+        out = np.empty_like(t)
+        zero = t == 0.0
+        out[zero] = a if al == 1.0 else np.inf
+        ts = t[~zero]
+        out[~zero] = a * ts ** (al - 1.0) * special.mittag_leffler(al, a * ts**al, beta=al)
+        return out
+
+    def survival(self, t):
+        return special.mittag_leffler(self.alpha, self.amplitude * t**self.alpha)
+
+    def laplace(self, u):
+        return self.amplitude / (self.amplitude + np.asarray(u) ** self.alpha)
+
+    def from_uniforms(self, u):
+        """The exponential-times-stable product formula (Fulger, Scalas and
+        Germano, PRE 77, 021122, 2008)
+        ``tau = -ln U [sin(a pi)/tan(a pi V) - cos(a pi)]^(1/a) / A^(1/a)``
+        (exact heavy tail, O(1) per draw; verified against the survival
+        oracle in the tests)."""
+        a = self.alpha
+        first = np.clip(u[..., 0], _ML_TINY, 1.0 - _ML_TINY)
+        second = np.clip(u[..., 1], _ML_TINY, 1.0 - _ML_TINY)
+        if a == 1.0:
+            return -np.log(first) / self.amplitude
+        bracket = np.sin(a * np.pi) / np.tan(a * np.pi * second) - np.cos(a * np.pi)
+        return -np.log(first) * bracket ** (1.0 / a) / self.amplitude ** (1.0 / a)
+
 
 @dataclass(frozen=True)
-class EmpiricalWaiting:
+class EmpiricalWaiting(WaitingTimeDistribution):
     """Tabulated density on a grid (from numeric kernel inversion)."""
 
     times: np.ndarray
@@ -184,10 +505,14 @@ class EmpiricalWaiting:
         object.__setattr__(self, "pdf", p / total)
         object.__setattr__(self, "cdf", cdf / total)
 
+    def density(self, t):
+        return np.interp(t, self.times, self.pdf, left=float(self.pdf[0]), right=0.0)
 
-WaitingTimeDistribution = (
-    ExponentialWaiting | HypoexponentialWaiting | MittagLefflerWaiting | EmpiricalWaiting
-)
+    def survival(self, t):
+        return 1.0 - np.interp(t, self.times, self.cdf, left=0.0, right=1.0)
+
+    def quantile(self, q):
+        return np.interp(q, self.cdf, self.times)
 
 
 def waiting_from_kernel(kernel: MemoryKernel, grid: np.ndarray | None = None):
@@ -196,31 +521,7 @@ def waiting_from_kernel(kernel: MemoryKernel, grid: np.ndarray | None = None):
     Raises :class:`NotADistributionError` with a witness time when the
     inverted density goes negative (dangerous kernel).
     """
-    if isinstance(kernel, MarkovianKernel):
-        return ExponentialWaiting(rate=kernel.rate)
-    if isinstance(kernel, ExponentialKernel):
-        if kernel.discriminant < 0:
-            t_witness, value, _ = _exponential_negative_witness(kernel)
-            raise NotADistributionError(t_witness, value)
-        r1, r2 = kernel.waiting_rates()
-        return HypoexponentialWaiting(r1=r1, r2=r2)
-    if isinstance(kernel, FractionalKernel):
-        return MittagLefflerWaiting(amplitude=kernel.amplitude, alpha=kernel.alpha)
-    if isinstance(kernel, LaplaceKernel):
-        if grid is None:
-            t_max = 20.0 * kernel_time_scale(kernel)
-            grid = np.linspace(t_max / 4000.0, t_max, 4000)
-
-        def wtilde(u):
-            k = kernel.transform(u)
-            return k / (u + k)
-
-        pdf = laplace.invert(wtilde, grid)
-        if pdf.min() < -1e-9 * max(pdf.max(), 1e-30):
-            i = int(np.argmin(pdf))
-            raise NotADistributionError(float(grid[i]), float(pdf[i]))
-        return EmpiricalWaiting(times=grid, pdf=np.clip(pdf, 0.0, None))
-    raise UnsupportedKernelError(f"unknown kernel {kernel!r}")
+    return kernel.waiting(grid)
 
 
 def _exponential_negative_witness(kernel: ExponentialKernel):
@@ -243,73 +544,30 @@ def _exponential_negative_witness(kernel: ExponentialKernel):
     return float(t_star), w_float, float(mpmath.log(abs(w), 10))
 
 
-def waiting_pdf(waiting: WaitingTimeDistribution, t):
-    """Density w(t); vectorized.  Diverges as t^(alpha-1) at 0 for the
-    Mittag-Leffler variant."""
+def _nonnegative_times(t) -> np.ndarray:
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr < 0):
         raise DomainError("t must be >= 0")
-    if isinstance(waiting, ExponentialWaiting):
-        out = waiting.rate * np.exp(-waiting.rate * t_arr)
-    elif isinstance(waiting, HypoexponentialWaiting):
-        r1, r2 = waiting.r1, waiting.r2
-        if abs(r2 - r1) < 1e-12 * r2:
-            out = r1 * r2 * t_arr * np.exp(-r1 * t_arr)
-        else:
-            out = r1 * r2 / (r2 - r1) * (np.exp(-r1 * t_arr) - np.exp(-r2 * t_arr))
-    elif isinstance(waiting, MittagLefflerWaiting):
-        a, al = waiting.amplitude, waiting.alpha
-        out = np.empty_like(t_arr)
-        zero = t_arr == 0.0
-        out[zero] = a if al == 1.0 else np.inf
-        ts = t_arr[~zero]
-        out[~zero] = a * ts ** (al - 1.0) * special.mittag_leffler(al, a * ts**al, beta=al)
-    elif isinstance(waiting, EmpiricalWaiting):
-        out = np.interp(t_arr, waiting.times, waiting.pdf, left=float(waiting.pdf[0]), right=0.0)
-    else:
-        raise UnsupportedKernelError(f"unknown waiting distribution {waiting!r}")
-    return float(out[0]) if np.isscalar(t) or getattr(t, "ndim", 1) == 0 else out
+    return t_arr
+
+
+def waiting_pdf(waiting: WaitingTimeDistribution, t):
+    """Density w(t); vectorized.  Diverges as t^(alpha-1) at 0 for the
+    Mittag-Leffler variant."""
+    return laplace.like_input(t, waiting.density(_nonnegative_times(t)))
 
 
 def waiting_survival(waiting: WaitingTimeDistribution, t):
     """Survival probability P0(t) = 1 - int_0^t w; vectorized."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr < 0):
-        raise DomainError("t must be >= 0")
-    if isinstance(waiting, ExponentialWaiting):
-        out = np.exp(-waiting.rate * t_arr)
-    elif isinstance(waiting, HypoexponentialWaiting):
-        r1, r2 = waiting.r1, waiting.r2
-        if abs(r2 - r1) < 1e-12 * r2:
-            out = (1.0 + r1 * t_arr) * np.exp(-r1 * t_arr)
-        else:
-            out = (r2 * np.exp(-r1 * t_arr) - r1 * np.exp(-r2 * t_arr)) / (r2 - r1)
-    elif isinstance(waiting, MittagLefflerWaiting):
-        out = special.mittag_leffler(waiting.alpha, waiting.amplitude * t_arr**waiting.alpha)
-    elif isinstance(waiting, EmpiricalWaiting):
-        out = 1.0 - np.interp(t_arr, waiting.times, waiting.cdf, left=0.0, right=1.0)
-    else:
-        raise UnsupportedKernelError(f"unknown waiting distribution {waiting!r}")
-    return float(out[0]) if np.isscalar(t) or getattr(t, "ndim", 1) == 0 else out
-
-
-def waiting_laplace(waiting: WaitingTimeDistribution, u):
-    """wtilde(u) for the closed-form variants (duality round trips)."""
-    u = np.asarray(u)
-    if isinstance(waiting, ExponentialWaiting):
-        return waiting.rate / (waiting.rate + u)
-    if isinstance(waiting, HypoexponentialWaiting):
-        return (waiting.r1 / (waiting.r1 + u)) * (waiting.r2 / (waiting.r2 + u))
-    if isinstance(waiting, MittagLefflerWaiting):
-        return waiting.amplitude / (waiting.amplitude + u**waiting.alpha)
-    raise UnsupportedKernelError("no closed-form transform for this variant")
+    return laplace.like_input(t, waiting.survival(_nonnegative_times(t)))
 
 
 def kernel_from_waiting(waiting: WaitingTimeDistribution):
     """Ktilde(u) induced by a waiting distribution (duality direction 2)."""
 
     def ktilde(u):
-        w = waiting_laplace(waiting, u)
+        u = np.asarray(u)
+        w = waiting.laplace(u)
         return u * w / (1.0 - w)
 
     return ktilde
@@ -352,118 +610,19 @@ def _circle_derivatives(f, center: float, radius: float, n_max: int):
 
 
 def classify_kernel(kernel: MemoryKernel, probe_order: int = 8) -> KernelVerdict:
-    """Safe/dangerous classification.
-
-    Built-ins are classified by exact criteria; a LaplaceKernel gets the
-    numeric probe: wtilde(u) = 1/(u/Ktilde(u) + 1) must be positive with
-    alternating derivative signs up to `probe_order` on a log grid spanning
-    [1e-3, 1e3] times the kernel scale, plus a time-domain positivity check
-    of the inverted density.
-    """
-    if isinstance(kernel, MarkovianKernel):
-        return KernelVerdict(
-            verdict="safe",
-            certificate=f"exponential waiting density {kernel.rate:g} exp(-{kernel.rate:g} t)",
-        )
-    if isinstance(kernel, FractionalKernel):
-        return KernelVerdict(
-            verdict="safe",
-            certificate=(
-                f"Mittag-Leffler waiting density, alpha={kernel.alpha:g}; wtilde is CM "
-                "for 0 < alpha <= 1"
-            ),
-        )
-    if isinstance(kernel, ExponentialKernel):
-        if kernel.discriminant >= 0:
-            r1, r2 = kernel.waiting_rates()
-            return KernelVerdict(
-                verdict="safe",
-                certificate=f"hypoexponential waiting with rates r1={r1:g}, r2={r2:g}",
-                witness={"r1": r1, "r2": r2},
-            )
-        t_w, w_val, log10_w = _exponential_negative_witness(kernel)
-        return KernelVerdict(
-            verdict="dangerous",
-            certificate=f"waiting density negative at t={t_w:g} (first negative lobe)",
-            witness={"t": t_w, "w_value": w_val, "log10_abs_w": log10_w},
-        )
-    if isinstance(kernel, LaplaceKernel):
-
-        def wtilde(u):
-            k = kernel.transform(u)
-            return k / (u + k)
-
-        for u0 in np.geomspace(1e-3 * kernel.scale, 1e3 * kernel.scale, 25):
-            coeffs = _circle_derivatives(wtilde, float(u0), 0.5 * float(u0), probe_order)
-            signs = coeffs * (-1.0) ** np.arange(probe_order + 1)
-            bad = np.where(signs < -1e-9 * np.max(np.abs(coeffs)))[0]
-            if bad.size:
-                return KernelVerdict(
-                    verdict="dangerous",
-                    certificate=(
-                        f"CM probe failed at u={u0:.3g}: derivative order {bad[0]} has the "
-                        "wrong sign"
-                    ),
-                    witness={"u": float(u0), "order": int(bad[0])},
-                )
-        try:
-            waiting_from_kernel(kernel)
-        except NotADistributionError as exc:
-            return KernelVerdict(
-                verdict="dangerous",
-                certificate=f"inverted waiting density negative at t={exc.witness_t:g}",
-                witness={"t": exc.witness_t, "w_value": exc.value},
-            )
-        return KernelVerdict(
-            verdict="safe-conditional",
-            certificate=(
-                f"numeric probe only: wtilde sign-alternating through order {probe_order} "
-                "on the log grid and inverted density nonnegative"
-            ),
-            witness={"order": probe_order},
-        )
-    raise UnsupportedKernelError(f"unknown kernel {kernel!r}")
+    """Safe/dangerous classification: exact criteria for the built-ins, the
+    numeric probe of :meth:`MemoryKernel.verdict` for a LaplaceKernel."""
+    return kernel.verdict(probe_order)
 
 
 # ---------------------------------------------------------------------------
 # sampling
 
-_ML_TINY = 1e-12
-
-
-def uniforms_per_draw(waiting: WaitingTimeDistribution) -> int:
-    """Raw uniforms consumed by one waiting time of this variant."""
-    if isinstance(waiting, (ExponentialWaiting, EmpiricalWaiting)):
-        return 1
-    if isinstance(waiting, (HypoexponentialWaiting, MittagLefflerWaiting)):
-        return 2
-    raise UnsupportedKernelError(f"unknown waiting distribution {waiting!r}")
-
 
 def waiting_from_uniforms(waiting: WaitingTimeDistribution, u) -> np.ndarray:
-    """Waiting times from raw uniforms; ``u[..., j]`` is uniform j of each draw.
-
-    Exponential and empirical: inverse CDF.  Hypoexponential: sum of two
-    exponentials.  Mittag-Leffler: the exponential-times-stable product
-    formula (Fulger, Scalas and Germano, PRE 77, 021122, 2008)
-    ``tau = -ln U [sin(a pi)/tan(a pi V) - cos(a pi)]^(1/a) / A^(1/a)``
-    (exact heavy tail, O(1) per draw; verified against the survival oracle
-    in the tests).  Elementwise, so any batch layout gives the same values.
-    """
-    u = np.asarray(u, dtype=float)
-    if isinstance(waiting, (ExponentialWaiting, EmpiricalWaiting)):
-        return waiting_inverse_cdf(waiting, u[..., 0])
-    if isinstance(waiting, HypoexponentialWaiting):
-        return -np.log1p(-u[..., 0]) / waiting.r1 + -np.log1p(-u[..., 1]) / waiting.r2
-    if isinstance(waiting, MittagLefflerWaiting):
-        a = waiting.alpha
-        first = np.clip(u[..., 0], _ML_TINY, 1.0 - _ML_TINY)
-        second = np.clip(u[..., 1], _ML_TINY, 1.0 - _ML_TINY)
-        if a == 1.0:
-            return -np.log(first) / waiting.amplitude
-        bracket = np.sin(a * np.pi) / np.tan(a * np.pi * second) - np.cos(a * np.pi)
-        return -np.log(first) * bracket ** (1.0 / a) / waiting.amplitude ** (1.0 / a)
-    raise UnsupportedKernelError(f"unknown waiting distribution {waiting!r}")
+    """Waiting times from raw uniforms; ``u[..., j]`` is uniform j of each
+    draw (see :meth:`WaitingTimeDistribution.from_uniforms`)."""
+    return waiting.from_uniforms(np.asarray(u, dtype=float))
 
 
 def sample_waiting(waiting: WaitingTimeDistribution, rng: np.random.Generator, size=None):
@@ -473,19 +632,9 @@ def sample_waiting(waiting: WaitingTimeDistribution, rng: np.random.Generator, s
     a scalar call consumes the stream in per-draw order.
     """
     n = 1 if size is None else int(size)
-    u = rng.random((uniforms_per_draw(waiting), n)).T
+    u = rng.random((waiting.uniforms, n)).T
     out = waiting_from_uniforms(waiting, u)
     return float(out[0]) if size is None else out
-
-
-def waiting_inverse_cdf(waiting: WaitingTimeDistribution, q):
-    """Quantile function for the variants with a tractable CDF."""
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    if isinstance(waiting, ExponentialWaiting):
-        return -np.log1p(-q) / waiting.rate
-    if isinstance(waiting, EmpiricalWaiting):
-        return np.interp(q, waiting.cdf, waiting.times)
-    raise UnsupportedKernelError("no closed-form quantile for this variant")
 
 
 # ---------------------------------------------------------------------------
@@ -502,17 +651,7 @@ def renewal_mean_count(kernel: MemoryKernel, t):
     verdict = classify_kernel(kernel)
     if not verdict.is_safe:
         raise DangerousKernelError(verdict.certificate)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if isinstance(kernel, MarkovianKernel):
-        out = kernel.rate * t_arr
-    elif isinstance(kernel, FractionalKernel):
-        out = kernel.amplitude * t_arr**kernel.alpha / _gamma(1.0 + kernel.alpha)
-    elif isinstance(kernel, ExponentialKernel):
-        a, g = kernel.amplitude, kernel.decay
-        out = (a / g) * t_arr - (a / g**2) * (1.0 - np.exp(-g * t_arr))
-    else:
-        out = laplace.invert_grid(lambda u: kernel.transform(u) / u**2, t_arr)
-    return float(out[0]) if np.isscalar(t) or getattr(t, "ndim", 1) == 0 else out
+    return laplace.like_input(t, kernel.mean_count(np.atleast_1d(np.asarray(t, dtype=float))))
 
 
 def survival_cell_integrals(waiting, edges: np.ndarray, n_gauss: int = 6) -> np.ndarray:

@@ -18,6 +18,11 @@ with the default 32 nodes is ~1e-10 absolute, limited by rounding at the
 import numpy as np
 
 
+def like_input(x, out):
+    """`out` as a float when `x` is a scalar, else unchanged."""
+    return float(out[0]) if np.isscalar(x) or getattr(x, "ndim", 1) == 0 else out
+
+
 def talbot_nodes(m: int):
     """Contour angles and shape factors shared by all t."""
     theta = np.arange(1, m) * np.pi / m
@@ -42,8 +47,7 @@ def invert(fhat, t, n_nodes: int = 32):
     vals = fhat(s)
     terms = np.real(np.exp(s * t_arr[:, None]) * vals * (1.0 + 1j * sigma[None, :]))
     total = 0.5 * np.exp(r * t_arr) * np.real(fhat(r.astype(complex))) + terms.sum(axis=1)
-    out = (r / m) * total
-    return float(out[0]) if np.isscalar(t) or getattr(t, "ndim", 1) == 0 else out
+    return like_input(t, (r / m) * total)
 
 
 def invert_grid(fhat, t, n_nodes: int = 32):

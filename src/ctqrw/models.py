@@ -19,25 +19,9 @@ from .errors import (
     DangerousKernelError,
     UnsupportedKernelError,
 )
-from .kernels import (
-    ExponentialKernel,
-    FractionalKernel,
-    MarkovianKernel,
-    MemoryKernel,
-    classify_kernel,
-    waiting_from_kernel,
-)
-from .quantum import (
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    DensityMatrix,
-    GeneratorMatrix,
-    KrausMap,
-    dissipator,
-)
+from .kernels import FractionalKernel, MemoryKernel, classify_kernel, waiting_from_kernel
+from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, GeneratorMatrix, KrausMap, as_matrix, dissipator
 from .seeding import realization_streams
-from .solvers import telegraph_h
 
 # ---------------------------------------------------------------------------
 # qubit reservoirs
@@ -106,20 +90,6 @@ def qubit_kraus(model: QubitModel) -> KrausMap:
     raise BadParametersError(f"unknown qubit model {model!r}")
 
 
-def thermal_lindblad_parts(model: Thermal):
-    """The thermal and dispersive pieces of L = kappa L_th + kappa_tilde L_d.
-
-    L_th is the paper-normalized thermal dissipator
-    (p_up/2)([s^dag, . s] + [s^dag ., s]) + (p_down/2)([s, . s^dag] + [s ., s^dag])
-    and L_d the dephasing one (1/2)([s_z, . s_z] + [s_z ., s_z]).
-    """
-    lower = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |down><up|
-    raise_ = lower.conj().T
-    l_th = 0.5 * model.p_up * dissipator(raise_) + 0.5 * model.p_down * dissipator(lower)
-    l_d = 0.5 * dissipator(SIGMA_Z)
-    return l_th, l_d
-
-
 def _model_rates(model: QubitModel):
     """Damping eigenvalues (lam_pop, lam_coh) and equilibrium upper level."""
     if isinstance(model, Depolarizing):
@@ -168,12 +138,12 @@ def qubit_closed_solution(
     the kernel's decay function (exp / telegraph / Mittag-Leffler).
     """
     grid = np.asarray(grid, dtype=float)
-    m = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
+    m = as_matrix(rho0)
     if abs(np.trace(m) - 1.0) > 1e-9:
         raise BadParametersError("qubit_closed_solution expects a unit-trace state")
     lam_pop, lam_coh, p_eq = _model_rates(model)
-    h_pop = np.asarray(solvers.decay_function(kernel, lam_pop)(grid), dtype=complex).real
-    h_coh = np.asarray(solvers.decay_function(kernel, lam_coh)(grid), dtype=complex).real
+    h_pop = np.asarray(kernel.decay_factor(lam_pop, grid), dtype=complex).real
+    h_coh = np.asarray(kernel.decay_factor(lam_coh, grid), dtype=complex).real
     p0_up = m[0, 0].real
     p0_down = m[1, 1].real
     if p_eq is None:  # dephasing: populations frozen
@@ -225,10 +195,6 @@ def displacement_operator(beta: complex, dim: int) -> np.ndarray:
     return scipy.linalg.expm(beta * adag - np.conj(beta) * a)
 
 
-def displacement_kraus(beta: complex, dim: int) -> KrausMap:
-    return KrausMap(operators=(displacement_operator(beta, dim),))
-
-
 def second_order_generator(
     mean_beta: complex, mean_beta_sq: complex, mean_abs_sq: float, fock_dim: int
 ) -> GeneratorMatrix:
@@ -253,9 +219,6 @@ def second_order_generator(
     ident = np.eye(fock_dim)
     drift_op = mean_beta * adag - np.conj(mean_beta) * a
     drift = np.kron(ident, drift_op) - np.kron(drift_op.T, ident)
-
-    def anti(op):
-        return np.kron((op.conj().T @ op).T, ident) + np.kron(ident, op.conj().T @ op)
 
     def sandwich(left, right):
         # rho -> left rho right in column stacking: right^T kron left
@@ -573,7 +536,7 @@ def intrinsic_decoherence(
     same stream.  Populations are conserved exactly (gamma_nn = 0).
     """
     grid = np.asarray(grid, dtype=float)
-    m = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
+    m = as_matrix(rho0)
     if m.shape != (spectrum.dim, spectrum.dim):
         raise BadParametersError("state dimension does not match the spectrum")
     g = spectrum.rates()
@@ -591,33 +554,20 @@ def intrinsic_decoherence(
         phases = np.take_along_axis(
             _event_sums(rngs, counts[:, -1], spectrum.phase.sample), counts, axis=1
         )
-        mean_factor = np.empty((grid.size, spectrum.dim, spectrum.dim), dtype=complex)
+        # element factors: mean phase factor (stochastic) or h_gamma (closed)
+        factors = np.empty((grid.size, spectrum.dim, spectrum.dim), dtype=complex)
         for (n, mm), omega in np.ndenumerate(spectrum.bohr_frequencies()):
-            mean_factor[:, n, mm] = np.sum(np.exp(-1j * omega * phases), axis=0) / n_realizations
-        states = mean_factor * m[None, :, :]
+            factors[:, n, mm] = np.sum(np.exp(-1j * omega * phases), axis=0) / n_realizations
+    elif route == "volterra" or (route == "closed" and isinstance(kernel, FractionalKernel)):
+        states = solvers.volterra_solve(intrinsic_generator(spectrum), kernel, m, grid)
         return IntrinsicResult(grid=grid, states=states, rates=g)
-
-    if route == "closed":
-        if isinstance(kernel, MarkovianKernel):
-            h = np.exp(-kernel.rate * g[None, :, :] * grid[:, None, None])
-        elif isinstance(kernel, ExponentialKernel):
-            h = np.empty((grid.size, spectrum.dim, spectrum.dim), dtype=complex)
-            for n in range(spectrum.dim):
-                for mm in range(spectrum.dim):
-                    h[:, n, mm] = telegraph_h(grid, g[n, mm], kernel.decay, kernel.amplitude)
-        elif isinstance(kernel, FractionalKernel):
-            return intrinsic_decoherence(spectrum, kernel, m, grid, route="volterra")
-        else:
-            raise UnsupportedKernelError("closed intrinsic route needs a built-in kernel")
-        states = h * m[None, :, :]
-        return IntrinsicResult(grid=grid, states=states, rates=g)
-
-    if route == "volterra":
-        gen = intrinsic_generator(spectrum)
-        states = solvers.volterra_solve(gen, kernel, m, grid)
-        return IntrinsicResult(grid=grid, states=states, rates=g)
-
-    raise BadParametersError(f"unknown route {route!r}")
+    elif route == "closed":
+        factors = np.empty((grid.size, spectrum.dim, spectrum.dim), dtype=complex)
+        for (n, mm), rate in np.ndenumerate(g):
+            factors[:, n, mm] = kernel.decay_factor(rate, grid)
+    else:
+        raise BadParametersError(f"unknown route {route!r}")
+    return IntrinsicResult(grid=grid, states=factors * m[None, :, :], rates=g)
 
 
 def milburn_generator(spectrum: SpectrumModel, tau_a: float) -> np.ndarray:

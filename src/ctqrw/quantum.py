@@ -14,7 +14,7 @@ Conventions (fixed once, asserted in tests):
   ``sum_lam c_lam exp(-lam tau) P_lam``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -71,9 +71,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def expectation(self, op: np.ndarray) -> complex:
-        return complex(np.trace(op @ self.matrix))
-
     def bloch(self) -> np.ndarray:
         """Bloch vector (M_x, M_y, M_z); qubit states only."""
         if self.dim != 2:
@@ -81,6 +78,11 @@ class DensityMatrix:
         return np.array(
             [np.trace(s @ self.matrix).real for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
         )
+
+
+def as_matrix(rho) -> np.ndarray:
+    """The complex matrix (or batch) of a DensityMatrix or array-like."""
+    return rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
 
 
 def make_density(matrix: np.ndarray) -> DensityMatrix:
@@ -161,7 +163,7 @@ class KrausMap:
 
 def apply_kraus(emap: KrausMap, rho: np.ndarray) -> np.ndarray:
     """Apply the scattering map: ``sum_i C_i rho C_i^dag``."""
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    m = as_matrix(rho)
     if m.shape != (emap.dim, emap.dim):
         raise DimMismatchError(f"state shape {m.shape} vs map dimension {emap.dim}")
     out = np.zeros_like(m)
@@ -229,13 +231,6 @@ def dissipator(v: np.ndarray) -> np.ndarray:
     vdv = v.conj().T @ v
     ident = np.eye(d)
     return 2.0 * np.kron(v.conj(), v) - np.kron(vdv.T, ident) - np.kron(ident, vdv)
-
-
-def hamiltonian_superop(h: np.ndarray) -> np.ndarray:
-    """Superoperator of ``-i [H, .]``."""
-    h = np.asarray(h, dtype=complex)
-    ident = np.eye(h.shape[0])
-    return -1j * (np.kron(ident, h) - np.kron(h.T, ident))
 
 
 @dataclass(frozen=True)
@@ -314,31 +309,31 @@ class DampingBasis:
     """Biorthogonal eigendecomposition of a generator.
 
     ``rates[k]`` is the decay rate lam_k (``L[P_k] = -lam_k P_k``),
-    ``right_ops[k]`` the eigenoperator P_k, ``dual_ops[k]`` the dual
+    ``right_ops[k]`` the eigenoperator P_k and ``dual_ops[k]`` the dual
     (left) operator with ``Tr[dual_j right_k] = delta_jk`` after
-    normalization, and ``coefficients[k] = Tr[dual_k rho0]`` when an initial
-    state was supplied.
+    normalization.
     """
 
     rates: np.ndarray
     right_ops: tuple
     dual_ops: tuple
     dim: int
-    coefficients: np.ndarray | None = field(default=None)
 
-    def coefficients_for(self, rho0: np.ndarray) -> np.ndarray:
-        m = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0)
-        return np.array([np.trace(p @ m) for p in self.dual_ops])
+    def evolve(self, rho0, decay_factors: np.ndarray) -> np.ndarray:
+        """``rho(t) = sum_k Tr[dual_k rho0] h_k(t) P_k`` from per-rate decay
+        factors of shape (n_rates, n_grid).
 
-    def assemble(self, coefficients: np.ndarray, h_values: np.ndarray) -> np.ndarray:
-        """State ``sum_k c_k h_k P_k`` for per-eigenvalue decay factors h_k."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for c, h, p in zip(coefficients, h_values, self.right_ops):
-            out += c * h * p
-        return out
+        `rho0` may be one matrix or a batch (n, d, d); returns (n_grid, d, d)
+        or (n, n_grid, d, d) accordingly.
+        """
+        m = as_matrix(rho0)
+        batch = m[None, :, :] if m.ndim == 2 else m
+        coeffs = np.array([[np.trace(p @ b) for p in self.dual_ops] for b in batch])
+        states = np.einsum("nl,lk,lij->nkij", coeffs, decay_factors, np.array(self.right_ops))
+        return states[0] if m.ndim == 2 else states
 
 
-def damping_basis(gen: GeneratorMatrix, rho0=None) -> DampingBasis:
+def damping_basis(gen: GeneratorMatrix) -> DampingBasis:
     """Eigendecomposition of a generator with biorthogonal duals.
 
     Eigenvalues are returned as decay rates (``-eig``), sorted by real part
@@ -362,23 +357,9 @@ def damping_basis(gen: GeneratorMatrix, rho0=None) -> DampingBasis:
         right_ops.append(unvec(v[:, k], gen.dim))
         # Tr[dual X] = W_row . vec(X)  <=>  dual = row-major reshape of the row
         dual_ops.append(w[k, :].reshape(gen.dim, gen.dim))
-    coeffs = None
-    basis = DampingBasis(
-        rates=rates,
-        right_ops=tuple(right_ops),
-        dual_ops=tuple(dual_ops),
-        dim=gen.dim,
+    return DampingBasis(
+        rates=rates, right_ops=tuple(right_ops), dual_ops=tuple(dual_ops), dim=gen.dim
     )
-    if rho0 is not None:
-        coeffs = basis.coefficients_for(rho0)
-        basis = DampingBasis(
-            rates=rates,
-            right_ops=basis.right_ops,
-            dual_ops=basis.dual_ops,
-            dim=gen.dim,
-            coefficients=coeffs,
-        )
-    return basis
 
 
 def random_kraus_map(dim: int, n_ops: int, rng: np.random.Generator) -> KrausMap:

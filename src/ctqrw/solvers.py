@@ -28,140 +28,27 @@ import numpy as np
 import scipy.linalg
 from scipy.special import gammaln, roots_legendre
 
-from . import laplace, special
+from . import laplace
 from .errors import (
+    BadParametersError,
     DangerousKernelError,
     SubordinationUnavailableError,
     UnstableStepError,
     UnsupportedKernelError,
 )
-from .kernels import (
+from .kernels import (  # telegraph_h is re-exported as ctqrw.solvers.telegraph_h
     ExponentialKernel,
     FractionalKernel,
-    LaplaceKernel,
     MarkovianKernel,
     MemoryKernel,
     classify_kernel,
-    kernel_laplace,
-    renewal_mean_count,
+    telegraph_h,
 )
-from .quantum import DampingBasis, DensityMatrix, GeneratorMatrix, KrausMap, choi_of_map, vec
-
-# ---------------------------------------------------------------------------
-# decay functions h_lam(t)
-
-
-def telegraph_h(t, lam, gamma: float, a_eps: float):
-    """Exponential-kernel decay factor.
-
-    ``h(t) = e^{-gamma t/2} [cosh(t Phi/2) + (gamma/Phi) sinh(t Phi/2)]``
-    with ``Phi = sqrt(gamma^2 - 4 lam a_eps)``; h is even in Phi, so the
-    complex square root branch is irrelevant, the oscillatory regime
-    Phi^2 < 0 comes out through cosh(i x) = cos(x), and a sinh(z)/z series
-    guard removes the cancellation at the degeneracy Phi -> 0.  Accepts
-    complex lam.  h(0) = 1, h'(0) = 0.
-    """
-    t = np.asarray(t, dtype=float)
-    phi = np.sqrt(complex(gamma * gamma - 4.0 * complex(lam) * a_eps))
-    z = 0.5 * t * phi
-    big = np.abs(z.real) > 30.0
-    small = np.abs(z) < 1e-6
-    z_safe = np.where(small | big, 1.0, z)
-    sinhc = np.where(small, 1.0 + z * z / 6.0, np.sinh(z_safe) / z_safe)
-    z_mod = np.where(big, 0.0, z)  # the big branch is overwritten below
-    out = np.asarray(
-        np.exp(-0.5 * gamma * t) * (np.cosh(z_mod) + 0.5 * gamma * t * sinhc), dtype=complex
-    )
-    if big.any():
-        # log-stabilized two-exponential form: both exponents have
-        # nonpositive real part for decaying dynamics, so nothing overflows
-        ratio = gamma / phi
-        e_plus = np.exp(z - 0.5 * gamma * t)
-        e_minus = np.exp(-z - 0.5 * gamma * t)
-        stable = 0.5 * (1.0 + ratio) * e_plus + 0.5 * (1.0 - ratio) * e_minus
-        out = np.where(big, stable, out)
-    if np.max(np.abs(out.imag)) <= 1e-12 * max(1.0, np.max(np.abs(out.real))):
-        out = out.real
-    return out
-
-
-def markov_h(t, lam, a1: float):
-    """Markovian decay factor exp(-lam A1 t)."""
-    out = np.exp(-np.asarray(lam) * a1 * np.asarray(t, dtype=float))
-    if np.iscomplexobj(out) and np.max(np.abs(out.imag)) <= 1e-12:
-        out = out.real
-    return out
-
-
-def fractional_h(t, lam, a_alpha: float, alpha: float):
-    """Mittag-Leffler decay factor E_alpha(-lam A_alpha t^alpha), lam real >= 0."""
-    lam = _real_rate(lam)
-    return special.mittag_leffler(alpha, lam * a_alpha * np.asarray(t, dtype=float) ** alpha)
-
-
-def _real_rate(lam) -> float:
-    lam_c = complex(lam)
-    if abs(lam_c.imag) > 1e-10 * max(1.0, abs(lam_c.real)):
-        raise UnsupportedKernelError(
-            f"complex damping rate {lam_c} unsupported by this decay function"
-        )
-    return float(lam_c.real)
-
-
-@dataclass(frozen=True)
-class TelegraphDecay:
-    """h(t, Phi_lam) of the exponential kernel."""
-
-    gamma: float
-    a_eps: float
-    lam: complex
-
-    @property
-    def phi(self) -> complex:
-        return np.sqrt(complex(self.gamma**2 - 4.0 * self.lam * self.a_eps))
-
-    def __call__(self, t):
-        return telegraph_h(t, self.lam, self.gamma, self.a_eps)
-
-
-@dataclass(frozen=True)
-class ExponentialDecay:
-    """exp(-rate t), the Markovian-kernel factor with rate = lam A1."""
-
-    rate: float
-
-    def __call__(self, t):
-        return np.exp(-self.rate * np.asarray(t, dtype=float))
-
-
-@dataclass(frozen=True)
-class MittagLefflerDecay:
-    """E_alpha(-rate t^alpha) with rate = lam A_alpha."""
-
-    alpha: float
-    rate: float
-
-    def __call__(self, t):
-        return special.mittag_leffler(self.alpha, self.rate * np.asarray(t, dtype=float) ** self.alpha)
-
-
-def decay_function(kernel: MemoryKernel, lam):
-    """The h_lam(t) appropriate to a built-in kernel variant."""
-    if isinstance(kernel, MarkovianKernel):
-        return ExponentialDecay(rate=_real_rate(lam) * kernel.rate)
-    if isinstance(kernel, ExponentialKernel):
-        return TelegraphDecay(gamma=kernel.decay, a_eps=kernel.amplitude, lam=complex(lam))
-    if isinstance(kernel, FractionalKernel):
-        return MittagLefflerDecay(alpha=kernel.alpha, rate=_real_rate(lam) * kernel.amplitude)
-    raise UnsupportedKernelError("closed-form decay functions exist for built-in kernels only")
-
-
-# ---------------------------------------------------------------------------
-# closed-form route
+from .quantum import DampingBasis, GeneratorMatrix, KrausMap, as_matrix, choi_of_map, vec
 
 
 def _as_batch(rho0):
-    m = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
+    m = as_matrix(rho0)
     if m.ndim == 2:
         return m[None, :, :], True
     return m, False
@@ -174,21 +61,22 @@ def _unvec_trajectories(y: np.ndarray, dim: int) -> np.ndarray:
     return np.swapaxes(states, -1, -2)
 
 
+# ---------------------------------------------------------------------------
+# closed-form route
+
+
 def closed_form_solve(basis: DampingBasis, kernel: MemoryKernel, rho0, grid):
     """``rho(t) = sum_lam c_lam h_lam(t) P_lam`` on the grid.
 
     `rho0` may be one matrix or a batch (n, d, d); returns (n_grid, d, d)
     or (n, n_grid, d, d) accordingly.  Raises
     :class:`UnsupportedKernelError` for kernels without closed-form decay
-    functions (use :func:`volterra_solve`).
+    functions (use :func:`volterra_solve`) and for the fractional kernel
+    with complex damping rates.
     """
     grid = np.asarray(grid, dtype=float)
-    batch, single = _as_batch(rho0)
-    coeffs = np.array([[np.trace(p @ m) for p in basis.dual_ops] for m in batch])
-    hs = np.array([np.asarray(decay_function(kernel, lam)(grid), dtype=complex) for lam in basis.rates])
-    ops = np.array(basis.right_ops)
-    states = np.einsum("nl,lk,lij->nkij", coeffs, hs, ops)
-    return states[0] if single else states
+    hs = np.array([np.asarray(kernel.decay_factor(lam, grid), dtype=complex) for lam in basis.rates])
+    return basis.evolve(rho0, hs)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +89,7 @@ def _check_uniform(grid) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     steps = np.diff(grid)
     if grid.size < 2 or grid[0] != 0.0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-        raise ValueError("this solver needs a uniform grid starting at 0")
+        raise BadParametersError("this solver needs a uniform grid of at least two points starting at 0")
     return grid
 
 
@@ -242,13 +130,22 @@ def _regular_kernel_moments(kernel, h: float, n: int) -> np.ndarray:
     theta = 0.5 * (nodes + 1.0)
     w = 0.5 * wts
     lags = (m[:, None] + 1.0 - theta[None, :]) * h
-    r_vals = laplace.invert(lambda u: kernel_laplace(kernel, u) / u, lags.ravel()).reshape(lags.shape)
+    r_vals = laplace.invert(lambda u: kernel.laplace(u) / u, lags.ravel()).reshape(lags.shape)
     for p in range(3):
         b[p] = h * (r_vals * theta[None, :] ** p * w[None, :]).sum(axis=1)
     return b
 
 
-def _volterra_regular(gen, kernel, batch, grid):
+def _propagate(step: np.ndarray, y0: np.ndarray, n_grid: int) -> np.ndarray:
+    """``y[k] = step^k y0`` for k < n_grid, one matrix product per step."""
+    y = np.zeros((n_grid,) + y0.shape, dtype=complex)
+    y[0] = y0
+    for k in range(1, n_grid):
+        y[k] = step @ y[k - 1]
+    return y
+
+
+def _volterra_regular(gen, kernel, y0, grid):
     """Quadratic product integration of y = y0 + int_0^t R(t-s) G y(s) ds.
 
     Piecewise-quadratic interpolation of y on node pairs with exact
@@ -264,8 +161,8 @@ def _volterra_regular(gen, kernel, batch, grid):
     # cell 2i uses xi = theta, cell 2i+1 uses xi = 1 + theta
     w_first = np.stack([(b2 - 3 * b1 + 2 * b0) / 2, 2 * b1 - b2, (b2 - b1) / 2])
     w_second = np.stack([(b2 - b1) / 2, b0 - b2, (b2 + b1) / 2])
-    y = np.zeros((n + 1, d2, batch.shape[0]), dtype=complex)
-    y[0] = np.stack([vec(b) for b in batch], axis=1)
+    y = np.zeros((n + 1,) + y0.shape, dtype=complex)
+    y[0] = y0
     gy = np.zeros_like(y)
     gy[0] = g_mat @ y[0]
     # implicit node-k weight: odd k closes with the backward pair's second
@@ -311,17 +208,7 @@ def _volterra_regular(gen, kernel, batch, grid):
     return y
 
 
-def _volterra_markovian(gen, kernel, batch, grid):
-    prop = scipy.linalg.expm(kernel.rate * (grid[1] - grid[0]) * gen.matrix)
-    n = grid.size - 1
-    y = np.zeros((n + 1, gen.matrix.shape[0], batch.shape[0]), dtype=complex)
-    y[0] = np.stack([vec(b) for b in batch], axis=1)
-    for k in range(1, n + 1):
-        y[k] = prop @ y[k - 1]
-    return y
-
-
-def _volterra_fractional(gen, kernel, batch, grid, n_subtract: int | None = None):
+def _volterra_fractional(gen, kernel, y0, grid, n_subtract: int | None = None):
     """Product integration of the Riemann-Liouville (integrated) form
     ``y = y0 + (A/Gamma(a)) int (t-s)^(a-1) G y ds`` with exact subtraction
     of the leading singular powers.
@@ -349,7 +236,6 @@ def _volterra_fractional(gen, kernel, batch, grid, n_subtract: int | None = None
         - ((m_arr + 1.0) ** (alpha + 1.0) - m_arr ** (alpha + 1.0)) / (alpha + 1.0)
     )
     c_pref = a_amp / np.exp(gammaln(alpha))
-    y0 = np.stack([vec(b) for b in batch], axis=1)
     c_vecs = [y0.astype(complex)]
     for k in range(1, n_subtract + 2):
         c_vecs.append(
@@ -359,7 +245,7 @@ def _volterra_fractional(gen, kernel, batch, grid, n_subtract: int | None = None
         )
     t_pows = np.array([grid ** (k * alpha) for k in range(n_subtract + 2)])
     lhs_inv = np.linalg.inv(np.eye(d2) - c_pref * d1[0] * g_mat)
-    phi = np.zeros((n + 1, d2, batch.shape[0]), dtype=complex)
+    phi = np.zeros((n + 1,) + y0.shape, dtype=complex)
     gphi = np.zeros_like(phi)
     top = c_vecs[n_subtract + 1]
     for k in range(1, n + 1):
@@ -387,14 +273,13 @@ def volterra_solve(gen: GeneratorMatrix, kernel: MemoryKernel, rho0, grid):
     """
     grid = _check_uniform(grid)
     batch, single = _as_batch(rho0)
+    y0 = np.stack([vec(b) for b in batch], axis=1)
     if isinstance(kernel, MarkovianKernel):
-        y = _volterra_markovian(gen, kernel, batch, grid)
+        y = _propagate(scipy.linalg.expm(kernel.rate * (grid[1] - grid[0]) * gen.matrix), y0, grid.size)
     elif isinstance(kernel, FractionalKernel):
-        y = _volterra_fractional(gen, kernel, batch, grid)
-    elif isinstance(kernel, (ExponentialKernel, LaplaceKernel)):
-        y = _volterra_regular(gen, kernel, batch, grid)
+        y = _volterra_fractional(gen, kernel, y0, grid)
     else:
-        raise UnsupportedKernelError(f"unknown kernel {kernel!r}")
+        y = _volterra_regular(gen, kernel, y0, grid)
     states = _unvec_trajectories(y, gen.dim)
     traces = np.einsum("nkii->nk", states).real
     trace0 = np.einsum("nii->n", batch).real
@@ -420,11 +305,9 @@ def telegraph_ode_solve(gen: GeneratorMatrix, kernel: ExponentialKernel, rho0, g
     block[:d2, d2:] = np.eye(d2)
     block[d2:, :d2] = kernel.amplitude * gen.matrix
     block[d2:, d2:] = -kernel.decay * np.eye(d2)
-    prop = scipy.linalg.expm((grid[1] - grid[0]) * block)
-    state = np.zeros((grid.size, 2 * d2, batch.shape[0]), dtype=complex)
-    state[0, :d2] = np.stack([vec(b) for b in batch], axis=1)
-    for k in range(1, grid.size):
-        state[k] = prop @ state[k - 1]
+    y0 = np.zeros((2 * d2, batch.shape[0]), dtype=complex)
+    y0[:d2] = np.stack([vec(b) for b in batch], axis=1)
+    state = _propagate(scipy.linalg.expm((grid[1] - grid[0]) * block), y0, grid.size)
     states = _unvec_trajectories(state[:, :d2, :], gen.dim)
     return states[0] if single else states
 
@@ -441,23 +324,16 @@ class DeltaLine:
 
 
 def _subordination_mode(kernel: MemoryKernel) -> str:
+    verdict = classify_kernel(kernel)
+    if not verdict.is_safe:
+        raise DangerousKernelError(
+            f"subordination requires a stochastically interpretable kernel: {verdict.certificate}"
+        )
     if isinstance(kernel, MarkovianKernel):
         return "delta"
-    if isinstance(kernel, FractionalKernel):
-        return "density"
     if isinstance(kernel, ExponentialKernel):
-        if kernel.discriminant < 0:
-            raise DangerousKernelError(
-                "dangerous exponential kernel: subordination requires a stochastically "
-                "interpretable kernel"
-            )
         return "laplace"
-    if isinstance(kernel, LaplaceKernel):
-        verdict = classify_kernel(kernel)
-        if not verdict.is_safe:
-            raise DangerousKernelError(verdict.certificate)
-        return "density"
-    raise UnsupportedKernelError(f"unknown kernel {kernel!r}")
+    return "density"
 
 
 def _density_at(kernel: MemoryKernel, t: float, taus: np.ndarray, n_nodes: int = 32) -> np.ndarray:
@@ -465,8 +341,8 @@ def _density_at(kernel: MemoryKernel, t: float, taus: np.ndarray, n_nodes: int =
     theta, cot, sigma = laplace.talbot_nodes(n_nodes)
     r = 2.0 * n_nodes / (5.0 * t)
     s = r * theta * (cot + 1j)  # (m-1,)
-    ks = kernel_laplace(kernel, s)
-    kr = kernel_laplace(kernel, np.array([r + 0j]))[0]
+    ks = kernel.laplace(s)
+    kr = kernel.laplace(np.array([r + 0j]))[0]
     pf_nodes = np.exp(-taus[:, None] * s[None, :] / ks[None, :]) / ks[None, :]
     terms = np.real(np.exp(s * t)[None, :] * pf_nodes * (1.0 + 1j * sigma)[None, :])
     head = 0.5 * np.exp(r * t) * np.real(np.exp(-taus * r / np.real(kr)) / np.real(kr))
@@ -494,8 +370,7 @@ def subordination_pdf(kernel: MemoryKernel, t: float, tau):
     if t <= 0:
         raise ValueError("t must be > 0")
     tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-    out = _density_at(kernel, float(t), tau_arr)
-    return float(out[0]) if np.isscalar(tau) or getattr(tau, "ndim", 1) == 0 else out
+    return laplace.like_input(tau, _density_at(kernel, float(t), tau_arr))
 
 
 def _tau_quadrature(tau_max: float, n_panels: int = 24, n_nodes: int = 10):
@@ -504,18 +379,6 @@ def _tau_quadrature(tau_max: float, n_panels: int = 24, n_nodes: int = 10):
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * np.diff(edges)[:, None]
     return (mid + half * nodes[None, :]).ravel(), (half * wts[None, :]).ravel()
-
-
-def _second_moment(kernel: MemoryKernel, t: float) -> float:
-    """int tau^2 P(t, tau) dtau = L^-1[2 Ktilde^2/u^3](t)."""
-    if isinstance(kernel, FractionalKernel):
-        return (
-            2.0
-            * kernel.amplitude**2
-            * t ** (2 * kernel.alpha)
-            / np.exp(gammaln(1 + 2 * kernel.alpha))
-        )
-    return float(laplace.invert(lambda u: 2.0 * kernel_laplace(kernel, u) ** 2 / u**3, t))
 
 
 def subordination_solve(kernel: MemoryKernel, basis: DampingBasis, rho0, grid):
@@ -527,47 +390,37 @@ def subordination_solve(kernel: MemoryKernel, basis: DampingBasis, rho0, grid):
     CM-verified custom kernels), truncated where both the density mass and
     the e^{-lam tau} weight are negligible.  Safe exponential kernels use
     the Laplace-domain form instead (see module docstring); dangerous
-    kernels raise :class:`DangerousKernelError`.
+    kernels raise :class:`DangerousKernelError`.  Complex damping rates are
+    supported on every branch: the quadrature weight is the complex
+    e^{-lam tau}, and the Laplace-domain form inverts the real and
+    imaginary parts of h_lam separately.
     """
     mode = _subordination_mode(kernel)
     grid = np.asarray(grid, dtype=float)
-    batch, single = _as_batch(rho0)
-    coeffs = np.array([[np.trace(p @ m) for p in basis.dual_ops] for m in batch])
-    ops = np.array(basis.right_ops)
     lams = basis.rates
-    zero = np.abs(lams) < 1e-12
-    live = np.where(~zero)[0]
+    live = np.where(np.abs(lams) >= 1e-12)[0]
 
     hs = np.ones((lams.size, grid.size), dtype=complex)
-    if live.size:
-        if mode == "delta":
-            for i in live:
-                hs[i] = np.exp(-lams[i] * kernel.rate * grid)
-        elif mode == "laplace":
-            for i in live:
-
-                def htilde(u, _lam=lams[i]):
-                    return 1.0 / (u + _lam * kernel_laplace(kernel, u))
-
-                vals = np.ones(grid.size, dtype=complex)
-                pos = grid > 0
-                vals[pos] = laplace.invert(htilde, grid[pos])
-                hs[i] = vals
-        else:
-            lam_min = float(np.min(np.real(lams[live])))
-            for k, t in enumerate(grid):
-                if t <= 0:
-                    continue
-                m1 = float(renewal_mean_count(kernel, float(t)))
-                m2 = _second_moment(kernel, float(t))
-                sigma = np.sqrt(max(m2 - m1 * m1, 1e-30))
-                tau_max = max(min(m1 + 12.0 * sigma, m1 + 30.0 / lam_min), 1e-6)
-                taus, weights = _tau_quadrature(tau_max)
-                p_vals = _density_at(kernel, float(t), taus)
-                for i in live:
-                    hs[i, k] = np.sum(weights * p_vals * np.exp(-np.real(lams[i]) * taus))
-    states = np.einsum("nl,lk,lij->nkij", coeffs, hs, ops)
-    return states[0] if single else states
+    if mode != "density":
+        decay = kernel.decay_factor if mode == "delta" else kernel.talbot_decay_factor
+        for i in live:
+            hs[i] = decay(lams[i], grid)
+    elif live.size:
+        # real rates keep a real quadrature sum
+        rates = [lam.real if lam.imag == 0 else lam for lam in lams[live]]
+        lam_min = float(np.min(np.real(lams[live])))
+        for k, t in enumerate(grid):
+            if t <= 0:
+                continue
+            m1 = float(kernel.mean_count(np.array([t]))[0])
+            m2 = kernel.second_moment(float(t))
+            sigma = np.sqrt(max(m2 - m1 * m1, 1e-30))
+            tau_max = max(min(m1 + 12.0 * sigma, m1 + 30.0 / lam_min), 1e-6)
+            taus, weights = _tau_quadrature(tau_max)
+            p_vals = _density_at(kernel, float(t), taus)
+            for i, rate in zip(live, rates):
+                hs[i, k] = np.sum(weights * p_vals * np.exp(-rate * taus))
+    return basis.evolve(rho0, hs)
 
 
 # ---------------------------------------------------------------------------
@@ -600,18 +453,8 @@ def short_time_entropy(emap: KrausMap, psi, kernel: MemoryKernel) -> ShortTimeEn
     for c in emap.operators:
         coeff += float(np.real(ket.conj() @ (c.conj().T @ c) @ ket))
         coeff -= abs(complex(ket.conj() @ (c @ ket))) ** 2
-    if isinstance(kernel, FractionalKernel):
-        expo = kernel.alpha
-        pref = 2.0 * kernel.amplitude / np.exp(gammaln(1.0 + kernel.alpha)) * coeff
-    elif isinstance(kernel, ExponentialKernel):
-        expo = 2.0
-        pref = kernel.amplitude * coeff
-    elif isinstance(kernel, MarkovianKernel):
-        expo = 1.0
-        pref = 2.0 * kernel.rate * coeff
-    else:
-        raise UnsupportedKernelError("short-time laws exist for built-in kernels")
-    return ShortTimeEntropy(coefficient=coeff, exponent=expo, prefactor=pref)
+    expo, pref = kernel.short_time_law()
+    return ShortTimeEntropy(coefficient=coeff, exponent=expo, prefactor=pref * coeff)
 
 
 def cp_defect_over_time(solve, dim: int, grid) -> np.ndarray:
@@ -623,10 +466,7 @@ def cp_defect_over_time(solve, dim: int, grid) -> np.ndarray:
     loss of complete positivity well beyond quadrature noise.
     """
     grid = np.asarray(grid, dtype=float)
-    units = np.zeros((dim * dim, dim, dim), dtype=complex)
-    for j in range(dim):
-        for l in range(dim):
-            units[j * dim + l, j, l] = 1.0
+    units = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)  # unit j*d+l = |j><l|
     images = solve(units)
     defects = np.empty(grid.size)
     for k in range(grid.size):

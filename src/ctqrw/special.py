@@ -73,7 +73,6 @@ def _asymptotic(alpha: float, beta: float, x: np.ndarray):
     a relative error below 1e-11.
     """
     x = np.atleast_1d(x)
-    acc = np.zeros(x.shape)
     best = np.full(x.shape, np.inf)
     val_at_best = np.zeros(x.shape)
     running = np.zeros(x.shape)

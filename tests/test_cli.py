@@ -285,6 +285,29 @@ def test_counts_below_one_are_config_errors(tmp_path, capsys, text, line, key):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "text, line, key",
+    [
+        (GOOD_ENSEMBLE, "t_max_over_T = nan", "grid.t_max_over_T"),
+        (GOOD_ENSEMBLE, "t_max_over_T = inf", "grid.t_max_over_T"),
+        (GOOD_ENSEMBLE, "t_max_over_T = -1", "grid.t_max_over_T"),
+        (GOOD_ENSEMBLE.replace("seed = 1", "seed = 1\nthreads = 1"), "threads = 1.5",
+         "experiment.threads"),
+    ],
+)
+def test_bad_grid_span_and_threads_are_config_errors(tmp_path, capsys, text, line, key):
+    test_counts_below_one_are_config_errors(tmp_path, capsys, text, line, key)
+
+
+def test_single_point_volterra_grid_is_numeric_failure(tmp_path, capsys):
+    text = GOOD_ENSEMBLE.replace("kind = ensemble", "kind = solve").replace(
+        "[ensemble]\nn_realizations = 200", "[solve]\nroute = volterra"
+    )
+    bad = text.replace("n_points = 50", "n_points = 1")
+    assert cli.run(write(tmp_path, bad), str(tmp_path / "o")) == 3
+    assert "uniform grid" in capsys.readouterr().err
+
+
 def test_intrinsic_run(tmp_path):
     text = """
 [experiment]
@@ -334,3 +357,17 @@ def test_main_entry_point(tmp_path):
     path = write(tmp_path, GOOD_ENSEMBLE)
     code = cli.main(["--config", path, "--out-dir", str(tmp_path / "m")])
     assert code == 0
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    import subprocess
+    import sys
+
+    import ctqrw
+
+    src = os.path.dirname(os.path.dirname(ctqrw.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, ctqrw.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

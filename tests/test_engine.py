@@ -358,7 +358,6 @@ def test_wigner_positions_rebuild_per_walker():
 def test_intrinsic_stochastic_single_stream_rebuild():
     from ctqrw.kernels import (
         ExponentialKernel,
-        uniforms_per_draw,
         waiting_from_kernel,
         waiting_from_uniforms,
     )
@@ -376,7 +375,7 @@ def test_intrinsic_stochastic_single_stream_rebuild():
     rng = stream(derive_seed(12, 0))
     clock, events = 0.0, []
     while clock <= grid[-1]:
-        block = rng.random((engine.DRAWS_PER_BLOCK, uniforms_per_draw(waiting)))
+        block = rng.random((engine.DRAWS_PER_BLOCK, waiting.uniforms))
         for tau in waiting_from_uniforms(waiting, block):
             clock += tau
             if clock <= grid[-1]:

@@ -24,7 +24,7 @@ from ctqrw.models import (
     SpectrumModel,
     Thermal,
     WignerWalkConfig,
-    displacement_kraus,
+    displacement_operator,
     fourier_mode_rate,
     intrinsic_decoherence,
     ladder_operators,
@@ -36,6 +36,7 @@ from ctqrw.models import (
     wigner_ctrw,
 )
 from ctqrw.quantum import (
+    KrausMap,
     damping_basis,
     linear_entropy,
     lindblad_from_kraus,
@@ -214,7 +215,7 @@ def test_second_order_generator_matches_displacement_mixture():
     resids = []
     for beta0 in (0.2, 0.1):
         mix = mixture_generator(
-            [(0.5, displacement_kraus(beta0, dim)), (0.5, displacement_kraus(-beta0, dim))]
+            [(0.5, KrausMap(operators=(displacement_operator(b, dim),))) for b in (beta0, -beta0)]
         )
         approx = second_order_generator(0.0, beta0**2, beta0**2, dim)
         # compare on the low-excitation block, away from truncation

@@ -25,9 +25,9 @@ FRAC_HALF = FractionalKernel(amplitude=1 / np.sqrt(2), alpha=0.5)
 MARKOV = MarkovianKernel(rate=0.5)
 
 
-def depol_basis(rho0=None):
+def depol_basis():
     gen = lindblad_from_kraus(qubit_kraus(Depolarizing()))
-    return gen, damping_basis(gen, rho0)
+    return gen, damping_basis(gen)
 
 
 # -- h functions -------------------------------------------------------------
@@ -91,12 +91,11 @@ def test_telegraph_h_magnitude_bound():
 def test_mittag_leffler_h_slopes():
     # stretched-exponential onset (slope alpha) and power-law tail (-alpha)
     alpha, amp = 0.5, 1 / np.sqrt(2)
-    f = solvers.decay_function(FRAC_HALF, 1.0)
     t_small = np.geomspace(1e-8, 1e-6, 10)
-    slope_small = np.polyfit(np.log(t_small), np.log(1.0 - f(t_small)), 1)[0]
+    slope_small = np.polyfit(np.log(t_small), np.log(1.0 - FRAC_HALF.decay_factor(1.0, t_small)), 1)[0]
     assert slope_small == pytest.approx(alpha, abs=0.01)
     t_big = np.geomspace(1e6, 1e9, 10)
-    slope_big = np.polyfit(np.log(t_big), np.log(f(t_big)), 1)[0]
+    slope_big = np.polyfit(np.log(t_big), np.log(FRAC_HALF.decay_factor(1.0, t_big)), 1)[0]
     assert slope_big == pytest.approx(-alpha, abs=0.01)
 
 
@@ -251,7 +250,7 @@ def test_subordination_dangerous_kernel_refused():
 def test_subordination_h_matches_mittag_leffler():
     # int P(t,tau) e^(-lam tau) dtau = E_alpha(-lam A t^alpha)
     kern = FRAC_HALF
-    gen, basis = depol_basis(PLUS_X)
+    gen, basis = depol_basis()
     grid = np.linspace(0.0, 20.0, 41)
     states = solvers.subordination_solve(kern, basis, PLUS_X, grid)
     closed = solvers.closed_form_solve(basis, kern, PLUS_X, grid)
@@ -362,3 +361,48 @@ def test_cp_defect_matches_g_coefficients():
     sol = qubit_closed_solution(Depolarizing(), kern, PLUS_X, grid)
     gmin = np.minimum.reduce([sol.g["g_I"], sol.g["g_x"], sol.g["g_y"], sol.g["g_z"]])
     assert np.max(np.abs(defects - 2.0 * gmin)) < 1e-9
+
+
+# -- cross-route agreement beyond qubits -------------------------------------
+
+
+def qutrit_problem():
+    """A random d = 3 channel whose damping rates are complex."""
+    from ctqrw.quantum import random_density, random_kraus_map
+
+    rng = np.random.default_rng(3)
+    emap = random_kraus_map(3, 2, rng)
+    rho = random_density(3, rng)
+    gen = lindblad_from_kraus(emap)
+    return emap, gen, damping_basis(gen), rho, np.linspace(0.0, 5.0, 51)
+
+
+def test_qutrit_routes_agree_exponential_kernel():
+    from ctqrw.engine import series_solution
+    from ctqrw.kernels import waiting_from_kernel
+
+    emap, gen, basis, rho, grid = qutrit_problem()
+    assert np.max(np.abs(basis.rates.imag)) > 0.1
+    closed = solvers.closed_form_solve(basis, EXP_SAFE, rho, grid)
+    series, _ = series_solution(rho, emap, waiting_from_kernel(EXP_SAFE), grid)
+    for states, tol in (
+        (solvers.telegraph_ode_solve(gen, EXP_SAFE, rho, grid), 1e-9),
+        (solvers.volterra_solve(gen, EXP_SAFE, rho, grid), 1e-6),
+        (series, 1e-5),
+        (solvers.subordination_solve(EXP_SAFE, basis, rho, grid), 1e-4),
+    ):
+        assert np.max(np.abs(states - closed)) < tol
+
+
+def test_qutrit_routes_agree_fractional_kernel():
+    from ctqrw.engine import series_solution
+    from ctqrw.kernels import waiting_from_kernel
+
+    emap, gen, basis, rho, grid = qutrit_problem()
+    series, _ = series_solution(rho, emap, waiting_from_kernel(FRAC_HALF), grid)
+    subordination = solvers.subordination_solve(FRAC_HALF, basis, rho, grid)
+    assert np.max(np.abs(subordination - series)) < 1e-5
+    volterra = solvers.volterra_solve(gen, FRAC_HALF, rho, grid)
+    assert np.max(np.abs(volterra - series)) < 1e-4
+    with pytest.raises(UnsupportedKernelError):
+        solvers.closed_form_solve(basis, FRAC_HALF, rho, grid)
