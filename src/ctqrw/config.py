@@ -32,11 +32,12 @@ tau_b; ``[output]`` csv, manifest (file names inside the output directory).
 """
 
 import configparser
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import BadMomentsError, BadParametersError, ConfigError
 from .kernels import (
     ExponentialKernel,
     FractionalKernel,
@@ -138,6 +139,28 @@ def _get_float(section, key: str, section_name: str, default: float | None = Non
     return value
 
 
+def _get_complex(section, key: str, section_name: str, default: complex) -> complex:
+    """Finite complex `section_name.key`; `default` when the key is absent."""
+    text = section.get(key, str(default))
+    try:
+        value = complex(text)
+    except ValueError as exc:
+        raise ConfigError(f"{section_name}.{key}: not a complex number ({text!r})") from exc
+    if not np.isfinite(value):
+        raise ConfigError(f"{section_name}.{key} must be finite, got {value!r}")
+    return value
+
+
+@contextmanager
+def _section(name: str):
+    """Report a parameter error of the model, kernel, jump law or spectrum
+    built from section `name` as a config error naming that section."""
+    try:
+        yield
+    except (BadParametersError, BadMomentsError) as exc:
+        raise ConfigError(f"[{name}]: {exc}") from exc
+
+
 def _get_count(section, key: str, section_name: str, default: int) -> int:
     """Integer `section_name.key` that must be at least 1."""
     text = section.get(key, str(default))
@@ -171,7 +194,8 @@ def _parse_model(section):
     mtype = section.get("type", "").strip()
     if mtype == "depolarizing":
         return Depolarizing(
-            p_x=float(section.get("p_x", 0.5)), p_y=float(section.get("p_y", 0.5))
+            p_x=_get_float(section, "p_x", "model", 0.5),
+            p_y=_get_float(section, "p_y", "model", 0.5),
         )
     if mtype == "dephasing":
         return Dephasing()
@@ -188,15 +212,16 @@ def _parse_jumps(section):
     jtype = section.get("jump", "gaussian").strip()
     if jtype == "gaussian":
         return GaussianJumps(
-            mean=complex(section.get("mean", "0")),
-            mean_sq=complex(section.get("mean_sq", "0")),
-            mean_abs_sq=float(section.get("mean_abs_sq", 1.0)),
+            mean=_get_complex(section, "mean", "wigner", 0j),
+            mean_sq=_get_complex(section, "mean_sq", "wigner", 0j),
+            mean_abs_sq=_get_float(section, "mean_abs_sq", "wigner", 1.0),
         )
     if jtype == "point":
-        return PointMassJumps(beta0=complex(section.get("beta0", "0")))
+        return PointMassJumps(beta0=_get_complex(section, "beta0", "wigner", 0j))
     if jtype == "levy":
         return LevyJumps(
-            mu=_get_float(section, "mu", "wigner"), sigma=float(section.get("sigma", 1.0))
+            mu=_get_float(section, "mu", "wigner"),
+            sigma=_get_float(section, "sigma", "wigner", 1.0),
         )
     raise ConfigError(f"wigner.jump: unknown jump law {jtype!r}")
 
@@ -255,12 +280,14 @@ def parse_config(path: str) -> ExperimentConfig:
     kernel_sections = [s for s in parser.sections() if s == "kernel" or s.startswith("kernel.")]
     for s in kernel_sections:
         label = s.split(".", 1)[1] if "." in s else "kernel"
-        cfg.kernels.append((label, _parse_kernel(parser[s], s)))
+        with _section(s):
+            cfg.kernels.append((label, _parse_kernel(parser[s], s)))
     if not cfg.kernels:
         raise ConfigError("missing section [kernel]")
 
     if "model" in parser:
-        cfg.model = _parse_model(parser["model"])
+        with _section("model"):
+            cfg.model = _parse_model(parser["model"])
     if "grid" in parser:
         g = parser["grid"]
         cfg.t_max_over_scale = _get_float(g, "t_max_over_T", "grid", 10.0)
@@ -282,9 +309,11 @@ def parse_config(path: str) -> ExperimentConfig:
     if "wigner" in parser:
         w = parser["wigner"]
         cfg.n_walkers = _get_count(w, "n_walkers", "wigner", 10000)
-        cfg.jumps = _parse_jumps(w)
+        with _section("wigner"):
+            cfg.jumps = _parse_jumps(w)
     if "intrinsic" in parser:
-        cfg.spectrum = _parse_spectrum(parser["intrinsic"])
+        with _section("intrinsic"):
+            cfg.spectrum = _parse_spectrum(parser["intrinsic"])
     if "output" in parser:
         cfg.csv_name = parser["output"].get("csv", cfg.csv_name)
         cfg.manifest_name = parser["output"].get("manifest", cfg.manifest_name)

@@ -306,6 +306,8 @@ def renewal_probabilities(
     (capped at 512).
     """
     grid = _check_grid(grid)
+    if grid[-1] <= 0:
+        raise BadParametersError("renewal_probabilities needs a grid that reaches past t = 0")
     fine, index = _fine_grid(grid, min_points)
     a0, a1 = _waiting_cell_weights(waiting, fine)
 

@@ -34,8 +34,10 @@ def talbot_nodes(m: int):
 def invert(fhat, t, n_nodes: int = 32):
     """Evaluate the inverse transform of `fhat` at times t > 0.
 
-    `fhat` must be vectorized over a complex ndarray.  Returns an array
-    shaped like t (or a float for scalar t).
+    `fhat` is called once, on a complex (n_t, M) array whose first column
+    is the contour's real point r and whose other columns are the nodes
+    s_k.  It may prepend axes (a family of transforms); they lead the
+    result.  Returns an array shaped like t (or a float for scalar t).
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr <= 0):
@@ -44,9 +46,9 @@ def invert(fhat, t, n_nodes: int = 32):
     theta, cot, sigma = talbot_nodes(m)
     r = 2.0 * m / (5.0 * t_arr)  # (n_t,)
     s = r[:, None] * theta[None, :] * (cot[None, :] + 1j)  # (n_t, m-1)
-    vals = fhat(s)
-    terms = np.real(np.exp(s * t_arr[:, None]) * vals * (1.0 + 1j * sigma[None, :]))
-    total = 0.5 * np.exp(r * t_arr) * np.real(fhat(r.astype(complex))) + terms.sum(axis=1)
+    vals = fhat(np.concatenate([r[:, None] + 0j, s], axis=1))
+    terms = np.real(np.exp(s * t_arr[:, None]) * vals[..., 1:] * (1.0 + 1j * sigma[None, :]))
+    total = 0.5 * np.exp(r * t_arr) * np.real(vals[..., 0]) + terms.sum(axis=-1)
     return like_input(t, (r / m) * total)
 
 

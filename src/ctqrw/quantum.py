@@ -251,6 +251,14 @@ class ChoiMatrix:
         return float(np.linalg.eigvalsh((self.matrix + self.matrix.conj().T) / 2).min())
 
 
+def choi_matrices(images: np.ndarray, dim: int) -> np.ndarray:
+    """Hermitized Choi matrices (n, d^2, d^2) of n maps, given the images
+    (d^2, n, d, d) of the matrix units (unit j*d+l = |j><l|)."""
+    d2 = dim * dim
+    c = images.reshape(dim, dim, -1, dim, dim).transpose(2, 0, 3, 1, 4).reshape(-1, d2, d2)
+    return (c + c.conj().swapaxes(-1, -2)) / 2
+
+
 def choi_of_map(action, dim: int) -> tuple[ChoiMatrix, float]:
     """Choi matrix of a map given its action on all matrix units.
 
@@ -258,17 +266,11 @@ def choi_of_map(action, dim: int) -> tuple[ChoiMatrix, float]:
     the Choi matrix and ``cp_defect`` = its minimum eigenvalue (>= -tol means
     completely positive).
     """
-    c = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for j in range(dim):
-        for k in range(dim):
-            unit = np.zeros((dim, dim), dtype=complex)
-            unit[j, k] = 1.0
-            out = np.asarray(action(unit), dtype=complex)
-            if out.shape != (dim, dim):
-                raise DimMismatchError(f"map returned shape {out.shape}, expected ({dim}, {dim})")
-            c[dim * j : dim * (j + 1), dim * k : dim * (k + 1)] = out
-    c = (c + c.conj().T) / 2
-    choi = ChoiMatrix(matrix=c, dim=dim)
+    units = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
+    images = np.array([np.asarray(action(unit), dtype=complex) for unit in units])
+    if images.shape[1:] != (dim, dim):
+        raise DimMismatchError(f"map returned shape {images.shape[1:]}, expected ({dim}, {dim})")
+    choi = ChoiMatrix(matrix=choi_matrices(images[:, None], dim)[0], dim=dim)
     return choi, choi.min_eigenvalue()
 
 

@@ -32,6 +32,8 @@ from . import laplace
 from .errors import (
     BadParametersError,
     DangerousKernelError,
+    DimMismatchError,
+    DomainError,
     SubordinationUnavailableError,
     UnstableStepError,
     UnsupportedKernelError,
@@ -44,7 +46,7 @@ from .kernels import (  # telegraph_h is re-exported as ctqrw.solvers.telegraph_
     classify_kernel,
     telegraph_h,
 )
-from .quantum import DampingBasis, GeneratorMatrix, KrausMap, as_matrix, choi_of_map, vec
+from .quantum import DampingBasis, GeneratorMatrix, KrausMap, as_matrix, choi_matrices, vec
 
 
 def _as_batch(rho0):
@@ -269,7 +271,7 @@ def volterra_solve(gen: GeneratorMatrix, kernel: MemoryKernel, rho0, grid):
     corrected product integration (at least first-order accurate; in
     practice close to second order).  `rho0` may be a single matrix or a
     batch (n, d, d).  Raises :class:`UnstableStepError` on trace drift
-    beyond 1e-6.
+    beyond 1e-6 or a non-finite trace.
     """
     grid = _check_uniform(grid)
     batch, single = _as_batch(rho0)
@@ -284,7 +286,7 @@ def volterra_solve(gen: GeneratorMatrix, kernel: MemoryKernel, rho0, grid):
     traces = np.einsum("nkii->nk", states).real
     trace0 = np.einsum("nii->n", batch).real
     drift = np.max(np.abs(traces - trace0[:, None]))
-    if drift > _TRACE_DRIFT * max(1.0, float(np.max(np.abs(trace0)))):
+    if not drift <= _TRACE_DRIFT * max(1.0, float(np.max(np.abs(trace0)))):  # NaN fails too
         raise UnstableStepError(f"trace drift {drift:.2e} exceeds {_TRACE_DRIFT:g}")
     return states[0] if single else states
 
@@ -336,17 +338,25 @@ def _subordination_mode(kernel: MemoryKernel) -> str:
     return "density"
 
 
-def _density_at(kernel: MemoryKernel, t: float, taus: np.ndarray, n_nodes: int = 32) -> np.ndarray:
-    """P(t, tau) for many tau at one t, sharing the Talbot contour."""
-    theta, cot, sigma = laplace.talbot_nodes(n_nodes)
-    r = 2.0 * n_nodes / (5.0 * t)
-    s = r * theta * (cot + 1j)  # (m-1,)
-    ks = kernel.laplace(s)
-    kr = kernel.laplace(np.array([r + 0j]))[0]
-    pf_nodes = np.exp(-taus[:, None] * s[None, :] / ks[None, :]) / ks[None, :]
-    terms = np.real(np.exp(s * t)[None, :] * pf_nodes * (1.0 + 1j * sigma)[None, :])
-    head = 0.5 * np.exp(r * t) * np.real(np.exp(-taus * r / np.real(kr)) / np.real(kr))
-    return (r / n_nodes) * (head + terms.sum(axis=1))
+def _density_at(kernel: MemoryKernel, t: float, taus: np.ndarray) -> np.ndarray:
+    """P(t, tau) for many tau at one t: one Talbot inversion of
+    ``exp(-tau u/Ktilde(u))/Ktilde(u)`` broadcast over tau.
+
+    Raises :class:`SubordinationUnavailableError` where the contour
+    overflows: for fractional alpha > 1/2 the exponent grows on its left arm.
+    """
+
+    def fhat(s):
+        ks = kernel.laplace(s)
+        return np.exp(-taus[:, None, None] * s / ks) / ks
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        density = laplace.invert(fhat, [t])[:, 0]
+    if not np.all(np.isfinite(density)):
+        raise SubordinationUnavailableError(
+            f"the Talbot-inverted subordination density of {kernel!r} is not finite at t = {t:.6g}"
+        )
+    return density
 
 
 def subordination_pdf(kernel: MemoryKernel, t: float, tau):
@@ -356,8 +366,10 @@ def subordination_pdf(kernel: MemoryKernel, t: float, tau):
     Markovian kernels return the symbolic :class:`DeltaLine` at
     ``tau = A1 t``.  Exponential kernels raise
     :class:`SubordinationUnavailableError` (no pointwise density exists
-    even in the safe regime; see :func:`subordination_solve`).  Dangerous
-    kernels raise :class:`DangerousKernelError`.
+    even in the safe regime; see :func:`subordination_solve`), and so does
+    a density the Talbot contour cannot evaluate (it can overflow for
+    fractional alpha > 1/2).  Dangerous kernels raise
+    :class:`DangerousKernelError`; ``t <= 0`` raises :class:`DomainError`.
     """
     mode = _subordination_mode(kernel)
     if mode == "delta":
@@ -368,7 +380,7 @@ def subordination_pdf(kernel: MemoryKernel, t: float, tau):
             "(under-dispersed renewal counting); use subordination_solve"
         )
     if t <= 0:
-        raise ValueError("t must be > 0")
+        raise DomainError(f"t must be > 0, got {t}")
     tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
     return laplace.like_input(tau, _density_at(kernel, float(t), tau_arr))
 
@@ -390,7 +402,9 @@ def subordination_solve(kernel: MemoryKernel, basis: DampingBasis, rho0, grid):
     CM-verified custom kernels), truncated where both the density mass and
     the e^{-lam tau} weight are negligible.  Safe exponential kernels use
     the Laplace-domain form instead (see module docstring); dangerous
-    kernels raise :class:`DangerousKernelError`.  Complex damping rates are
+    kernels raise :class:`DangerousKernelError`, and a density the Talbot
+    contour cannot evaluate (it can overflow for fractional alpha > 1/2)
+    raises :class:`SubordinationUnavailableError`.  Complex damping rates are
     supported on every branch: the quadrature weight is the complex
     e^{-lam tau}, and the Laplace-domain form inverts the real and
     imaginary parts of h_lam separately.
@@ -463,17 +477,12 @@ def cp_defect_over_time(solve, dim: int, grid) -> np.ndarray:
     `solve` maps a batch (n, d, d) of initial operators to trajectories
     (n, n_grid, d, d); all d^2 matrix units are propagated at once and the
     time-t map assembled from their images.  A value below -1e-9 certifies
-    loss of complete positivity well beyond quadrature noise.
+    loss of complete positivity well beyond quadrature noise.  Raises
+    :class:`DimMismatchError` if the trajectories do not have one entry
+    per grid point.
     """
-    grid = np.asarray(grid, dtype=float)
     units = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)  # unit j*d+l = |j><l|
     images = solve(units)
-    defects = np.empty(grid.size)
-    for k in range(grid.size):
-        imgs = images[:, k]
-
-        def action(m, _imgs=imgs):
-            return np.tensordot(m.ravel(), _imgs.reshape(dim * dim, dim, dim), axes=(0, 0))
-
-        _, defects[k] = choi_of_map(action, dim)
-    return defects
+    if images.shape[1] != np.size(grid):
+        raise DimMismatchError(f"solve returned {images.shape[1]} times for a grid of {np.size(grid)}")
+    return np.linalg.eigvalsh(choi_matrices(images, dim)).min(axis=-1)

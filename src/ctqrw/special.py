@@ -17,9 +17,10 @@ Three evaluation regimes, cross-validated on the seams by the test suite:
                   [r^a sin(pi b) - x sin(pi (a-b))] / D(r) dr,
     D(r) = r^{2a} + 2 x r^a cos(pi a) + x^2,
 
-  discretized with a Gauss-Jacobi rule (exact ``r^{a-b}`` endpoint weight)
-  plus peak-aware Gauss-Legendre panels (for ``a > 1/2`` the integrand has a
-  Lorentzian feature of width ``~ x sin(pi a)`` at ``r^a = x |cos(pi a)|``);
+  discretized for every ``0 < a < 1`` with one fixed rule: tanh-sinh on
+  ``[0, 1]`` (after ``r = q^(1/a)``) plus Gauss-Legendre panels on
+  ``[1, 55]``, graded geometrically around the Lorentzian feature of width
+  ``~ x sin(pi a)`` at ``r^a = x |cos(pi a)|`` that appears for ``a > 1/2``;
 * the asymptotic series ``sum_k (-1)^{k+1} x^{-k} / Gamma(b - a k)`` with
   optimal truncation at its smallest term.
 """
@@ -30,6 +31,7 @@ from scipy.special import rgamma as _rgamma
 from scipy.special import roots_legendre
 
 from .errors import DomainError
+from .laplace import like_input
 
 _SERIES_MAX_TERM = 1e3  # keeps cancellation below ~2e-13
 _SERIES_MAX_K = 1500
@@ -90,13 +92,22 @@ def _asymptotic(alpha: float, beta: float, x: np.ndarray):
     return out, ok
 
 
+# boundaries around the Lorentzian dip, in units of its width
+_PEAK_GRADE = np.geomspace(0.25, 400.0, 6)
+_PEAK_OFFSETS = np.concatenate([-_PEAK_GRADE, [0.0], _PEAK_GRADE])
+
+
 def _spectral_bounds(alpha: float, x: np.ndarray) -> np.ndarray:
     """Per-x panel boundaries on [1, 55] for the branch-cut integral.
 
-    A shared geometric ladder resolves the e^{-r} factor; twelve extra
-    panels refine the Lorentzian dip of the denominator at
-    r* = (|cos(pi alpha)| x)^(1/alpha) when alpha > 1/2 (beyond r = 55 the
-    e^{-r} factor has killed everything).
+    A shared geometric ladder resolves the e^{-r} factor.  When alpha > 1/2
+    the denominator has a Lorentzian dip of width w at
+    r* = (|cos(pi alpha)| x)^(1/alpha); thirteen more boundaries,
+    r* + w * (0, -+geomspace(0.25, 400, 6)), grade the panels geometrically
+    away from it, so its 1/d^2 tails stay resolved however sharp the dip.
+    Without a dip the thirteen sit at r = 1 and add empty panels, which
+    keeps one panel layout for every alpha.  Beyond r = 55 the e^{-r}
+    factor has killed everything.
     """
     base = np.geomspace(1.0, 55.0, 29)
     c = np.cos(np.pi * alpha)
@@ -106,13 +117,9 @@ def _spectral_bounds(alpha: float, x: np.ndarray) -> np.ndarray:
         width = (x * np.sin(np.pi * alpha) / alpha) * np.maximum(s_peak, 1e-30) ** (
             1.0 / alpha - 1.0
         )
-        w_eff = np.minimum(width, 6.0)
-        lo = np.clip(r_peak - 4.0 * w_eff, 1.0, 55.0)
-        hi = np.clip(r_peak + 5.0 * w_eff, 1.0, 55.0)
+        peak = np.clip(r_peak[:, None] + np.minimum(width, 6.0)[:, None] * _PEAK_OFFSETS, 1.0, 55.0)
     else:
-        lo = np.ones_like(x)
-        hi = np.ones_like(x)
-    peak = np.linspace(lo, hi, 13, axis=1)
+        peak = np.ones((x.size, _PEAK_OFFSETS.size))
     bounds = np.concatenate([np.broadcast_to(base, (x.size, base.size)), peak], axis=1)
     return np.sort(bounds, axis=1)
 
@@ -133,12 +140,8 @@ _TS_NODES, _TS_WEIGHTS = _tanhsinh_nodes()
 
 
 def _spectral_vectorized(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
-    """Fixed-rule discretization of the branch-cut integral, vectorized in x.
-
-    Designed for 0.05 <= alpha <= 0.95 (peaks sharper than sin(0.95 pi)
-    need the adaptive scalar route).
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    """Fixed-rule discretization of the branch-cut integral, vectorized in x,
+    for every 0 < alpha < 1."""
     c = np.cos(np.pi * alpha)
     sb = np.sin(np.pi * beta)
     sab = np.sin(np.pi * (alpha - beta))
@@ -179,39 +182,6 @@ def _spectral_vectorized(alpha: float, beta: float, x: np.ndarray) -> np.ndarray
     return total / np.pi
 
 
-def _spectral_scalar(alpha: float, beta: float, x: float) -> float:
-    """Adaptive quadrature of the branch-cut integral (one x)."""
-    from scipy.integrate import quad
-
-    c = np.cos(np.pi * alpha)
-    sb = np.sin(np.pi * beta)
-    sab = np.sin(np.pi * (alpha - beta))
-
-    def f(r):
-        ra = r ** alpha
-        denom = ra * ra + 2.0 * x * ra * c + x * x
-        return np.exp(-r) * r ** (alpha - beta) * (ra * sb - x * sab) / denom
-
-    # substitute r = z^(1/(1+alpha-beta)) on [0,1] to tame the endpoint weight
-    p = 1.0 + alpha - beta
-
-    def g(z):
-        r = z ** (1.0 / p)
-        ra = r ** alpha
-        denom = ra * ra + 2.0 * x * ra * c + x * x
-        return np.exp(-r) * (ra * sb - x * sab) / denom / p
-
-    points = []
-    if c < 0:
-        r_peak = (-c * x) ** (1.0 / alpha)
-        if r_peak > 1.0:
-            points = [r_peak]
-    upper = max(60.0, (points[0] if points else 0.0) + 60.0)
-    val1, _ = quad(g, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=200)
-    val2, _ = quad(f, 1.0, upper, epsabs=1e-14, epsrel=1e-12, limit=400, points=points or None)
-    return (val1 + val2) / np.pi
-
-
 def mittag_leffler(alpha: float, x, beta: float = 1.0):
     """Evaluate ``E_{alpha,beta}(-x)`` for x >= 0.
 
@@ -234,13 +204,11 @@ def mittag_leffler(alpha: float, x, beta: float = 1.0):
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x_arr < 0) or np.any(~np.isfinite(x_arr)):
         raise DomainError("x must be finite and >= 0")
-    scalar = np.isscalar(x) or (hasattr(x, "ndim") and getattr(x, "ndim", 1) == 0)
+
+    if alpha == 1.0 and beta == 1.0:
+        return like_input(x, np.exp(-x_arr))
 
     out = np.empty(x_arr.shape)
-    if alpha == 1.0 and beta == 1.0:
-        out[:] = np.exp(-x_arr)
-        return float(out[0]) if scalar else out
-
     zero = x_arr == 0.0
     out[zero] = _rgamma(beta)
     todo = ~zero
@@ -256,59 +224,48 @@ def mittag_leffler(alpha: float, x, beta: float = 1.0):
                 raise DomainError("alpha == 1 with beta < 1 unsupported in the gap region")
             vals[rem] = avals
         out[todo] = vals
-        return float(out[0]) if scalar else out
+        return like_input(x, out)
 
+    # each rule leaves NaN where it does not certify its accuracy
     xt = x_arr[todo]
     vals = np.full(xt.shape, np.nan)
-
     big = xt >= _ASYMP_X_MIN
     if big.any():
-        avals, aok = _asymptotic(alpha, beta, xt[big])
-        tmp = vals[big]
-        tmp[aok] = avals[aok]
-        vals[big] = tmp
-
+        vals[big] = _asymptotic(alpha, beta, xt[big])[0]
     need = np.isnan(vals)
     if need.any():
-        svals, sok = _series(alpha, beta, xt[need])
-        tmp = vals[need]
-        tmp[sok] = svals[sok]
-        vals[need] = tmp
-
+        vals[need] = _series(alpha, beta, xt[need])[0]
     need = np.isnan(vals)
     if need.any():
-        if 0.05 <= alpha <= 0.95:
-            vals[need] = _spectral_vectorized(alpha, beta, xt[need])
-        else:
-            vals[need] = [_spectral_scalar(alpha, beta, float(v)) for v in xt[need]]
-
+        vals[need] = _spectral_vectorized(alpha, beta, xt[need])
     out[todo] = vals
-    return float(out[0]) if scalar else out
+    return like_input(x, out)
 
 
 def ml_reference(alpha: float, x: float, beta: float = 1.0, dps: int = 50) -> float:
     """Arbitrary-precision oracle (slow; for tests and spot checks).
 
     Uses the defining series where its length stays sane, otherwise the
-    asymptotic series with a rigorous smallest-term error bound.  Raises if
-    neither certifies ~1e-13 relative accuracy at this (alpha, x).
+    asymptotic series truncated where the envelope of its terms is
+    smallest.  Raises if neither certifies ~1e-13 relative accuracy at this
+    (alpha, x).
     """
     import mpmath
 
-    # predicted series length: terms peak near k with psi(alpha k) = ln x
-    k_needed = 10 + 2.0 * np.exp(max(np.log(max(x, 1e-30)), 0.0) / alpha) / alpha
     if x == 0.0:
         return float(_rgamma(beta))
-    if k_needed < 30000:
+    # predicted series length: terms peak near k with psi(alpha k) = ln x
+    k_needed = 10 + 2.0 * np.exp(max(np.log(x), 0.0) / alpha) / alpha
+    use_series = k_needed < 30000
+    if use_series:
         # precision must absorb the cancellation: dps ~ log10(max term)
         ks = np.arange(1, int(k_needed) + 1)
         ln_max = float(np.max(ks * np.log(x) - _gammaln(alpha * ks + beta)))
         dps = max(dps, 30 + int(0.4343 * max(ln_max, 0.0)))
-        with mpmath.workdps(dps):
-            xm = mpmath.mpf(x)
-            am = mpmath.mpf(alpha)
-            bm = mpmath.mpf(beta)
-            acc = mpmath.mpf(0)
+    with mpmath.workdps(dps):
+        xm, am, bm = mpmath.mpf(x), mpmath.mpf(alpha), mpmath.mpf(beta)
+        acc = mpmath.mpf(0)
+        if use_series:
             k = 0
             while True:
                 term = (-xm) ** k / mpmath.gamma(am * k + bm)
@@ -321,18 +278,16 @@ def ml_reference(alpha: float, x: float, beta: float = 1.0, dps: int = 50) -> fl
                 if k > 100000:
                     raise RuntimeError("reference series did not converge")
             return float(acc)
-    with mpmath.workdps(dps):
-        xm = mpmath.mpf(x)
-        am = mpmath.mpf(alpha)
-        bm = mpmath.mpf(beta)
-        acc = mpmath.mpf(0)
         best = mpmath.inf
         val_at_best = mpmath.mpf(0)
         for k in range(1, 200):
-            term = (-1) ** (k + 1) * xm ** (-k) * mpmath.rgamma(bm - am * k)
-            acc += term
-            if abs(term) < best and term != 0:
-                best = abs(term)
+            acc += (-1) ** (k + 1) * xm ** (-k) * mpmath.rgamma(bm - am * k)
+            # |1/Gamma(z)| <= Gamma(1 - z)/pi for z < 1; bounding each term by
+            # this envelope keeps a term near a zero of 1/Gamma from posing
+            # as a tiny truncation error
+            bound = xm ** (-k) * mpmath.gamma(1 - bm + am * k) / mpmath.pi
+            if bound < best:
+                best = bound
                 val_at_best = acc
         if best > mpmath.mpf(1e-13) * abs(val_at_best):
             raise RuntimeError("no reference available at this (alpha, x)")

@@ -299,17 +299,19 @@ def test_bad_grid_span_and_threads_are_config_errors(tmp_path, capsys, text, lin
     test_counts_below_one_are_config_errors(tmp_path, capsys, text, line, key)
 
 
-def test_single_point_volterra_grid_is_numeric_failure(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "route, message", [("volterra", "uniform grid"), ("series", "reaches past t = 0")]
+)
+def test_single_point_grid_is_numeric_failure(tmp_path, capsys, route, message):
     text = GOOD_ENSEMBLE.replace("kind = ensemble", "kind = solve").replace(
-        "[ensemble]\nn_realizations = 200", "[solve]\nroute = volterra"
+        "[ensemble]\nn_realizations = 200", f"[solve]\nroute = {route}"
     )
     bad = text.replace("n_points = 50", "n_points = 1")
     assert cli.run(write(tmp_path, bad), str(tmp_path / "o")) == 3
-    assert "uniform grid" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
-def test_intrinsic_run(tmp_path):
-    text = """
+GOOD_INTRINSIC = """
 [experiment]
 kind = intrinsic
 
@@ -325,10 +327,61 @@ tau_b = 0.7
 [grid]
 n_points = 15
 """
+
+
+def test_intrinsic_run(tmp_path):
     out = tmp_path / "o"
-    assert cli.run(write(tmp_path, text), str(out)) == 0
+    assert cli.run(write(tmp_path, GOOD_INTRINSIC), str(out)) == 0
     header = (out / "output.csv").read_text().splitlines()[0]
     assert "re_rho_00" in header and "im_rho_22" in header
+
+
+DEPOLARIZING_P = GOOD_ENSEMBLE.replace(
+    "type = depolarizing", "type = depolarizing\np_x = 0.5\np_y = 0.5"
+)
+THERMAL_ENSEMBLE = GOOD_ENSEMBLE.replace(
+    "type = depolarizing", "type = thermal\nkappa = 0.75\np_up = 0\np_down = 1"
+)
+LEVY_WIGNER = GOOD_WIGNER.replace(
+    "jump = gaussian\nmean_abs_sq = 0.5", "jump = levy\nmu = 1.5\nsigma = 1"
+)
+MEAN_WIGNER = GOOD_WIGNER.replace("mean_abs_sq = 0.5", "mean_abs_sq = 0.5\nmean = 0")
+
+
+@pytest.mark.parametrize(
+    "text, line, key",
+    [
+        (GOOD_ENSEMBLE, "alpha = 1.5", "[kernel]"),
+        (GOOD_ENSEMBLE, "amplitude = -1", "[kernel]"),
+        (DEPOLARIZING_P, "p_x = 0.7", "[model]"),
+        (DEPOLARIZING_P, "p_x = abc", "model.p_x"),
+        (DEPOLARIZING_P, "p_y = nan", "model.p_y"),
+        (THERMAL_ENSEMBLE, "kappa = 1.5", "[model]"),
+        (LEVY_WIGNER, "mu = 3", "[wigner]"),
+        (LEVY_WIGNER, "sigma = wide", "wigner.sigma"),
+        (GOOD_WIGNER, "mean_abs_sq = abc", "wigner.mean_abs_sq"),
+        (MEAN_WIGNER, "mean = 2", "[wigner]"),
+        (MEAN_WIGNER, "mean = 1+", "wigner.mean"),
+        (MEAN_WIGNER, "mean = inf", "wigner.mean"),
+        (GOOD_INTRINSIC, "levels = 0,1,inf", "[intrinsic]"),
+    ],
+)
+def test_bad_model_kernel_jump_and_spectrum_values_are_config_errors(
+    tmp_path, capsys, text, line, key
+):
+    test_counts_below_one_are_config_errors(tmp_path, capsys, text, line, key)
+
+
+def test_subordination_overflow_is_numeric_failure(tmp_path, capsys):
+    text = (
+        GOOD_ENSEMBLE.replace("kind = ensemble", "kind = solve")
+        .replace("[ensemble]\nn_realizations = 200", "[solve]\nroute = subordination")
+        .replace("alpha = 0.5", "alpha = 0.9")
+    )
+    assert cli.run(write(tmp_path, text), str(tmp_path / "o")) == 3
+    err = capsys.readouterr().err
+    assert "alpha=0.9" in err and "not finite" in err
+    assert not (tmp_path / "o" / "out.csv").exists()
 
 
 def test_env_threads_fallback(tmp_path, monkeypatch):

@@ -8,7 +8,10 @@ from scipy.integrate import quad, solve_ivp
 from ctqrw import solvers
 from ctqrw.errors import (
     DangerousKernelError,
+    DimMismatchError,
+    DomainError,
     SubordinationUnavailableError,
+    UnstableStepError,
     UnsupportedKernelError,
 )
 from ctqrw.kernels import ExponentialKernel, FractionalKernel, LaplaceKernel, MarkovianKernel
@@ -198,6 +201,14 @@ def test_trace_preserved_along_routes():
             assert np.max(np.abs(traces - 1.0)) < 1e-8
 
 
+def test_volterra_nan_from_a_step_far_beyond_the_kernel_memory_raises():
+    # gamma h = 810: the kernel moments overflow, and the NaN trace must fail
+    # the drift check instead of passing it
+    gen, _ = depol_basis()
+    with pytest.warns(RuntimeWarning), pytest.raises(UnstableStepError, match="nan"):
+        solvers.volterra_solve(gen, ExponentialKernel(amplitude=1.0, decay=9.0), PLUS_X, [0.0, 90.0])
+
+
 def test_closed_form_rejects_custom_kernel():
     _, basis = depol_basis()
     with pytest.raises(UnsupportedKernelError):
@@ -236,6 +247,25 @@ def test_subordination_pdf_normalization():
 def test_subordination_pdf_exponential_unavailable():
     with pytest.raises(SubordinationUnavailableError):
         solvers.subordination_pdf(EXP_SAFE, 1.0, 1.0)
+
+
+def test_subordination_pdf_needs_positive_time():
+    for t in (0.0, -1.0):
+        with pytest.raises(DomainError, match="t must be > 0"):
+            solvers.subordination_pdf(FRAC_HALF, t, 1.0)
+
+
+@pytest.mark.parametrize("alpha", [0.9, 0.97])
+def test_subordination_overflow_raises_instead_of_nan(alpha):
+    # for alpha > 1/2, exp(-tau s/Ktilde(s)) overflows on the Talbot
+    # contour's left arm; the route must say so, not return NaN
+    kern = FractionalKernel(amplitude=1.0, alpha=alpha)
+    gen, basis = depol_basis()
+    grid = np.linspace(0.0, 10.0 * kern.time_scale, 200)
+    with pytest.raises(SubordinationUnavailableError, match=f"alpha={alpha}.*t = "):
+        solvers.subordination_solve(kern, basis, PLUS_X, grid)
+    with pytest.raises(SubordinationUnavailableError, match=f"alpha={alpha}"):
+        solvers.subordination_pdf(kern, 1.0, np.linspace(0.0, 20.0, 50))
 
 
 def test_subordination_dangerous_kernel_refused():
@@ -343,6 +373,26 @@ def test_cp_defect_detects_violation_deep_in_dangerous_region():
     states = solvers.closed_form_solve(basis, kern, PLUS_X, grid)
     eigs = np.array([np.linalg.eigvalsh((s + s.conj().T) / 2).min() for s in states])
     assert eigs.min() > -1e-10
+
+
+def test_cp_defect_matches_choi_of_map_at_every_point():
+    # the batched audit and the one-map Choi builder share one assembly:
+    # same defects, bit for bit, on a random d = 3 channel
+    from ctqrw.quantum import choi_of_map
+
+    emap, gen, basis, rho, grid = qutrit_problem()
+
+    def route(batch):
+        return solvers.volterra_solve(gen, EXP_SAFE, batch, grid)
+
+    defects = solvers.cp_defect_over_time(route, 3, grid)
+    units = np.eye(9, dtype=complex).reshape(9, 3, 3)
+    images = route(units)
+    for k in range(grid.size):
+        _, expected = choi_of_map(lambda m: np.tensordot(m.ravel(), images[:, k], axes=(0, 0)), 3)
+        assert defects[k] == expected
+    with pytest.raises(DimMismatchError):
+        solvers.cp_defect_over_time(route, 3, grid[:-1])
 
 
 def test_cp_defect_matches_g_coefficients():

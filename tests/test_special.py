@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erfcx
 
+from ctqrw import special
 from ctqrw.errors import DomainError
 from ctqrw.special import mittag_leffler, ml_reference
 
@@ -37,6 +38,45 @@ def test_against_high_precision_reference(alpha):
         ref = ml_reference(alpha, x)
         val = mittag_leffler(alpha, x)
         assert abs(val - ref) <= 1e-10 * max(abs(ref), 1e-12), (alpha, x)
+
+
+@pytest.mark.parametrize("alpha", [0.03, 0.97, 0.99, 0.999])
+@pytest.mark.parametrize("beta_is_alpha", [False, True])
+def test_branch_cut_rule_at_extreme_alpha(alpha, beta_is_alpha):
+    # the points neither the series nor the asymptotic branch certifies go
+    # to the branch-cut integral, whose peak panels must resolve the sharp
+    # Lorentzian dip of alpha near 1 and the flat integrand of alpha near 0
+    beta = alpha if beta_is_alpha else 1.0
+    x = np.geomspace(0.5, 200.0, 40)
+    by_series = special._series(alpha, beta, x)[1]
+    by_asymptotic = special._asymptotic(alpha, beta, x)[1] & (x >= special._ASYMP_X_MIN)
+    x = x[~by_series & ~by_asymptotic]
+    assert x.size >= 5
+    vals = mittag_leffler(alpha, x, beta=beta)
+    for xi, val in zip(x, vals):
+        ref = ml_reference(alpha, float(xi), beta=beta)
+        assert abs(val - ref) <= 1e-10 * max(abs(ref), 1e-12), (alpha, beta, xi)
+
+
+def test_reference_asymptotic_branch_is_not_fooled_by_a_vanishing_term():
+    # at alpha = beta = 0.03, x = 1.266 a term of the asymptotic series sits
+    # next to a zero of 1/Gamma; the reference must still agree with an
+    # independent quadrature of the branch-cut integral
+    import mpmath
+
+    alpha = beta = 0.03
+    x = 1.266
+    with mpmath.workdps(30):
+        c, sb, sab = (mpmath.cospi(alpha), mpmath.sinpi(beta), mpmath.sinpi(alpha - beta))
+
+        def integrand(r):
+            ra = r**alpha
+            return mpmath.exp(-r) * r ** (alpha - beta) * (ra * sb - x * sab) / (
+                ra * ra + 2 * x * ra * c + x * x
+            )
+
+        quadrature = float(mpmath.quad(integrand, [0, 1, 10, 60, mpmath.inf]) / mpmath.pi)
+    assert ml_reference(alpha, x, beta=beta) == pytest.approx(quadrature, rel=1e-13)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
