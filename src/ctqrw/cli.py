@@ -34,17 +34,13 @@ from .models import qubit_closed_solution, qubit_kraus, wigner_ctrw, WignerWalkC
 from .quantum import damping_basis, linear_entropy, lindblad_from_kraus
 
 
-def _format_row(values) -> str:
-    return ",".join(f"{v:.17g}" for v in values)
-
-
 def write_csv(path: str, header: list, columns: list):
     """Columns are equal-length 1-d arrays; 17 significant digits, LF."""
-    rows = np.column_stack(columns)
+    rows = np.column_stack(columns).tolist()
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(_format_row(row) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def _manifest(cfg: ExperimentConfig, seeds, outputs, wall, extra=None) -> dict:
@@ -82,7 +78,7 @@ def _solution_columns(states, grid):
         "M_x": np.einsum("kij,ji->k", states, SIGMA_X).real,
         "M_y": np.einsum("kij,ji->k", states, SIGMA_Y).real,
         "M_z": np.einsum("kij,ji->k", states, SIGMA_Z).real,
-        "linear_entropy": np.array([linear_entropy(s) for s in states]),
+        "linear_entropy": linear_entropy(states),
     }
     return list(cols.keys()), list(cols.values())
 
@@ -190,9 +186,8 @@ def _run_entropy(cfg, grid, out_csv):
     columns = [grid]
     for label, kernel in cfg.kernels:
         sol = qubit_closed_solution(cfg.model, kernel, cfg.initial, grid)
-        delta = np.array([linear_entropy(s) for s in sol.states])
         header.append(f"delta_{label}")
-        columns.append(delta)
+        columns.append(linear_entropy(sol.states))
     write_csv(out_csv, header, columns)
     return [cfg.seed], {}
 

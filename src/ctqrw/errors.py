@@ -4,6 +4,8 @@ Every exception carries enough context (the violated invariant and its
 magnitude, or a witness) to be actionable without re-running the computation.
 """
 
+import math
+
 
 class CtqrwError(Exception):
     """Base class for all errors raised by this package."""
@@ -82,8 +84,13 @@ class DomainError(CtqrwError):
     """Argument outside the supported domain."""
 
 
-class GridTooCoarseError(CtqrwError):
-    """Convolution self-consistency check failed on this grid."""
+class InversionError(CtqrwError):
+    """Two fixed-Talbot contours disagree; carries the time and the difference."""
+
+    def __init__(self, t: float, difference: float):
+        self.t, self.difference = t, difference
+        gap = f"differ by {difference:.3e}" if math.isfinite(difference) else "are not finite"
+        super().__init__(f"fixed-Talbot inversion is not certified at t = {t:.6g}: its sums {gap}")
 
 
 class TruncationError(CtqrwError):

@@ -27,8 +27,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 from scipy.special import gamma as _gamma
-from scipy.special import gammaln, roots_legendre
+from scipy.special import gammaln
 
 from . import laplace, special
 from .errors import (
@@ -108,8 +109,10 @@ class MemoryKernel:
 
     def waiting(self, grid=None):
         """The dual waiting-time distribution, tabulated on `grid` (default:
-        4000 points up to 20 T).  Raises :class:`NotADistributionError` with
-        a witness time when the inverted density goes negative."""
+        4000 points up to 20 T) and carrying the exact transform
+        ``wtilde = Ktilde/(u + Ktilde)``.  Raises
+        :class:`NotADistributionError` with a witness time when the inverted
+        density goes negative."""
         if grid is None:
             t_max = 20.0 * self.time_scale
             grid = np.linspace(t_max / 4000.0, t_max, 4000)
@@ -117,7 +120,9 @@ class MemoryKernel:
         if pdf.min() < -1e-9 * max(pdf.max(), 1e-30):
             i = int(np.argmin(pdf))
             raise NotADistributionError(float(grid[i]), float(pdf[i]))
-        return EmpiricalWaiting(times=grid, pdf=np.clip(pdf, 0.0, None))
+        return EmpiricalWaiting(
+            times=grid, pdf=np.clip(pdf, 0.0, None), transform=self._waiting_laplace
+        )
 
     def verdict(self, probe_order: int = 8) -> "KernelVerdict":
         """Numeric probe: wtilde(u) = 1/(u/Ktilde(u) + 1) must be positive
@@ -383,8 +388,8 @@ class WaitingTimeDistribution:
     t >= 0, and ``from_uniforms(u)``, which turns ``u[..., j]``, j <
     ``uniforms``, into one waiting time per draw (elementwise, so any batch
     layout gives the same values).  The default draw is the inverse CDF
-    ``quantile`` of a single uniform.  ``laplace`` is wtilde(u) where a
-    closed form exists.
+    ``quantile`` of a single uniform.  ``laplace`` is wtilde(u) where it is
+    known; the default ``renewal_table`` needs it.
     """
 
     uniforms = 1
@@ -394,6 +399,54 @@ class WaitingTimeDistribution:
 
     def laplace(self, u):
         raise UnsupportedKernelError("no closed-form transform for this variant")
+
+    def renewal_table(self, grid: np.ndarray, rows: int) -> np.ndarray:
+        """Renewal count law P_n(t), n < `rows`, on a grid t >= 0: shape
+        (rows, n_grid), ``P_n(0) = delta_n0``.
+
+        Certified Talbot inversion of the count generating function
+        ``G(z, s) = (1 - wtilde)/(s (1 - z wtilde))`` at ``z_k = rho
+        e^{2 pi i k/N}``, N = 4 rows, ``rho^N = 1e-12``, then an FFT over k
+        (Abate and Whitt, Oper. Res. Lett. 12, 245, 1992); inverting first
+        avoids ``wtilde^n``, which cancels on the contour's left arm.
+        """
+        n = 4 * rows
+        rho = 1e-12 ** (1.0 / n)
+        z = (rho * np.exp(2j * np.pi * np.arange(n // 2 + 1) / n))[:, None, None]
+
+        def ghat(s):
+            # (G(z) +- G(conj z))/2 over the common denominator
+            w = self.laplace(s)
+            q = (1.0 - w) / s / ((1.0 - z * w) * (1.0 - z.conj() * w))
+            return np.stack([q * (1.0 - z.real * w), q * (z.imag * w)])
+
+        table = np.zeros((rows, grid.size))
+        table[0, grid == 0] = 1.0
+        pos = np.flatnonzero(grid > 0)
+        # blocks of times keep each contour array near 2^19 values
+        nodes = laplace.NODES + laplace.CHECK_NODES
+        for block in np.array_split(pos, max(1, pos.size * n * nodes // 2**19)):
+            re_g, im_g = laplace.invert(ghat, grid[block])
+            table[:, block] = np.fft.hfft(re_g + 1j * im_g, n, axis=0)[:rows] / n
+        return table / rho ** np.arange(rows)[:, None]
+
+
+def _phase_chain_table(rates: tuple, grid: np.ndarray, rows: int) -> np.ndarray:
+    """Exact count law of waiting times that are chains of exponential
+    phases: state (count n, phase j) moves on at rate ``rates[j]``, one
+    matrix exponential of that bidiagonal generator per distinct grid step."""
+    chain = np.tile(np.asarray(rates, dtype=float), rows)
+    q = np.diag(-chain) + np.diag(chain[:-1], -1)
+    state = np.zeros(chain.size)
+    state[0] = 1.0
+    propagators = {}
+    out = np.empty((grid.size, chain.size))
+    for k, h in enumerate(np.diff(grid, prepend=0.0)):
+        if h not in propagators:
+            propagators[h] = scipy.linalg.expm(q * h)
+        state = propagators[h] @ state
+        out[k] = state
+    return out.reshape(grid.size, rows, len(rates)).sum(axis=2).T
 
 
 @dataclass(frozen=True)
@@ -413,6 +466,9 @@ class ExponentialWaiting(WaitingTimeDistribution):
 
     def quantile(self, q):
         return -np.log1p(-q) / self.rate
+
+    def renewal_table(self, grid, rows):
+        return _phase_chain_table((self.rate,), grid, rows)
 
 
 @dataclass(frozen=True)
@@ -445,6 +501,9 @@ class HypoexponentialWaiting(WaitingTimeDistribution):
     def from_uniforms(self, u):
         return -np.log1p(-u[..., 0]) / self.r1 + -np.log1p(-u[..., 1]) / self.r2
 
+    def renewal_table(self, grid, rows):
+        return _phase_chain_table((self.r1, self.r2), grid, rows)
+
 
 @dataclass(frozen=True)
 class MittagLefflerWaiting(WaitingTimeDistribution):
@@ -471,6 +530,11 @@ class MittagLefflerWaiting(WaitingTimeDistribution):
     def laplace(self, u):
         return self.amplitude / (self.amplitude + np.asarray(u) ** self.alpha)
 
+    def renewal_table(self, grid, rows):
+        if self.alpha == 1.0:  # the exponential law, whose poles escape the contour
+            return ExponentialWaiting(rate=self.amplitude).renewal_table(grid, rows)
+        return super().renewal_table(grid, rows)
+
     def from_uniforms(self, u):
         """The exponential-times-stable product formula (Fulger, Scalas and
         Germano, PRE 77, 021122, 2008)
@@ -488,11 +552,13 @@ class MittagLefflerWaiting(WaitingTimeDistribution):
 
 @dataclass(frozen=True)
 class EmpiricalWaiting(WaitingTimeDistribution):
-    """Tabulated density on a grid (from numeric kernel inversion)."""
+    """Tabulated density on a grid (from numeric kernel inversion), with
+    the exact `transform` wtilde(u) when known (no series route without)."""
 
     times: np.ndarray
     pdf: np.ndarray
     cdf: np.ndarray = field(default=None)
+    transform: Callable | None = field(default=None, repr=False)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -513,6 +579,9 @@ class EmpiricalWaiting(WaitingTimeDistribution):
 
     def quantile(self, q):
         return np.interp(q, self.cdf, self.times)
+
+    def laplace(self, u):
+        return super().laplace(u) if self.transform is None else self.transform(np.asarray(u))
 
 
 def waiting_from_kernel(kernel: MemoryKernel, grid: np.ndarray | None = None):
@@ -652,19 +721,3 @@ def renewal_mean_count(kernel: MemoryKernel, t):
     if not verdict.is_safe:
         raise DangerousKernelError(verdict.certificate)
     return laplace.like_input(t, kernel.mean_count(np.atleast_1d(np.asarray(t, dtype=float))))
-
-
-def survival_cell_integrals(waiting, edges: np.ndarray, n_gauss: int = 6) -> np.ndarray:
-    """int_{edges[i]}^{edges[i+1]} P0(s) ds by per-cell Gauss-Legendre.
-
-    Used by the renewal convolution quadrature to build exact first-moment
-    weights of the (possibly singular) waiting density.
-    """
-    nodes, wts = roots_legendre(n_gauss)
-    a = edges[:-1]
-    b = edges[1:]
-    mid = 0.5 * (a + b)[:, None]
-    half = 0.5 * (b - a)[:, None]
-    pts = mid + half * nodes[None, :]
-    vals = waiting_survival(waiting, pts.ravel()).reshape(pts.shape)
-    return (vals * wts[None, :]).sum(axis=1) * half[:, 0]

@@ -117,15 +117,16 @@ def pure_state(ket: np.ndarray) -> DensityMatrix:
     return make_density(np.outer(ket, ket.conj()))
 
 
-def linear_entropy(rho) -> float:
-    """Purity deficit ``1 - Tr[rho^2]``.
+def linear_entropy(rho):
+    """Purity deficit ``1 - Tr[rho^2]``, per matrix of a (..., d, d) stack.
 
-    Accepts any square matrix; unit trace is not required so evolved,
+    Accepts any square matrices; unit trace is not required so evolved,
     possibly invalid states can be probed (negative values witness loss of
-    state positivity on a qubit).
+    state positivity on a qubit).  A single matrix gives a float.
     """
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    return float(1.0 - np.trace(m @ m).real)
+    out = 1.0 - np.trace(m @ m, axis1=-2, axis2=-1).real
+    return float(out) if m.ndim == 2 else out
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.special import gammaln, roots_legendre
+from scipy.special import factorial, gammaln, roots_legendre
 
 from . import laplace
 from .errors import (
@@ -34,6 +34,7 @@ from .errors import (
     DangerousKernelError,
     DimMismatchError,
     DomainError,
+    InversionError,
     SubordinationUnavailableError,
     UnstableStepError,
     UnsupportedKernelError,
@@ -95,24 +96,19 @@ def _check_uniform(grid) -> np.ndarray:
     return grid
 
 
-def _exp_aux_integrals(a: float) -> np.ndarray:
-    """I_p(a) = int_0^1 e^{a theta} theta^p dtheta, p = 0, 1, 2."""
-    if abs(a) < 1e-5:
-        return np.array(
-            [
-                1.0 + a / 2 + a * a / 6 + a**3 / 24,
-                0.5 + a / 3 + a * a / 8 + a**3 / 30,
-                1.0 / 3 + a / 4 + a * a / 10 + a**3 / 36,
-            ]
-        )
-    ea = np.exp(a)
-    return np.array(
-        [
-            (ea - 1.0) / a,
-            (ea * (a - 1.0) + 1.0) / a**2,
-            (ea * (a * a - 2.0 * a + 2.0) - 2.0) / a**3,
-        ]
-    )
+def _scaled_exp_moments(a: float) -> np.ndarray:
+    """e^{-a} I_p(a) with I_p(a) = int_0^1 e^{a theta} theta^p dtheta, p = 0, 1, 2.
+
+    Equal to ``int_0^1 e^{-a phi} (1 - phi)^p dphi``, so it lies in
+    (0, 1/(p+1)] for every a >= 0 and nothing overflows.  Below a = 1 the
+    closed forms cancel (relative error ~1e-16/a^3 for p = 2); there the
+    series ``p! sum_k (-a)^k / (k+p+1)!`` is used, cut at 25 terms.
+    """
+    if a < 1.0:
+        k = np.arange(25)
+        return np.array([factorial(p) * np.sum((-a) ** k / factorial(k + p + 1)) for p in range(3)])
+    e = np.exp(-a)
+    return np.array([(1.0 - e) / a, (a - 1.0 + e) / a**2, (a * a - 2.0 * a + 2.0 - 2.0 * e) / a**3])
 
 
 def _regular_kernel_moments(kernel, h: float, n: int) -> np.ndarray:
@@ -123,10 +119,11 @@ def _regular_kernel_moments(kernel, h: float, n: int) -> np.ndarray:
     b = np.empty((3, n))
     if isinstance(kernel, ExponentialKernel):
         a_eps, g = kernel.amplitude, kernel.decay
-        iv = _exp_aux_integrals(g * h)
-        decay = np.exp(-g * (m + 1.0) * h)
+        # e^{-g (m+1) h} I_p(g h) = e^{-g m h} (e^{-g h} I_p(g h))
+        ev = _scaled_exp_moments(g * h)
+        decay = np.exp(-g * m * h)
         for p in range(3):
-            b[p] = h * (a_eps / g) * (1.0 / (p + 1) - decay * iv[p])
+            b[p] = h * (a_eps / g) * (1.0 / (p + 1) - decay * ev[p])
         return b
     nodes, wts = roots_legendre(8)
     theta = 0.5 * (nodes + 1.0)
@@ -342,21 +339,22 @@ def _density_at(kernel: MemoryKernel, t: float, taus: np.ndarray) -> np.ndarray:
     """P(t, tau) for many tau at one t: one Talbot inversion of
     ``exp(-tau u/Ktilde(u))/Ktilde(u)`` broadcast over tau.
 
-    Raises :class:`SubordinationUnavailableError` where the contour
-    overflows: for fractional alpha > 1/2 the exponent grows on its left arm.
+    Raises :class:`SubordinationUnavailableError` where the inversion is
+    not certified: for fractional alpha > 1/2 the exponent grows on the
+    contour's left arm, and the sum cancels catastrophically or overflows.
     """
 
     def fhat(s):
         ks = kernel.laplace(s)
         return np.exp(-taus[:, None, None] * s / ks) / ks
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        density = laplace.invert(fhat, [t])[:, 0]
-    if not np.all(np.isfinite(density)):
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return laplace.invert(fhat, [t])[:, 0]
+    except InversionError as exc:
         raise SubordinationUnavailableError(
-            f"the Talbot-inverted subordination density of {kernel!r} is not finite at t = {t:.6g}"
-        )
-    return density
+            f"the subordination density of {kernel!r} is unavailable: {exc}"
+        ) from exc
 
 
 def subordination_pdf(kernel: MemoryKernel, t: float, tau):
@@ -367,8 +365,8 @@ def subordination_pdf(kernel: MemoryKernel, t: float, tau):
     ``tau = A1 t``.  Exponential kernels raise
     :class:`SubordinationUnavailableError` (no pointwise density exists
     even in the safe regime; see :func:`subordination_solve`), and so does
-    a density the Talbot contour cannot evaluate (it can overflow for
-    fractional alpha > 1/2).  Dangerous kernels raise
+    a density whose Talbot inversion is not certified (fractional alpha of
+    0.7 and above).  Dangerous kernels raise
     :class:`DangerousKernelError`; ``t <= 0`` raises :class:`DomainError`.
     """
     mode = _subordination_mode(kernel)
@@ -402,9 +400,9 @@ def subordination_solve(kernel: MemoryKernel, basis: DampingBasis, rho0, grid):
     CM-verified custom kernels), truncated where both the density mass and
     the e^{-lam tau} weight are negligible.  Safe exponential kernels use
     the Laplace-domain form instead (see module docstring); dangerous
-    kernels raise :class:`DangerousKernelError`, and a density the Talbot
-    contour cannot evaluate (it can overflow for fractional alpha > 1/2)
-    raises :class:`SubordinationUnavailableError`.  Complex damping rates are
+    kernels raise :class:`DangerousKernelError`, and a density whose Talbot
+    inversion is not certified (fractional alpha of 0.7 and above) raises
+    :class:`SubordinationUnavailableError`.  Complex damping rates are
     supported on every branch: the quadrature weight is the complex
     e^{-lam tau}, and the Laplace-domain form inverts the real and
     imaginary parts of h_lam separately.

@@ -384,6 +384,31 @@ def test_subordination_overflow_is_numeric_failure(tmp_path, capsys):
     assert not (tmp_path / "o" / "out.csv").exists()
 
 
+def test_uncertified_subordination_is_numeric_failure(tmp_path, capsys):
+    # alpha = 0.75: the Talbot sum is finite but wrong by ~1e26; the
+    # two-contour check must refuse it
+    text = (
+        GOOD_ENSEMBLE.replace("kind = ensemble", "kind = solve")
+        .replace("[ensemble]\nn_realizations = 200", "[solve]\nroute = subordination")
+        .replace("alpha = 0.5", "alpha = 0.75")
+    )
+    assert cli.run(write(tmp_path, text), str(tmp_path / "o")) == 3
+    err = capsys.readouterr().err
+    assert "alpha=0.75" in err and "not certified" in err
+    assert not (tmp_path / "o" / "out.csv").exists()
+
+
+def test_write_csv_matches_per_value_formatting(tmp_path):
+    values = [0.0, -0.0, 1.0 / 3.0, -2.5e-300, 1e300, 5e-324, np.nan, np.inf, -np.inf, 123456789.0]
+    columns = [np.array(values), np.array(values[::-1]), np.arange(len(values), dtype=float)]
+    path = tmp_path / "x.csv"
+    cli.write_csv(str(path), ["a", "b", "c"], columns)
+    expected = "a,b,c\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n" for row in np.column_stack(columns)
+    )
+    assert path.read_bytes() == expected.encode()
+
+
 def test_env_threads_fallback(tmp_path, monkeypatch):
     path = write(tmp_path, GOOD_ENSEMBLE)
     monkeypatch.setenv("CTQRW_THREADS", "2")

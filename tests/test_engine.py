@@ -5,8 +5,9 @@ import pytest
 from scipy.special import gammaln
 
 from ctqrw import engine
-from ctqrw.errors import TruncationError
+from ctqrw.errors import TruncationError, UnsupportedKernelError
 from ctqrw.kernels import (
+    EmpiricalWaiting,
     ExponentialWaiting,
     HypoexponentialWaiting,
     MittagLefflerWaiting,
@@ -149,6 +150,62 @@ def test_renewal_probabilities_ml_survival():
     # normalization with the tail bound
     total = probs.table.sum(axis=0) + probs.tail
     assert np.max(np.abs(total - 1.0)) < 1e-8
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.9])
+def test_renewal_first_count_against_mpmath(alpha):
+    # amplitude 1: P_1(t) = x E_alpha'(-x) with x = t^alpha, and
+    # E_alpha'(z) = sum_{k >= 1} k z^(k-1) / Gamma(alpha k + 1)
+    import mpmath
+
+    grid = np.linspace(0.0, 10.0, 101)
+    probs = engine.renewal_probabilities(MittagLefflerWaiting(amplitude=1.0, alpha=alpha), 4, grid)
+    with mpmath.workdps(60):
+        a = mpmath.mpf(alpha)
+        for k in (1, 3, 10, 40, 70, 100):
+            x = mpmath.mpf(grid[k]) ** a
+            terms = (j * (-x) ** (j - 1) / mpmath.gamma(a * j + 1) for j in range(1, 400))
+            deriv = mpmath.fsum(terms)
+            assert abs(probs.table[1, k] - float(x * deriv)) < 1e-10, grid[k]
+
+
+def test_renewal_erlang_pairs_closed_form():
+    # r1 = r2 = 1: the count is n while the Poisson(1) clock is at 2n or 2n + 1
+    grid = np.linspace(0.0, 200.0, 401)
+    probs = engine.renewal_probabilities(HypoexponentialWaiting(r1=1.0, r2=1.0), 150, grid)
+    pois = poisson_table(1.0, grid, 301)
+    assert np.max(np.abs(probs.table - (pois[0::2] + pois[1::2]))) < 1e-12
+
+
+def test_mittag_leffler_alpha_one_is_poisson_at_long_times():
+    # alpha = 1 is exponential waiting, whose generating-function poles
+    # leave the Talbot contour at rate * t ~ 50
+    grid = np.linspace(0.0, 100.0, 201)
+    probs = engine.renewal_probabilities(MittagLefflerWaiting(amplitude=1.0, alpha=1.0), 160, grid)
+    assert np.max(np.abs(probs.table - poisson_table(1.0, grid, 160))) < 1e-12
+
+
+def test_series_route_on_a_laplace_kernel_waiting_law(plus_x_state):
+    # the tabulated dual law carries the kernel's exact transform, which
+    # the series route inverts; the same kernel in closed form is the oracle
+    from ctqrw import solvers
+    from ctqrw.kernels import ExponentialKernel, LaplaceKernel
+    from ctqrw.quantum import damping_basis, lindblad_from_kraus
+
+    emap = qubit_kraus(Depolarizing())
+    waiting = LaplaceKernel(transform=lambda u: 0.75 / (u + 2.0)).waiting()
+    states, _ = engine.series_solution(plus_x_state, emap, waiting, GRID, tol=1e-7)
+    closed = solvers.closed_form_solve(
+        damping_basis(lindblad_from_kraus(emap)), ExponentialKernel(0.75, 2.0), plus_x_state, GRID
+    )
+    assert np.max(np.abs(states - closed)) < 1e-5
+
+
+def test_hand_built_empirical_waiting_has_no_series_route(plus_x_state):
+    t = np.linspace(0.0, 20.0, 401)
+    waiting = EmpiricalWaiting(times=t, pdf=np.exp(-t))
+    with pytest.raises(UnsupportedKernelError):
+        engine.series_solution(plus_x_state, qubit_kraus(Depolarizing()), waiting, GRID)
 
 
 def test_series_solution_identity_map(plus_x_state):

@@ -83,6 +83,16 @@ def test_linear_entropy_range_valid_qubits(rng):
         assert -1e-12 <= linear_entropy(rho) <= 0.5 + 1e-12
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_linear_entropy_of_a_stack_is_bitwise_per_matrix(rng, dim):
+    stack = rng.standard_normal((4, 50, dim, dim)) + 1j * rng.standard_normal((4, 50, dim, dim))
+    batched = linear_entropy(stack)
+    assert batched.shape == (4, 50)
+    per_matrix = np.array([[linear_entropy(m) for m in row] for row in stack])
+    assert np.array_equal(batched, per_matrix)
+    assert isinstance(linear_entropy(stack[0, 0]), float)
+
+
 def test_kraus_closure_enforced():
     with pytest.raises(ClosureDefectError):
         KrausMap(operators=(0.9 * I2,))

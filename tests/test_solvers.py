@@ -201,12 +201,32 @@ def test_trace_preserved_along_routes():
             assert np.max(np.abs(traces - 1.0)) < 1e-8
 
 
-def test_volterra_nan_from_a_step_far_beyond_the_kernel_memory_raises():
-    # gamma h = 810: the kernel moments overflow, and the NaN trace must fail
-    # the drift check instead of passing it
+def test_volterra_step_far_beyond_the_kernel_memory_stays_finite():
+    # gamma h = 810 (a 2-point grid to 10 T): the scaled kernel moments stay
+    # finite, and the one step is the linear product rule
+    # y1 = (I - b1 G)^-1 (I + (b0 - b1) G) y0 with
+    # b_p = h int_0^1 R((1 - theta) h) theta^p dtheta, R(x) = (A/g)(1 - e^{-g x})
+    import mpmath
+
     gen, _ = depol_basis()
-    with pytest.warns(RuntimeWarning), pytest.raises(UnstableStepError, match="nan"):
-        solvers.volterra_solve(gen, ExponentialKernel(amplitude=1.0, decay=9.0), PLUS_X, [0.0, 90.0])
+    a_eps, g, h = 1.0, 9.0, 90.0
+    kern = ExponentialKernel(amplitude=a_eps, decay=g)
+    states = solvers.volterra_solve(gen, kern, PLUS_X, [0.0, h])
+    assert np.all(np.isfinite(states))
+    def moment(p):
+        return h * mpmath.quad(lambda th: (a_eps / g) * -mpmath.expm1(-g * (1 - th) * h) * th**p, [0, 1])
+
+    b0, b1 = float(moment(0)), float(moment(1))
+    y0 = PLUS_X.matrix.T.reshape(-1)  # column stacking
+    y1 = np.linalg.solve(np.eye(4) - b1 * gen.matrix, y0 + (b0 - b1) * gen.matrix @ y0)
+    assert np.max(np.abs(states[1] - y1.reshape(2, 2).T)) < 1e-12
+
+
+def test_volterra_nan_trace_fails_the_drift_check():
+    gen, _ = depol_basis()
+    rho = np.full((2, 2), np.nan, dtype=complex)
+    with pytest.raises(UnstableStepError, match="nan"):
+        solvers.volterra_solve(gen, EXP_SAFE, rho, np.linspace(0.0, 1.0, 5))
 
 
 def test_closed_form_rejects_custom_kernel():
@@ -255,7 +275,7 @@ def test_subordination_pdf_needs_positive_time():
             solvers.subordination_pdf(FRAC_HALF, t, 1.0)
 
 
-@pytest.mark.parametrize("alpha", [0.9, 0.97])
+@pytest.mark.parametrize("alpha", [0.75, 0.8, 0.9, 0.97])
 def test_subordination_overflow_raises_instead_of_nan(alpha):
     # for alpha > 1/2, exp(-tau s/Ktilde(s)) overflows on the Talbot
     # contour's left arm; the route must say so, not return NaN
