@@ -161,8 +161,10 @@ class MemoryKernel:
         )
 
     def mean_count(self, t: np.ndarray) -> np.ndarray:
-        """<N(t)> = int_0^t K(t-s) s ds, by inversion of Ktilde(u)/u^2."""
-        return laplace.invert_grid(lambda u: self.laplace(u) / u**2, t)
+        """<N(t)> = int_0^t K(t-s) s ds, by inversion of Ktilde(u)/u^2 (0 at t = 0)."""
+        out = np.zeros(t.shape)
+        out[t > 0] = laplace.invert(lambda u: self.laplace(u) / u**2, t[t > 0])
+        return out
 
     def second_moment(self, t: float) -> float:
         """int tau^2 P(t, tau) dtau = L^-1[2 Ktilde^2/u^3](t) of the internal time."""
@@ -179,18 +181,16 @@ class MemoryKernel:
         transforms ``(h(lam) + h(conj lam))/2`` and ``(h(lam) - h(conj lam))/2i``
         of real functions; for real lam the second vanishes.  h(0) = 1.
         """
-        lam = complex(lam)
+        rates = np.array([complex(lam), complex(lam).conjugate()])[:, None, None]
 
-        def htilde(u, rate):
-            return 1.0 / (u + rate * self.laplace(u))
+        def hhat(u):
+            up, down = 1.0 / (u + rates * self.laplace(u))
+            return np.stack([(up + down) / 2, (up - down) / 2j])
 
         t = np.asarray(t, dtype=float)
         out = np.ones(t.shape, dtype=complex)
-        pos = t > 0
-        out[pos] = laplace.invert(lambda u: (htilde(u, lam) + htilde(u, lam.conjugate())) / 2, t[pos])
-        out[pos] += 1j * laplace.invert(
-            lambda u: (htilde(u, lam) - htilde(u, lam.conjugate())) / 2j, t[pos]
-        )
+        re_h, im_h = laplace.invert(hhat, t[t > 0])
+        out[t > 0] = re_h + 1j * im_h
         return out
 
     def short_time_law(self) -> tuple[float, float]:
@@ -400,35 +400,42 @@ class WaitingTimeDistribution:
     def laplace(self, u):
         raise UnsupportedKernelError("no closed-form transform for this variant")
 
+    def count_pole(self, z):
+        """Poles p(z) in s of G(z, s) that may leave the Talbot contour, and
+        their residues R(z) (R = 0: none, the default)."""
+        return np.zeros_like(z), np.zeros_like(z)
+
     def renewal_table(self, grid: np.ndarray, rows: int) -> np.ndarray:
         """Renewal count law P_n(t), n < `rows`, on a grid t >= 0: shape
         (rows, n_grid), ``P_n(0) = delta_n0``.
 
-        Certified Talbot inversion of the count generating function
-        ``G(z, s) = (1 - wtilde)/(s (1 - z wtilde))`` at ``z_k = rho
-        e^{2 pi i k/N}``, N = 4 rows, ``rho^N = 1e-12``, then an FFT over k
-        (Abate and Whitt, Oper. Res. Lett. 12, 245, 1992); inverting first
-        avoids ``wtilde^n``, which cancels on the contour's left arm.
-        """
+        The transform of row n is ``rho^-n`` times the FFT over ``z_k = rho
+        e^{2 pi i k/N}``, N = 4 rows, ``rho^N = 1e-12``, of the count
+        generating function ``G(z, s) = (1 - wtilde)/(s (1 - z wtilde))``
+        (Abate and Whitt, Oper. Res. Lett. 12, 245, 1992), so the certified
+        Talbot inversion checks every P_n.  Poles of :meth:`count_pole`
+        are inverted exactly, ``R e^{p t}``."""
         n = 4 * rows
         rho = 1e-12 ** (1.0 / n)
-        z = (rho * np.exp(2j * np.pi * np.arange(n // 2 + 1) / n))[:, None, None]
+        z = (rho * np.exp(2j * np.pi * np.arange(n) / n))[:, None, None]
+        pole, residue = self.count_pole(z)
+        scale = n * rho ** np.arange(rows)
 
-        def ghat(s):
-            # (G(z) +- G(conj z))/2 over the common denominator
+        def phat(s):
             w = self.laplace(s)
-            q = (1.0 - w) / s / ((1.0 - z * w) * (1.0 - z.conj() * w))
-            return np.stack([q * (1.0 - z.real * w), q * (z.imag * w)])
+            g = (1.0 - w) / s / (1.0 - z * w) - residue / (s - pole)
+            return np.fft.fft(g, axis=0)[:rows] / scale[:, None, None]
 
         table = np.zeros((rows, grid.size))
         table[0, grid == 0] = 1.0
         pos = np.flatnonzero(grid > 0)
-        # blocks of times keep each contour array near 2^19 values
-        nodes = laplace.NODES + laplace.CHECK_NODES
-        for block in np.array_split(pos, max(1, pos.size * n * nodes // 2**19)):
-            re_g, im_g = laplace.invert(ghat, grid[block])
-            table[:, block] = np.fft.hfft(re_g + 1j * im_g, n, axis=0)[:rows] / n
-        return table / rho ** np.arange(rows)[:, None]
+        # blocks of times keep each contour array within 2^19 values (one time at least)
+        step = max(1, 2**19 // (n * (laplace.NODES + laplace.CHECK_NODES)))
+        for block in np.split(pos, np.arange(step, pos.size, step)):
+            t = grid[block]
+            poles = np.fft.fft(residue[..., 0] * np.exp(pole[..., 0] * t), axis=0)[:rows].real
+            table[:, block] = laplace.invert(phat, t) + poles / scale[:, None]
+        return table
 
 
 def _phase_chain_table(rates: tuple, grid: np.ndarray, rows: int) -> np.ndarray:
@@ -530,8 +537,15 @@ class MittagLefflerWaiting(WaitingTimeDistribution):
     def laplace(self, u):
         return self.amplitude / (self.amplitude + np.asarray(u) ** self.alpha)
 
+    def count_pole(self, z):
+        """``s^alpha = A (z - 1)``, residue 1/alpha, where ``|arg(z - 1)| <
+        alpha pi`` puts it on the principal sheet (alpha > 1/2 only)."""
+        c = self.amplitude * (z - 1.0)
+        on_sheet = np.abs(np.angle(c)) < self.alpha * np.pi
+        return np.where(on_sheet, c ** (1.0 / self.alpha), 0.0), np.where(on_sheet, 1.0 / self.alpha, 0.0)
+
     def renewal_table(self, grid, rows):
-        if self.alpha == 1.0:  # the exponential law, whose poles escape the contour
+        if self.alpha == 1.0:  # the exponential law, exactly
             return ExponentialWaiting(rate=self.amplitude).renewal_table(grid, rows)
         return super().renewal_table(grid, rows)
 

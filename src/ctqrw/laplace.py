@@ -64,22 +64,8 @@ def invert(fhat, t):
     vals = fhat(np.concatenate([main[1], check[1]], axis=1))
     out = _talbot_sum(vals[..., :NODES], t_arr, *main)
     diff = np.abs(out - _talbot_sum(vals[..., NODES:], t_arr, *check))
-    worst = np.max(diff)
-    if not worst <= CHECK_TOL * max(1.0, float(np.max(np.abs(out)))):  # NaN fails too
+    worst = np.max(diff, initial=0.0)
+    if not worst <= CHECK_TOL * max(1.0, float(np.max(np.abs(out), initial=0.0))):  # NaN fails too
         k = np.unravel_index(np.argmax(np.where(np.isnan(diff), np.inf, diff)), diff.shape)[-1]
         raise InversionError(float(t_arr[k]), float(worst))
     return like_input(t, out)
-
-
-def invert_grid(fhat, t):
-    """Like :func:`invert` but t = 0 entries are filled with the initial
-    value theorem limit ``lim_{u->inf} u fhat(u)`` evaluated at u = 1e8."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty(t_arr.shape)
-    pos = t_arr > 0
-    if pos.any():
-        out[pos] = invert(fhat, t_arr[pos])
-    if (~pos).any():
-        u = np.array([1e8 + 0j])
-        out[~pos] = float(np.real(u * fhat(u))[0])
-    return out

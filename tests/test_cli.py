@@ -398,6 +398,18 @@ def test_uncertified_subordination_is_numeric_failure(tmp_path, capsys):
     assert not (tmp_path / "o" / "out.csv").exists()
 
 
+def test_series_route_near_alpha_one_at_long_times(tmp_path):
+    # alpha = 0.99 to 50 T: renewal-table poles above the Talbot contour
+    text = (
+        GOOD_ENSEMBLE.replace("kind = ensemble", "kind = solve")
+        .replace("[ensemble]\nn_realizations = 200", "[solve]\nroute = series")
+        .replace("alpha = 0.5", "alpha = 0.99")
+        .replace("t_max_over_T = 10", "t_max_over_T = 50")
+    )
+    assert cli.run(write(tmp_path, text), str(tmp_path / "o")) == 0
+    assert (tmp_path / "o" / "out.csv").exists()
+
+
 def test_write_csv_matches_per_value_formatting(tmp_path):
     values = [0.0, -0.0, 1.0 / 3.0, -2.5e-300, 1e300, 5e-324, np.nan, np.inf, -np.inf, 123456789.0]
     columns = [np.array(values), np.array(values[::-1]), np.arange(len(values), dtype=float)]

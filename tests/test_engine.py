@@ -5,12 +5,13 @@ import pytest
 from scipy.special import gammaln
 
 from ctqrw import engine
-from ctqrw.errors import TruncationError, UnsupportedKernelError
+from ctqrw.errors import InversionError, TruncationError, UnsupportedKernelError
 from ctqrw.kernels import (
     EmpiricalWaiting,
     ExponentialWaiting,
     HypoexponentialWaiting,
     MittagLefflerWaiting,
+    WaitingTimeDistribution,
     waiting_survival,
 )
 from ctqrw.models import Depolarizing, qubit_kraus
@@ -183,6 +184,57 @@ def test_mittag_leffler_alpha_one_is_poisson_at_long_times():
     grid = np.linspace(0.0, 100.0, 201)
     probs = engine.renewal_probabilities(MittagLefflerWaiting(amplitude=1.0, alpha=1.0), 160, grid)
     assert np.max(np.abs(probs.table - poisson_table(1.0, grid, 160))) < 1e-12
+
+
+def count_law_reference(alpha, t, n):
+    # amplitude 1, x = t^alpha: P_n(t) = (x^n / n!) E_alpha^(n)(-x)
+    #   = sum_{k >= 0} C(k + n, n) (-1)^k x^(k + n) / Gamma(alpha (k + n) + 1)
+    import mpmath
+
+    with mpmath.workdps(150):
+        a = mpmath.mpf(alpha)
+        x = mpmath.mpf(t) ** a
+        terms = (
+            mpmath.binomial(k + n, n) * (-x) ** k * x**n / mpmath.gamma(a * (k + n) + 1)
+            for k in range(700)
+        )
+        return float(mpmath.fsum(terms))
+
+
+@pytest.mark.parametrize("alpha", [0.97, 0.99])
+def test_mittag_leffler_near_one_at_long_times(alpha):
+    # for alpha > 1/2 some generating-function poles s^alpha = z - 1 lie on
+    # the principal sheet, above the Talbot contour once t ~ 30; the table
+    # inverts them exactly
+    grid = np.linspace(0.0, 100.0, 101)
+    probs = engine.renewal_probabilities(MittagLefflerWaiting(amplitude=1.0, alpha=alpha), 200, grid)
+    for k in (35, 60, 100):
+        for n in (1, 5, 40, 100):
+            assert abs(probs.table[n, k] - count_law_reference(alpha, grid[k], n)) < 1e-10, (k, n)
+
+
+def test_renewal_table_certifies_every_row():
+    # the generic table on exponential waiting, whose generating-function
+    # poles leave the Talbot contour at long times: at t = 42 the top rows
+    # are off by 4.7e-6 while G(z, s) itself inverts within the check, so
+    # the check must compare the rows (each carries a factor rho^-n ~ 1e3)
+    waiting = ExponentialWaiting(rate=1.0)
+    exact = waiting.renewal_table(np.array([0.0, 22.0]), 64)
+    generic = WaitingTimeDistribution.renewal_table(waiting, np.array([0.0, 22.0]), 64)
+    assert np.max(np.abs(generic - exact)) < 1e-9
+    with pytest.raises(InversionError, match="t = 42"):
+        WaitingTimeDistribution.renewal_table(waiting, np.array([0.0, 42.0]), 64)
+
+
+def test_renewal_table_many_rows_on_few_points():
+    # with 3001 rows one time alone fills more than a 2^19-value block
+    waiting = MittagLefflerWaiting(amplitude=1.0, alpha=0.9)
+    grid = np.array([0.0, 1.0, 5.0])
+    many = engine.renewal_probabilities(waiting, 3000, grid)
+    few = engine.renewal_probabilities(waiting, 20, grid)
+    assert many.table.shape == (3001, 3)
+    assert np.max(np.abs(many.table[:21] - few.table)) < 1e-9
+    assert np.max(np.abs(many.tail)) < 1e-8
 
 
 def test_series_route_on_a_laplace_kernel_waiting_law(plus_x_state):

@@ -214,6 +214,16 @@ def test_renewal_mean_count_closed_forms():
         renewal_mean_count(ExponentialKernel(amplitude=1.0, decay=1.0), 1.0)
 
 
+def test_renewal_mean_count_of_a_laplace_kernel_starts_at_zero():
+    # Ktilde = sqrt(u) is the fractional kernel A = 1, alpha = 1/2; N(0) = 0
+    # exactly, where u fhat(u) at any finite u would read Ktilde(u)/u != 0
+    t = np.array([0.0, 0.5, 4.0])
+    counts = renewal_mean_count(LaplaceKernel(transform=np.sqrt), t)
+    assert counts[0] == 0.0
+    exact = FractionalKernel(amplitude=1.0, alpha=0.5).mean_count(t)
+    assert np.max(np.abs(counts - exact)) < 1e-9
+
+
 def test_renewal_mean_matches_quadrature_of_kernel():
     # independent oracle: <N(t)> = int_0^t K(s) (t - s) ds for the
     # exponential kernel

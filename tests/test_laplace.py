@@ -42,12 +42,6 @@ def test_oscillatory_smooth_transform():
     assert np.max(np.abs(vals - np.exp(-0.4 * t) * np.cos(2 * t))) < 1e-7
 
 
-def test_invert_grid_initial_value():
-    out = laplace.invert_grid(lambda u: 1.0 / (u + 3.0), np.array([0.0, 0.5]))
-    assert out[0] == pytest.approx(1.0, abs=1e-6)
-    assert out[1] == pytest.approx(np.exp(-1.5), abs=1e-9)
-
-
 def test_rejects_nonpositive_times():
     with pytest.raises(ValueError):
         laplace.invert(lambda u: 1 / u, np.array([0.0, 1.0]))
