@@ -4,8 +4,7 @@ Depolarizing qubit, safe exponential kernel (gamma = 2, A_eps = 0.75):
 the renewal-series resummation, the damping-basis closed form (telegraph
 h-functions), product-integration Volterra quadrature, and the
 subordination solution evaluated in the Laplace domain all coincide.
-The same comparison runs for the fractional kernel, where subordination
-uses the explicit internal-time density.
+The same comparison runs for the fractional kernel.
 """
 
 import numpy as np

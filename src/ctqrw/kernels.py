@@ -166,10 +166,6 @@ class MemoryKernel:
         out[t > 0] = laplace.invert(lambda u: self.laplace(u) / u**2, t[t > 0])
         return out
 
-    def second_moment(self, t: float) -> float:
-        """int tau^2 P(t, tau) dtau = L^-1[2 Ktilde^2/u^3](t) of the internal time."""
-        return float(laplace.invert(lambda u: 2.0 * self.laplace(u) ** 2 / u**3, t))
-
     def decay_factor(self, lam, t):
         """Closed-form h_lam(t), the solution of h' = -lam K * h, h(0) = 1."""
         raise UnsupportedKernelError("closed-form decay functions exist for built-in kernels only")
@@ -328,9 +324,6 @@ class FractionalKernel(MemoryKernel):
     def mean_count(self, t):
         return self.amplitude * t**self.alpha / _gamma(1.0 + self.alpha)
 
-    def second_moment(self, t):
-        return 2.0 * self.amplitude**2 * t ** (2 * self.alpha) / np.exp(gammaln(1 + 2 * self.alpha))
-
     def decay_factor(self, lam, t):
         """E_alpha(-lam A_alpha t^alpha) for real lam; complex lam raises
         :class:`UnsupportedKernelError` (no complex-argument Mittag-Leffler)."""
@@ -438,20 +431,24 @@ class WaitingTimeDistribution:
         return table
 
 
+_STEP_RTOL = 1e-12  # a linspace grid's steps differ in the last bits only
+
+
 def _phase_chain_table(rates: tuple, grid: np.ndarray, rows: int) -> np.ndarray:
     """Exact count law of waiting times that are chains of exponential
     phases: state (count n, phase j) moves on at rate ``rates[j]``, one
-    matrix exponential of that bidiagonal generator per distinct grid step."""
+    matrix exponential of that bidiagonal generator per grid step, reused
+    while later steps stay within ``_STEP_RTOL`` relative of it."""
     chain = np.tile(np.asarray(rates, dtype=float), rows)
     q = np.diag(-chain) + np.diag(chain[:-1], -1)
     state = np.zeros(chain.size)
     state[0] = 1.0
-    propagators = {}
+    built = None
     out = np.empty((grid.size, chain.size))
     for k, h in enumerate(np.diff(grid, prepend=0.0)):
-        if h not in propagators:
-            propagators[h] = scipy.linalg.expm(q * h)
-        state = propagators[h] @ state
+        if built is None or abs(h - built) > _STEP_RTOL * built:
+            built, propagator = h, scipy.linalg.expm(q * h)
+        state = propagator @ state
         out[k] = state
     return out.reshape(grid.size, rows, len(rates)).sum(axis=2).T
 

@@ -18,7 +18,7 @@ cancellation, overflow or a singularity outside the contour moves them apart.
 
 import numpy as np
 
-from .errors import InversionError
+from .errors import DomainError, InversionError
 
 NODES = 32  # contour of the returned values
 CHECK_NODES = 40  # certifying contour
@@ -53,12 +53,13 @@ def invert(fhat, t):
     per t the 32-node contour, then the 40-node one, each with its real
     point r first.  It may prepend axes (a family of transforms); they lead
     the result.  Returns the 32-node values, shaped like t (or a float for
-    scalar t).  Raises :class:`InversionError` when the two sums differ by
-    more than ``CHECK_TOL * max(1, max|f|)`` or are not finite.
+    scalar t).  Raises :class:`DomainError` for t <= 0 and
+    :class:`InversionError` when the two sums differ by more than
+    ``CHECK_TOL * max(1, max|f|)`` or are not finite.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr <= 0):
-        raise ValueError("fixed-Talbot inversion needs t > 0")
+        raise DomainError("fixed-Talbot inversion needs t > 0")
     main = _contour(t_arr, NODES)
     check = _contour(t_arr, CHECK_NODES)
     vals = fhat(np.concatenate([main[1], check[1]], axis=1))

@@ -11,12 +11,13 @@ Four independent paths to ``drho/dt = int_0^t K(t-s) L[rho(s)] ds``:
   equivalent second-order ODE system, propagated by one matrix exponential
   per step (an independent check route, exact up to expm);
 * ``subordination_solve``: the internal-time integral
-  ``rho(t) = int_0^inf P(t,tau) rho^M(tau) dtau`` with P obtained by
-  fixed-Talbot inversion.  For exponential kernels no pointwise density
-  exists even in the safe regime (hypoexponential renewal counting is
-  under-dispersed, so no positive Poisson mixture reproduces it); there the
-  same object is evaluated in the Laplace domain by inverting
-  ``h_lam(u) = 1/(u + lam Ktilde(u))``.
+  ``rho(t) = int_0^inf P(t,tau) rho^M(tau) dtau``, evaluated in the
+  Laplace domain for every kernel: each damping sector is the fixed-Talbot
+  inversion of ``h_lam(u) = 1/(u + lam Ktilde(u))``.  The density
+  P(t, tau) itself (``subordination_pdf``) exists pointwise for Markovian
+  and fractional kernels only: hypoexponential renewal counting is
+  under-dispersed, so no positive Poisson mixture reproduces the
+  exponential kernel.
 
 Plus the short-time linear-entropy laws and the Choi-matrix CP audit of a
 solution route.
@@ -364,9 +365,9 @@ def subordination_pdf(kernel: MemoryKernel, t: float, tau):
     Markovian kernels return the symbolic :class:`DeltaLine` at
     ``tau = A1 t``.  Exponential kernels raise
     :class:`SubordinationUnavailableError` (no pointwise density exists
-    even in the safe regime; see :func:`subordination_solve`), and so does
-    a density whose Talbot inversion is not certified (fractional alpha of
-    0.7 and above).  Dangerous kernels raise
+    even in the safe regime; :func:`subordination_solve` needs none), and
+    so does a density whose Talbot inversion is not certified (fractional
+    alpha of 0.7 and above).  Dangerous kernels raise
     :class:`DangerousKernelError`; ``t <= 0`` raises :class:`DomainError`.
     """
     mode = _subordination_mode(kernel)
@@ -383,55 +384,24 @@ def subordination_pdf(kernel: MemoryKernel, t: float, tau):
     return laplace.like_input(tau, _density_at(kernel, float(t), tau_arr))
 
 
-def _tau_quadrature(tau_max: float, n_panels: int = 24, n_nodes: int = 10):
-    nodes, wts = roots_legendre(n_nodes)
-    edges = np.linspace(0.0, tau_max, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * np.diff(edges)[:, None]
-    return (mid + half * nodes[None, :]).ravel(), (half * wts[None, :]).ravel()
-
-
 def subordination_solve(kernel: MemoryKernel, basis: DampingBasis, rho0, grid):
     """``rho(t) = int_0^inf P(t,tau) rho^M(tau) dtau`` on the grid.
 
-    The lam = 0 sector integrates exactly to one by normalization of P;
-    each decaying sector gets ``h_lam(t) = int P(t,tau) e^{-lam tau} dtau``
-    by panel quadrature against the Talbot-inverted density (fractional and
-    CM-verified custom kernels), truncated where both the density mass and
-    the e^{-lam tau} weight are negligible.  Safe exponential kernels use
-    the Laplace-domain form instead (see module docstring); dangerous
-    kernels raise :class:`DangerousKernelError`, and a density whose Talbot
-    inversion is not certified (fractional alpha of 0.7 and above) raises
-    :class:`SubordinationUnavailableError`.  Complex damping rates are
-    supported on every branch: the quadrature weight is the complex
-    e^{-lam tau}, and the Laplace-domain form inverts the real and
-    imaginary parts of h_lam separately.
+    Over t, P(t, tau) has the transform ``exp(-tau u/Ktilde(u))/Ktilde(u)``,
+    so each decaying sector ``h_lam(t) = int P(t,tau) e^{-lam tau} dtau``
+    is the certified Talbot inversion of ``1/(u + lam Ktilde(u))``
+    (:meth:`~ctqrw.kernels.MemoryKernel.talbot_decay_factor`), one path for
+    every safe kernel; the lam = 0 sector is one by normalization of P.
+    Complex damping rates are supported.  Dangerous kernels raise
+    :class:`DangerousKernelError`, and an uncertified inversion raises
+    :class:`InversionError`.
     """
-    mode = _subordination_mode(kernel)
+    _subordination_mode(kernel)  # refuses dangerous kernels
     grid = np.asarray(grid, dtype=float)
     lams = basis.rates
-    live = np.where(np.abs(lams) >= 1e-12)[0]
-
     hs = np.ones((lams.size, grid.size), dtype=complex)
-    if mode != "density":
-        decay = kernel.decay_factor if mode == "delta" else kernel.talbot_decay_factor
-        for i in live:
-            hs[i] = decay(lams[i], grid)
-    elif live.size:
-        # real rates keep a real quadrature sum
-        rates = [lam.real if lam.imag == 0 else lam for lam in lams[live]]
-        lam_min = float(np.min(np.real(lams[live])))
-        for k, t in enumerate(grid):
-            if t <= 0:
-                continue
-            m1 = float(kernel.mean_count(np.array([t]))[0])
-            m2 = kernel.second_moment(float(t))
-            sigma = np.sqrt(max(m2 - m1 * m1, 1e-30))
-            tau_max = max(min(m1 + 12.0 * sigma, m1 + 30.0 / lam_min), 1e-6)
-            taus, weights = _tau_quadrature(tau_max)
-            p_vals = _density_at(kernel, float(t), taus)
-            for i, rate in zip(live, rates):
-                hs[i, k] = np.sum(weights * p_vals * np.exp(-rate * taus))
+    for i in np.flatnonzero(np.abs(lams) >= 1e-12):
+        hs[i] = kernel.talbot_decay_factor(lams[i], grid)
     return basis.evolve(rho0, hs)
 
 

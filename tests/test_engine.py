@@ -373,6 +373,32 @@ def test_ensemble_agrees_with_series_all_safe_kernels(plus_x_state):
         assert np.all(diff <= bound), kern
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_ensemble_agrees_with_series_on_random_qutrit_channels(seed):
+    # Monte Carlo vs the series route for a random d = 3 channel, start and
+    # observable, judged by the exact standard error of the count law: the
+    # sample error collapses where few realizations have scattered
+    from ctqrw.kernels import ExponentialKernel, FractionalKernel, waiting_from_kernel
+    from ctqrw.quantum import random_density, random_kraus_map
+
+    rng = np.random.default_rng(seed)
+    emap = random_kraus_map(3, 2, rng)
+    rho = random_density(3, rng)
+    g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    obs = {"O": (g + g.conj().T) / 2}
+    grid = np.linspace(0.0, 5.0, 26)
+    n_real = 2000
+    for kern in (FractionalKernel(amplitude=1.0, alpha=0.5), ExponentialKernel(amplitude=0.75, decay=2.0)):
+        waiting = waiting_from_kernel(kern)
+        probs = engine.renewal_probabilities(waiting, None, grid)
+        _, tables = engine.count_tables(rho, emap, probs.n_max, obs)
+        mean = probs.table.T @ tables["O"]
+        stderr = np.sqrt((probs.table.T @ tables["O"] ** 2 - mean**2) / n_real)
+        stats = engine.ensemble_average(rho, emap, waiting, grid, n_real, base_seed=seed, observables=obs)
+        z = np.abs(stats.observable_means["O"] - mean)[1:] / stderr[1:]
+        assert np.max(z) < 5.0, kern
+
+
 def _scalar_event_times(waiting, t_end, rng):
     """Reference renewal loop: one scalar draw per interval."""
     from ctqrw.kernels import sample_waiting

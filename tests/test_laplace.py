@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ctqrw import laplace
+from ctqrw.errors import DomainError
 from ctqrw.special import mittag_leffler
 
 
@@ -43,5 +44,5 @@ def test_oscillatory_smooth_transform():
 
 
 def test_rejects_nonpositive_times():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         laplace.invert(lambda u: 1 / u, np.array([0.0, 1.0]))

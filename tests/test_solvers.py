@@ -278,14 +278,23 @@ def test_subordination_pdf_needs_positive_time():
 @pytest.mark.parametrize("alpha", [0.75, 0.8, 0.9, 0.97])
 def test_subordination_overflow_raises_instead_of_nan(alpha):
     # for alpha > 1/2, exp(-tau s/Ktilde(s)) overflows on the Talbot
-    # contour's left arm; the route must say so, not return NaN
+    # contour's left arm; the density must say so, not return NaN
     kern = FractionalKernel(amplitude=1.0, alpha=alpha)
-    gen, basis = depol_basis()
-    grid = np.linspace(0.0, 10.0 * kern.time_scale, 200)
-    with pytest.raises(SubordinationUnavailableError, match=f"alpha={alpha}.*t = "):
-        solvers.subordination_solve(kern, basis, PLUS_X, grid)
     with pytest.raises(SubordinationUnavailableError, match=f"alpha={alpha}"):
         solvers.subordination_pdf(kern, 1.0, np.linspace(0.0, 20.0, 50))
+
+
+@pytest.mark.parametrize("model", [Depolarizing(), Thermal(kappa=0.75, p_up=0.25, p_down=0.75)])
+@pytest.mark.parametrize("alpha", [0.5, 0.6, 0.7, 0.75, 0.9, 0.97, 0.99, 1.0])
+def test_subordination_matches_closed_form_at_every_alpha(model, alpha):
+    # the Laplace-domain sectors need no internal-time density, so alpha
+    # where the density is refused is served too
+    kern = FractionalKernel(amplitude=1.0, alpha=alpha)
+    basis = damping_basis(lindblad_from_kraus(qubit_kraus(model)))
+    grid = np.linspace(0.0, 10.0 * kern.time_scale, 200)
+    states = solvers.subordination_solve(kern, basis, PLUS_X, grid)
+    closed = solvers.closed_form_solve(basis, kern, PLUS_X, grid)
+    assert np.max(np.abs(states - closed)) < 1e-9
 
 
 def test_subordination_dangerous_kernel_refused():
