@@ -40,15 +40,16 @@ rho0 = make_density(
 
 grid = np.linspace(0.0, 20.0, 400)  # t/T in [0, 10], T = A^(-1/alpha) = 2
 
-print("three realizations (seeds 0..2):")
+SEED = 1
+print(f"realizations 0..2 of the ensemble seeded {SEED}:")
 trajs = []
-for seed in range(3):
-    traj = run_realization(rho0, emap, waiting, grid, seed=seed)
+for k in range(3):
+    traj = run_realization(rho0, emap, waiting, grid, seed=SEED, index=k)
     trajs.append(traj)
     times = ", ".join(f"{t:.2f}" for t in traj.event_times[:6])
-    print(f"  seed {seed}: {traj.event_times.size} events at t = [{times} ...]")
+    print(f"  realization {k}: {traj.event_times.size} events at t = [{times} ...]")
 
-stats = ensemble_average(rho0, emap, waiting, grid, n_realizations=10_000, base_seed=1)
+stats = ensemble_average(rho0, emap, waiting, grid, n_realizations=10_000, base_seed=SEED)
 analytic = n[0] * mittag_leffler(0.5, AMP * np.sqrt(grid))
 gap = np.abs(stats.observable_means["M_x"] - analytic)
 print(

@@ -6,10 +6,10 @@ Usage::
 
 Exit codes: 0 success, 2 malformed configuration (message names the key),
 3 numeric failure (message names the operation).  ``--threads`` and its
-environment fallback ``CTQRW_THREADS`` are accepted for compatibility but
-change neither the output nor the work done: every Monte Carlo route runs
-one vectorized pass over all realizations, and the outputs are
-byte-identical for any thread count.
+environment fallback ``CTQRW_THREADS`` are deprecated: they are accepted
+for compatibility but change neither the output nor the work done, since
+every Monte Carlo route runs one vectorized pass over all realizations;
+the outputs are byte-identical for any thread count.
 
 CSV files carry one header row naming columns (times in seconds, other
 columns dimensionless), 17-significant-digit values, LF line endings.
@@ -18,6 +18,7 @@ wall time, and validates against ``manifest_schema.json``.
 """
 
 import argparse
+import functools
 import importlib.resources
 import json
 import os
@@ -57,13 +58,23 @@ def _manifest(cfg: ExperimentConfig, seeds, outputs, wall, extra=None) -> dict:
     return doc
 
 
-def validate_manifest(doc: dict):
+@functools.cache
+def _manifest_validator():
+    """Validator for ``manifest_schema.json``, built once per process (the
+    schema itself is checked here, not on every run)."""
     import jsonschema
 
     schema = json.loads(
         importlib.resources.files("ctqrw").joinpath("manifest_schema.json").read_text()
     )
-    jsonschema.validate(doc, schema)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def validate_manifest(doc: dict):
+    """Raise ``jsonschema.ValidationError`` unless `doc` fits the schema."""
+    _manifest_validator().validate(doc)
 
 
 def _solution_columns(states, grid):
@@ -84,8 +95,6 @@ def _solution_columns(states, grid):
 
 
 def _run_realizations(cfg, grid, out_csv):
-    from .seeding import derive_seed
-
     emap = qubit_kraus(cfg.model)
     waiting = waiting_from_kernel(cfg.kernels[0][1])
     counts = engine.event_counts(waiting, grid, cfg.n_realizations, cfg.seed)
@@ -97,7 +106,7 @@ def _run_realizations(cfg, grid, out_csv):
             header.append(f"{name}_r{k}")
             columns.append(tables[name][counts[k]])
     write_csv(out_csv, header, columns)
-    return [derive_seed(cfg.seed, k) for k in range(cfg.n_realizations)], {}
+    return [cfg.seed], {}
 
 
 def _run_ensemble(cfg, grid, out_csv):
@@ -289,7 +298,8 @@ def main(argv=None) -> int:
         "--threads",
         type=int,
         default=None,
-        help="accepted for compatibility; changes neither output nor work (CTQRW_THREADS fallback)",
+        help="deprecated: accepted for compatibility; changes neither output nor work "
+        "(CTQRW_THREADS fallback)",
     )
     args = parser.parse_args(argv)
     return run(args.config, args.out_dir, args.seed_override, args.threads)

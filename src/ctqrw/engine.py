@@ -22,7 +22,7 @@ from .errors import BadParametersError, TruncationError
 from .kernels import WaitingTimeDistribution, waiting_from_uniforms
 from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, KrausMap, apply_kraus, as_matrix, linear_entropy
 
-DRAWS_PER_BLOCK = 16  # waiting times a stream draws per refill
+DRAWS_PER_BLOCK = 16  # waiting times drawn per live realization and round
 
 
 def default_observables(dim: int) -> dict:
@@ -34,9 +34,11 @@ def default_observables(dim: int) -> dict:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One realization: event times plus observable series on the grid."""
+    """Realization `index` of the run seeded `seed`: event times plus
+    observable series on the grid."""
 
     seed: int
+    index: int
     grid: np.ndarray
     event_times: np.ndarray
     observables: dict
@@ -63,26 +65,27 @@ def _check_grid(grid) -> np.ndarray:
     return grid
 
 
-def _renewal_events(waiting: WaitingTimeDistribution, t_end: float, rngs):
-    """Every renewal event in (0, t_end] of each stream in `rngs`.
+def _renewal_events(waiting: WaitingTimeDistribution, t_end: float, base_seed: int, realizations):
+    """Every renewal event in (0, t_end] of each realization in `realizations`.
 
-    Each round, every live stream fills one (DRAWS_PER_BLOCK, k) row of raw
-    uniforms, k per waiting time and interleaved per draw, which is the
-    order of successive scalar ``sample_waiting`` calls.  The rows become
-    waiting times in one vectorized call, and each clock is accumulated by
-    a cumsum that starts from its running value, so event times round
-    exactly as ``clock += tau``.  A stream stays live until its clock
-    passes `t_end`; the generators are left just after their last block.
-    Returns flat (stream index, event time) arrays.
+    Waiting time j of realization k comes from ``seeding.uniforms(base_seed,
+    k, j, WAITING_LANE, waiting.uniforms)``.  Each round draws the next
+    DRAWS_PER_BLOCK waiting times of every live realization in one call,
+    and each clock is accumulated by a cumsum that starts from its running
+    value, so event times round exactly as ``clock += tau``.  A realization
+    stays live until its clock passes `t_end`.  Returns flat (position in
+    `realizations`, event time) arrays.
     """
-    width = waiting.uniforms
-    clock = np.zeros(len(rngs))
-    live = np.arange(len(rngs))
+    realizations = np.asarray(realizations)
+    clock = np.zeros(realizations.size)
+    live = np.arange(realizations.size)
     owners, times = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    first = 0
     while live.size:
-        u = np.empty((live.size, DRAWS_PER_BLOCK, width))
-        for row, k in zip(u, live):
-            rngs[k].random(out=row)
+        draws = np.arange(first, first + DRAWS_PER_BLOCK)
+        u = seeding.uniforms(
+            base_seed, realizations[live, None], draws, seeding.WAITING_LANE, waiting.uniforms
+        )
         taus = waiting_from_uniforms(waiting, u)
         clocks = np.cumsum(np.concatenate([clock[live, None], taus], axis=1), axis=1)[:, 1:]
         hit = clocks <= t_end
@@ -90,39 +93,36 @@ def _renewal_events(waiting: WaitingTimeDistribution, t_end: float, rngs):
         times.append(clocks[hit])
         clock[live] = clocks[:, -1]
         live = live[clocks[:, -1] <= t_end]
+        first += DRAWS_PER_BLOCK
     return np.concatenate(owners), np.concatenate(times)
 
 
-def renewal_counts(waiting: WaitingTimeDistribution, grid, rngs) -> np.ndarray:
-    """Event counts N(t) on `grid`, shape (len(rngs), n_grid), one row per
-    generator; each generator is advanced past the draws it supplied."""
-    grid = _check_grid(grid)
-    owners, times = _renewal_events(waiting, float(grid[-1]), rngs)
-    # an event at time s counts at every grid point t >= s
-    first = np.searchsorted(grid, times, side="left")
-    starts = np.bincount(owners * grid.size + first, minlength=len(rngs) * grid.size)
-    return np.cumsum(starts.reshape(len(rngs), grid.size), axis=1)
-
-
 def event_counts(waiting: WaitingTimeDistribution, grid, n: int, base_seed: int) -> np.ndarray:
-    """Event counts of realizations 0..n-1, shape (n, n_grid).
+    """Event counts N(t) on `grid` of realizations 0..n-1 of the run seeded
+    `base_seed`, shape (n, n_grid).
 
-    Row k is the count of stream ``seeding.stream(derive_seed(base_seed, k))``,
-    equal to ``searchsorted(draw_event_times(...), grid, side="right")`` of
-    that stream.
+    Row k depends on (base_seed, k) alone: it equals
+    ``searchsorted(draw_event_times(waiting, grid[-1], base_seed, k), grid,
+    side="right")`` for any n > k.
     """
     if n < 1:
         raise BadParametersError(f"need at least one realization, got n = {n}")
-    return renewal_counts(waiting, grid, seeding.realization_streams(base_seed, n))
+    grid = _check_grid(grid)
+    owners, times = _renewal_events(waiting, float(grid[-1]), base_seed, np.arange(n))
+    # an event at time s counts at every grid point t >= s
+    first = np.searchsorted(grid, times, side="left")
+    starts = np.bincount(owners * grid.size + first, minlength=n * grid.size)
+    return np.cumsum(starts.reshape(n, grid.size), axis=1)
 
 
 def draw_event_times(
-    waiting: WaitingTimeDistribution, t_end: float, rng: np.random.Generator
+    waiting: WaitingTimeDistribution, t_end: float, seed: int, index: int = 0
 ) -> np.ndarray:
-    """Renewal event times in (0, t_end]; empty array if the first interval
-    overshoots.  `rng` is advanced in whole blocks of DRAWS_PER_BLOCK
-    waiting times, as in :func:`renewal_counts`."""
-    return _renewal_events(waiting, float(t_end), [rng])[1]
+    """Renewal event times in (0, t_end] of realization `index` of the run
+    seeded `seed`; empty if the first interval overshoots."""
+    if index < 0:
+        raise BadParametersError(f"realization index must be >= 0, got {index}")
+    return _renewal_events(waiting, float(t_end), seed, [index])[1]
 
 
 def _kraus_powers(emap: KrausMap, rho: np.ndarray, n_max: int) -> np.ndarray:
@@ -163,17 +163,20 @@ def run_realization(
     waiting: WaitingTimeDistribution,
     grid,
     seed: int,
+    index: int = 0,
     observables: dict | None = None,
     store_states: bool = False,
 ) -> Trajectory:
-    """Simulate one realization, fully reproducible from `seed`."""
+    """Realization `index` of the run seeded `seed`: the same events as row
+    `index` of :func:`event_counts` for that seed."""
     grid = _check_grid(grid)
-    events = draw_event_times(waiting, float(grid[-1]), seeding.stream(seed))
+    events = draw_event_times(waiting, float(grid[-1]), seed, index)
     # state index per grid point: number of events that occurred by then
     idx = np.searchsorted(events, grid, side="right")
     powers, tables = count_tables(rho0, emap, events.size, observables)
     return Trajectory(
         seed=seed,
+        index=index,
         grid=grid,
         event_times=events,
         observables={name: table[idx] for name, table in tables.items()},

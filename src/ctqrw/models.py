@@ -11,8 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.special import ndtri
 
-from . import engine, solvers
+from . import engine, seeding, solvers
 from .errors import (
     BadMomentsError,
     BadParametersError,
@@ -21,7 +22,6 @@ from .errors import (
 )
 from .kernels import FractionalKernel, MemoryKernel, classify_kernel, waiting_from_kernel
 from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, GeneratorMatrix, KrausMap, as_matrix, dissipator
-from .seeding import realization_streams
 
 # ---------------------------------------------------------------------------
 # qubit reservoirs
@@ -232,9 +232,31 @@ def second_order_generator(
 
 # jump laws -----------------------------------------------------------------
 
+_ZERO_CELL = 2.0**-54  # midpoint of the lowest cell of a 53-bit uniform
+
+
+class MarkLaw:
+    """Common base of the jump and phase laws, the marks an event carries.
+
+    A law defines ``from_uniforms(u)``, which turns ``u[..., j]``, j <
+    ``uniforms``, uniform in [0, 1), into one mark per draw (elementwise, so
+    any batch layout gives the same values).
+    """
+
+    uniforms = 0
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return self.from_uniforms(rng.random((n, self.uniforms)))
+
+
+def _normals(u: np.ndarray) -> np.ndarray:
+    """Standard normals by the inverse CDF; u = 0 maps to the midpoint of
+    its cell, so every draw is finite."""
+    return ndtri(np.maximum(u, _ZERO_CELL))
+
 
 @dataclass(frozen=True)
-class GaussianJumps:
+class GaussianJumps(MarkLaw):
     """Complex Gaussian jumps with moments <b>, <b^2>, <|b|^2>."""
 
     mean: complex = 0.0
@@ -255,9 +277,12 @@ class GaussianJumps:
         eigvals, eigvecs = np.linalg.eigh(np.array([[var_x, cov], [cov, var_y]]))
         object.__setattr__(self, "_factor", eigvecs * np.sqrt(np.clip(eigvals, 0.0, None)))
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        xy = rng.standard_normal((n, 2)) @ self._factor.T
-        return (self.mean.real + xy[:, 0]) + 1j * (self.mean.imag + xy[:, 1])
+    uniforms = 2
+
+    def from_uniforms(self, u: np.ndarray) -> np.ndarray:
+        z0, z1 = _normals(u[..., 0]), _normals(u[..., 1])
+        (a, b), (c, d) = self._factor  # elementwise, unlike a batched matmul
+        return (self.mean.real + (a * z0 + b * z1)) + 1j * (self.mean.imag + (c * z0 + d * z1))
 
     def characteristic(self, k: np.ndarray) -> np.ndarray:
         """E exp(i Re(k conj(b)))."""
@@ -274,7 +299,7 @@ class GaussianJumps:
 
 
 @dataclass(frozen=True)
-class PointMassJumps:
+class PointMassJumps(MarkLaw):
     """Deterministic jump by beta0 at every event."""
 
     beta0: complex = 0.0
@@ -283,8 +308,8 @@ class PointMassJumps:
     def mean_abs_sq(self) -> float:
         return abs(self.beta0) ** 2
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.full(n, complex(self.beta0))
+    def from_uniforms(self, u: np.ndarray) -> np.ndarray:
+        return np.full(u.shape[:-1], complex(self.beta0))
 
     def characteristic(self, k: np.ndarray) -> np.ndarray:
         k = np.asarray(k, dtype=complex)
@@ -292,12 +317,13 @@ class PointMassJumps:
 
 
 @dataclass(frozen=True)
-class LevyJumps:
+class LevyJumps(MarkLaw):
     """Isotropic heavy-tailed jumps, characteristic exp(-sigma^mu |k|^mu).
 
     Sampled sub-Gaussian style: beta = sqrt(A) (g1 + i g2)/sqrt(2) with A a
     positive stable(mu/2) subordinator (Kanter-style draw, validated by a
-    Laplace-transform test), g Gaussian.  mu = 2 reduces to the isotropic
+    Laplace-transform test), g Gaussian: uniforms 0-1 give the normals,
+    2-3 Kanter's U and W.  mu = 2 reduces to the isotropic
     Gaussian.  Second moments diverge for mu < 2.
     """
 
@@ -310,14 +336,17 @@ class LevyJumps:
         if self.sigma <= 0:
             raise BadParametersError("sigma must be > 0")
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    uniforms = 4
+
+    def from_uniforms(self, u: np.ndarray) -> np.ndarray:
         # beta = 2 sigma sqrt(S) g with S positive stable(mu/2): the Gaussian
         # char exp(-A|k|^2/4) averaged over A = 4 sigma^2 S gives exactly
         # exp(-sigma^mu |k|^mu)
-        g = (rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(2.0)
+        normals = _normals(u[..., :2])
+        g = (normals[..., 0] + 1j * normals[..., 1]) / np.sqrt(2.0)
         if self.mu == 2.0:
             return 2.0 * self.sigma * g
-        s = positive_stable(self.mu / 2.0, rng, n)
+        s = positive_stable(self.mu / 2.0, u[..., 2:])
         return 2.0 * self.sigma * np.sqrt(s) * g
 
     def characteristic(self, k: np.ndarray) -> np.ndarray:
@@ -328,18 +357,21 @@ class LevyJumps:
 JumpLaw = GaussianJumps | PointMassJumps | LevyJumps
 
 
-def positive_stable(a: float, rng: np.random.Generator, n: int) -> np.ndarray:
-    """One-sided stable draws with Laplace transform exp(-s^a), 0 < a < 1.
+def positive_stable(a: float, uniforms: np.ndarray) -> np.ndarray:
+    """One-sided stable draws with Laplace transform exp(-s^a), 0 < a < 1,
+    one per row ``uniforms[..., :2]`` of uniforms in [0, 1).
 
     Kanter's representation: ``S = (A(U)/W)^((1-a)/a)`` with U uniform on
     (0, pi), W exponential(1) and
     ``A(u) = sin(a u)^(a/(1-a)) sin((1-a) u) / sin(u)^(1/(1-a))``;
-    validated against the Laplace transform in the tests.
+    validated against the Laplace transform in the tests.  A zero uniform
+    maps to the midpoint of its cell, so every draw is finite.
     """
     if not (0.0 < a < 1.0):
         raise BadParametersError("positive_stable needs 0 < a < 1")
-    u = rng.uniform(0.0, np.pi, size=n)
-    w = rng.exponential(1.0, size=n)
+    cells = np.maximum(uniforms[..., :2], _ZERO_CELL)
+    u = np.pi * cells[..., 0]
+    w = -np.log1p(-cells[..., 1])
     return (
         np.sin(a * u)
         * np.sin((1.0 - a) * u) ** ((1.0 - a) / a)
@@ -378,11 +410,11 @@ class WignerWalkResult:
 def wigner_ctrw(cfg: WignerWalkConfig, grid, base_seed: int, n0: float = 0.0) -> WignerWalkResult:
     """Ensemble of phase-space walkers with renewal jump times.
 
-    Walker k draws its renewal events from realization stream k (see
-    :func:`ctqrw.seeding.realization_streams`) and then, from the same
-    stream, one jump per event.  The mean excitation estimate is
-    ``n(t) = n(0) + <|b|^2> x (empirical mean event count)``; it is None
-    for jump laws without second moments.  Raises
+    Walker k is realization k of the run seeded `base_seed`: its events are
+    row k of :func:`ctqrw.engine.event_counts`, and jump j comes from draw
+    j of the mark lane (see :func:`_event_sums`).  The mean excitation
+    estimate is ``n(t) = n(0) + <|b|^2> x (empirical mean event count)``;
+    it is None for jump laws without second moments.  Raises
     :class:`DangerousKernelError` for kernels without a waiting density and
     :class:`BadParametersError` for fewer than one walker.
     """
@@ -394,9 +426,8 @@ def wigner_ctrw(cfg: WignerWalkConfig, grid, base_seed: int, n0: float = 0.0) ->
         raise DangerousKernelError(verdict.certificate)
     waiting = waiting_from_kernel(cfg.kernel)
     grid = np.asarray(grid, dtype=float)
-    rngs = realization_streams(base_seed, n_w)
-    counts = engine.renewal_counts(waiting, grid, rngs)  # (n_walkers, n_grid)
-    paths = complex(cfg.initial) + _event_sums(rngs, counts[:, -1], cfg.jumps.sample)
+    counts = engine.event_counts(waiting, grid, n_w, base_seed)  # (n_walkers, n_grid)
+    paths = complex(cfg.initial) + _event_sums(base_seed, counts[:, -1], cfg.jumps)
     positions = np.take_along_axis(paths, counts, axis=1).T
     mean_counts = counts.mean(axis=0)
     n_est = None
@@ -414,13 +445,19 @@ def wigner_ctrw(cfg: WignerWalkConfig, grid, base_seed: int, n0: float = 0.0) ->
     )
 
 
-def _event_sums(rngs, totals: np.ndarray, sample) -> np.ndarray:
-    """Row k: 0, then the running sum of ``sample(rngs[k], totals[k])``,
-    zero padded to a common length, so ``row[n]`` is the sum of the first
-    n draws of stream k."""
-    draws = np.concatenate([sample(rng, int(c)) for rng, c in zip(rngs, totals)])
-    steps = np.zeros((len(rngs), int(totals.max()) + 1), dtype=draws.dtype)
-    steps[:, 1:][np.arange(steps.shape[1] - 1) < totals[:, None]] = draws
+def _event_sums(base_seed: int, totals: np.ndarray, law: MarkLaw) -> np.ndarray:
+    """Row k: 0, then the running sum of the marks of the totals[k] events
+    of realization k, zero padded to a common length, so ``row[n]`` is the
+    sum of the first n marks.  Mark j of realization k is ``law`` applied to
+    ``seeding.uniforms(base_seed, k, j, MARK_LANE, law.uniforms)``; every
+    mark of every realization is one call."""
+    taken = np.arange(int(totals.max())) < totals[:, None]
+    owners, draws = np.nonzero(taken)
+    marks = law.from_uniforms(
+        seeding.uniforms(base_seed, owners, draws, seeding.MARK_LANE, law.uniforms)
+    )
+    steps = np.zeros((len(totals), taken.shape[1] + 1), dtype=marks.dtype)
+    steps[:, 1:][taken] = marks
     return np.cumsum(steps, axis=1)
 
 
@@ -429,7 +466,7 @@ def _event_sums(rngs, totals: np.ndarray, sample) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DeltaPhase:
+class DeltaPhase(MarkLaw):
     """P(tau) = delta(tau - tau_b): every event applies exp(-i H tau_b)."""
 
     tau_b: float
@@ -437,12 +474,12 @@ class DeltaPhase:
     def fourier(self, omega):
         return np.exp(-1j * np.asarray(omega) * self.tau_b)
 
-    def sample(self, rng, n):
-        return np.full(n, self.tau_b)
+    def from_uniforms(self, u):
+        return np.full(u.shape[:-1], float(self.tau_b))
 
 
 @dataclass(frozen=True)
-class ExponentialPhase:
+class ExponentialPhase(MarkLaw):
     """P(tau) = exp(-tau/tau_b)/tau_b on tau > 0."""
 
     tau_b: float
@@ -450,12 +487,14 @@ class ExponentialPhase:
     def fourier(self, omega):
         return 1.0 / (1.0 + 1j * np.asarray(omega) * self.tau_b)
 
-    def sample(self, rng, n):
-        return rng.exponential(self.tau_b, size=n)
+    uniforms = 1
+
+    def from_uniforms(self, u):
+        return -self.tau_b * np.log1p(-u[..., 0])
 
 
 @dataclass(frozen=True)
-class LogFormalPhase:
+class LogFormalPhase(MarkLaw):
     """Formal-rate preset gamma = ln(1 + i omega tau_b).
 
     The generating density exp(-tau/tau_b)/tau is not normalizable, so the
@@ -468,7 +507,7 @@ class LogFormalPhase:
     def fourier(self, omega):
         return 1.0 - np.log(1.0 + 1j * np.asarray(omega) * self.tau_b)
 
-    def sample(self, rng, n):
+    def from_uniforms(self, u):
         raise BadParametersError("the logarithmic preset has no normalizable density")
 
 
@@ -531,9 +570,10 @@ def intrinsic_decoherence(
     exponential kernels; the fractional kernel needs a complex-argument
     Mittag-Leffler function and is delegated to the Volterra quadrature),
     "volterra" always uses the quadrature, and "stochastic" samples renewal
-    events with random phases (safe kernels): realization k draws its
-    events from realization stream k and then one phase per event from the
-    same stream.  Populations are conserved exactly (gamma_nn = 0).
+    events with random phases (safe kernels): realization k has row k of
+    :func:`ctqrw.engine.event_counts` and one phase per event from the mark
+    lane (see :func:`_event_sums`).  Populations are conserved exactly
+    (gamma_nn = 0).
     """
     grid = np.asarray(grid, dtype=float)
     m = as_matrix(rho0)
@@ -548,11 +588,10 @@ def intrinsic_decoherence(
         if not verdict.is_safe:
             raise DangerousKernelError(verdict.certificate)
         waiting = waiting_from_kernel(kernel)
-        rngs = realization_streams(base_seed, n_realizations)
-        counts = engine.renewal_counts(waiting, grid, rngs)
+        counts = engine.event_counts(waiting, grid, n_realizations, base_seed)
         # total extra Hamiltonian time per realization and grid point
         phases = np.take_along_axis(
-            _event_sums(rngs, counts[:, -1], spectrum.phase.sample), counts, axis=1
+            _event_sums(base_seed, counts[:, -1], spectrum.phase), counts, axis=1
         )
         # element factors: mean phase factor (stochastic) or h_gamma (closed)
         factors = np.empty((grid.size, spectrum.dim, spectrum.dim), dtype=complex)

@@ -76,6 +76,35 @@ def test_run_ensemble_and_manifest(tmp_path):
     assert manifest["wall_time_sec"] > 0
 
 
+def test_manifest_without_seeds_is_rejected():
+    import jsonschema
+
+    doc = {
+        "experiment": "ensemble",
+        "config": {},
+        "library_version": "0.1.0",
+        "wall_time_sec": 0.5,
+        "outputs": ["out.csv"],
+    }
+    for _ in range(2):  # the second call reuses the cached validator
+        with pytest.raises(jsonschema.ValidationError, match="seeds"):
+            cli.validate_manifest(doc)
+    cli.validate_manifest(dict(doc, seeds=[1]))
+
+
+def test_realizations_manifest_names_the_run_seed(tmp_path):
+    text = (
+        GOOD_ENSEMBLE.replace("kind = ensemble", "kind = realizations")
+        .replace("[ensemble]", "[realizations]")
+        .replace("seed = 1", "seed = 17")
+    )
+    out = tmp_path / "results"
+    assert cli.run(write(tmp_path, text), str(out)) == 0
+    manifest = json.loads((out / "run.json").read_text())
+    cli.validate_manifest(manifest)
+    assert manifest["seeds"] == [17]
+
+
 def test_rerun_is_byte_identical(tmp_path):
     path = write(tmp_path, GOOD_ENSEMBLE)
     out1, out2 = tmp_path / "a", tmp_path / "b"

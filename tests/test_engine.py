@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from ctqrw import engine
+from ctqrw import engine, seeding
 from ctqrw.errors import InversionError, TruncationError, UnsupportedKernelError
 from ctqrw.kernels import (
     EmpiricalWaiting,
@@ -87,10 +87,7 @@ def test_ensemble_reproducibility_and_mean(plus_x_state):
     assert np.array_equal(s1.observable_means["M_x"], s4.observable_means["M_x"])
     assert np.array_equal(s1.mean_state, s4.mean_state)
     # mean equals the plain average of the individual trajectories
-    trajs = [
-        engine.run_realization(plus_x_state, emap, w, GRID, seed=derive_seed(3, k))
-        for k in range(200)
-    ]
+    trajs = [engine.run_realization(plus_x_state, emap, w, GRID, seed=3, index=k) for k in range(200)]
     manual = np.sum(np.stack([t.observables["M_x"] for t in trajs]), axis=0) / 200
     assert np.array_equal(manual, s1.observable_means["M_x"])
 
@@ -309,7 +306,7 @@ def test_event_count_mean_matches_renewal_mean():
     t_end = 20.0
     n = 4000
     counts = np.array(
-        [engine.draw_event_times(w, t_end, stream(77, k)).size for k in range(n)]
+        [engine.draw_event_times(w, t_end, 77, k).size for k in range(n)]
     )
     expected = renewal_mean_count(MarkovianKernel(rate=0.5), t_end)
     se = counts.std(ddof=1) / np.sqrt(n)
@@ -399,15 +396,21 @@ def test_ensemble_agrees_with_series_on_random_qutrit_channels(seed):
         assert np.max(z) < 5.0, kern
 
 
-def _scalar_event_times(waiting, t_end, rng):
-    """Reference renewal loop: one scalar draw per interval."""
-    from ctqrw.kernels import sample_waiting
+def _scalar_event_times(waiting, t_end, base_seed, k):
+    """Reference renewal loop for realization k: one scalar draw per
+    interval, draw j from the waiting lane."""
+    from ctqrw.kernels import waiting_from_uniforms
 
-    times = []
-    clock = sample_waiting(waiting, rng)
+    def tau(j):
+        u = seeding.uniforms(base_seed, k, j, seeding.WAITING_LANE, waiting.uniforms)
+        return float(waiting_from_uniforms(waiting, u))
+
+    times, j = [], 0
+    clock = tau(0)
     while clock <= t_end:
         times.append(clock)
-        clock += sample_waiting(waiting, rng)
+        j += 1
+        clock += tau(j)
     return np.asarray(times)
 
 
@@ -429,8 +432,8 @@ def _empirical_waiting():
 )
 @pytest.mark.parametrize("t_end", [20.0, 150.0])
 def test_event_counts_match_scalar_renewal_loop(waiting, t_end):
-    # bit-identical to drawing one interval at a time from each stream; the
-    # long grid needs several block refills per stream
+    # bit-identical to drawing one interval at a time for each realization;
+    # the long grid needs several blocks per realization
     if waiting == "empirical":
         waiting = _empirical_waiting()
     grid = np.linspace(0.0, t_end, 97)
@@ -439,9 +442,8 @@ def test_event_counts_match_scalar_renewal_loop(waiting, t_end):
     assert counts.shape == (n, grid.size)
     refills = 0
     for k in range(n):
-        seed = derive_seed(base_seed, k)
-        reference = _scalar_event_times(waiting, t_end, stream(seed))
-        assert np.array_equal(engine.draw_event_times(waiting, t_end, stream(seed)), reference)
+        reference = _scalar_event_times(waiting, t_end, base_seed, k)
+        assert np.array_equal(engine.draw_event_times(waiting, t_end, base_seed, k), reference)
         assert np.array_equal(counts[k], np.searchsorted(reference, grid, side="right"))
         refills += reference.size >= engine.DRAWS_PER_BLOCK
     if t_end > 100.0:
@@ -455,6 +457,8 @@ def test_monte_carlo_counts_reject_empty_ensembles(plus_x_state):
     with pytest.raises(BadParametersError):
         engine.event_counts(w, GRID, 0, base_seed=1)
     with pytest.raises(BadParametersError):
+        engine.draw_event_times(w, 1.0, 1, index=-1)
+    with pytest.raises(BadParametersError):
         engine.ensemble_average(plus_x_state, qubit_kraus(Depolarizing()), w, GRID, 0, 1)
 
 
@@ -463,9 +467,7 @@ def test_ensemble_mean_state_is_count_histogram_assembly(plus_x_state):
     w = HypoexponentialWaiting(r1=0.5, r2=1.5)
     stats = engine.ensemble_average(plus_x_state, emap, w, GRID, 300, base_seed=4)
     trajs = [
-        engine.run_realization(
-            plus_x_state, emap, w, GRID, seed=derive_seed(4, k), store_states=True
-        )
+        engine.run_realization(plus_x_state, emap, w, GRID, seed=4, index=k, store_states=True)
         for k in range(300)
     ]
     manual = np.mean(np.stack([t.states for t in trajs]), axis=0)
@@ -483,19 +485,15 @@ def test_wigner_positions_rebuild_per_walker():
     res = wigner_ctrw(cfg, grid, base_seed=9)
     waiting = waiting_from_kernel(kern)
     for k in range(cfg.n_walkers):
-        rng = stream(derive_seed(9, k))
-        events = engine.draw_event_times(waiting, grid[-1], rng)
-        path = cfg.initial + np.concatenate([[0.0], np.cumsum(jumps.sample(rng, events.size))])
+        events = engine.draw_event_times(waiting, grid[-1], 9, k)
+        u = seeding.uniforms(9, k, np.arange(events.size), seeding.MARK_LANE, jumps.uniforms)
+        path = cfg.initial + np.concatenate([[0.0], np.cumsum(jumps.from_uniforms(u))])
         idx = np.searchsorted(events, grid, side="right")
         assert np.array_equal(res.positions[:, k], path[idx])
 
 
 def test_intrinsic_stochastic_single_stream_rebuild():
-    from ctqrw.kernels import (
-        ExponentialKernel,
-        waiting_from_kernel,
-        waiting_from_uniforms,
-    )
+    from ctqrw.kernels import ExponentialKernel, waiting_from_kernel
     from ctqrw.models import ExponentialPhase, SpectrumModel, intrinsic_decoherence
 
     kern = ExponentialKernel(amplitude=0.75, decay=2.0)
@@ -505,17 +503,10 @@ def test_intrinsic_stochastic_single_stream_rebuild():
     res = intrinsic_decoherence(
         spec, kern, rho0, grid, route="stochastic", n_realizations=1, base_seed=12
     )
-    # hand-rolled: blocks of interleaved uniforms, then one phase per event
-    waiting = waiting_from_kernel(kern)
-    rng = stream(derive_seed(12, 0))
-    clock, events = 0.0, []
-    while clock <= grid[-1]:
-        block = rng.random((engine.DRAWS_PER_BLOCK, waiting.uniforms))
-        for tau in waiting_from_uniforms(waiting, block):
-            clock += tau
-            if clock <= grid[-1]:
-                events.append(clock)
-    taus = spec.phase.sample(rng, len(events))
+    # hand-rolled: one waiting time at a time, then one phase per event
+    events = _scalar_event_times(waiting_from_kernel(kern), grid[-1], 12, 0)
+    u = seeding.uniforms(12, 0, np.arange(len(events)), seeding.MARK_LANE, spec.phase.uniforms)
+    taus = spec.phase.from_uniforms(u)
     phase = np.concatenate([[0.0], np.cumsum(taus)])[np.searchsorted(events, grid, side="right")]
     expected = np.exp(-1j * spec.bohr_frequencies()[None] * phase[:, None, None]) * rho0
     assert len(events) > engine.DRAWS_PER_BLOCK
