@@ -35,13 +35,22 @@ from .models import qubit_closed_solution, qubit_kraus, wigner_ctrw, WignerWalkC
 from .quantum import damping_basis, linear_entropy, lindblad_from_kraus
 
 
+_CSV_BLOCK_ROWS = 1024
+
+
 def write_csv(path: str, header: list, columns: list):
-    """Columns are equal-length 1-d arrays; 17 significant digits, LF."""
-    rows = np.column_stack(columns).tolist()
+    """Columns are equal-length 1-d arrays; 17 significant digits, LF.
+
+    Rows are formatted and written in blocks of ``_CSV_BLOCK_ROWS``, one
+    format call per block, so no whole-table list of Python floats exists.
+    """
+    table = np.column_stack(columns)
     line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(line % tuple(row) for row in rows)
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[start : start + _CSV_BLOCK_ROWS]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _manifest(cfg: ExperimentConfig, seeds, outputs, wall, extra=None) -> dict:
@@ -181,7 +190,7 @@ def _run_cp_audit(cfg, grid, out_csv):
 
     defects = solvers.cp_defect_over_time(route, 2, grid)
     states = solvers.closed_form_solve(basis, kernel, cfg.initial, grid)
-    min_eigs = np.array([np.linalg.eigvalsh((s + s.conj().T) / 2).min() for s in states])
+    min_eigs = np.linalg.eigvalsh((states + np.swapaxes(states, -1, -2).conj()) / 2).min(axis=-1)
     write_csv(
         out_csv,
         ["t", "cp_defect", "min_state_eigenvalue"],

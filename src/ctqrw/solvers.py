@@ -145,6 +145,93 @@ def _propagate(step: np.ndarray, y0: np.ndarray, n_grid: int) -> np.ndarray:
     return y
 
 
+# Output steps per block of the Volterra history convolution.
+_HISTORY_BLOCK = 256
+
+
+class _History:
+    """Running history sums
+    ``S_k = sum_{1 <= j < k} lags[k % P][k - j] values[j]`` for rising k.
+
+    Both product-integration rules weigh their history by the lag k - j
+    alone (per class of k modulo P), so it is one blocked FFT convolution
+    (Hairer, Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6, 532, 1985).
+    `lags` has one row per class; the caller fills row k of `values`
+    (n + 1, ...) after reading S_k, and weighs node 0 itself.  On entering
+    target block c the sources of blocks 0 .. c-2 are transformed one block
+    at a time, multiplied by the spectrum of their lag window and
+    accumulated in the frequency domain; one inverse transform then serves
+    all B steps of the block, and the last <= 2B sources are summed
+    directly.  That is O((n/B)^2) length-2B products plus O(nB) direct
+    terms, in O(B) rows of work memory.
+    """
+
+    def __init__(self, lags: np.ndarray, values: np.ndarray):
+        b = _HISTORY_BLOCK
+        self._lags = lags
+        self._values = values.reshape(values.shape[0], -1)  # a view: rows fill in place
+        self._shape = values.shape[1:]
+        n_blocks = -(-values.shape[0] // b)
+        padded = np.zeros((lags.shape[0], (n_blocks + 2) * b))
+        padded[:, : lags.shape[1]] = lags
+        # window q holds lags qB .. qB + 2B - 1: the lags between target
+        # block c and source block c - 1 - q (its entry 0 reaches no kept output)
+        windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * b, axis=1)[:, ::b]
+        self._spectra = np.fft.fft(windows, axis=-1)
+        self._block = None
+        self._far = None
+
+    def _far_sums(self, c: int) -> np.ndarray:
+        """Contributions of source blocks 0 .. c-2 to the B steps of block c."""
+        b = _HISTORY_BLOCK
+        acc = np.zeros((self._lags.shape[0], 2 * b, self._values.shape[1]), dtype=complex)
+        for src in range(c - 1):
+            x = self._values[src * b : (src + 1) * b]
+            if src == 0:
+                x = x.copy()
+                x[0] = 0.0
+            acc += self._spectra[:, c - 1 - src, :, None] * np.fft.fft(x, n=2 * b, axis=0)
+        # circular index B + m is target step cB + m: lags B + m - i never wrap
+        out = np.fft.ifft(acc, axis=1)[:, b:]
+        steps = c * b + np.arange(b)
+        return out[steps % out.shape[0], np.arange(b)]
+
+    def __call__(self, k: int) -> np.ndarray:
+        c, m = divmod(k, _HISTORY_BLOCK)
+        start = max(1, (c - 1) * _HISTORY_BLOCK)
+        lag = self._lags[k % self._lags.shape[0]]
+        total = lag[k - start : 0 : -1] @ self._values[start:k]
+        if c >= 2:
+            if c != self._block:
+                self._far, self._block = self._far_sums(c), c
+            total += self._far[m]
+        return total.reshape(self._shape)
+
+
+def _pair_weights(k: int, w_first: np.ndarray, w_second: np.ndarray) -> np.ndarray:
+    """Nodal weights w[0..k] of the quadratic pair rule at step k >= 2."""
+    w = np.zeros(k + 1)
+    n_paired = k if k % 2 == 0 else k - 1
+    # even cells (first of pair) have lags k-1, k-3, ...;
+    # odd cells (second of pair) have lags k-2, k-4, ...
+    stop_f = k - 1 - n_paired
+    stop_s = k - 2 - n_paired
+    m_first = slice(k - 1, stop_f if stop_f >= 0 else None, -2)
+    m_second = slice(k - 2, stop_s if stop_s >= 0 else None, -2)
+    for p in range(3):
+        # pair anchored at even cell 2i: its first cell adds w_first[p] and
+        # its second cell w_second[p], both to node 2i + p; the slices walk
+        # the anchors in ascending order while the lag slices walk
+        # m = k-1-cell descending
+        w[p : p + n_paired : 2] += w_first[p][m_first]
+        w[p : p + n_paired : 2] += w_second[p][m_second]
+    if k % 2 == 1:
+        # trailing cell k-1 through the backward pair (k-2, k-1, k)
+        for p in range(3):
+            w[k - 2 + p] += w_second[p][0]
+    return w
+
+
 def _volterra_regular(gen, kernel, y0, grid):
     """Quadratic product integration of y = y0 + int_0^t R(t-s) G y(s) ds.
 
@@ -175,40 +262,26 @@ def _volterra_regular(gen, kernel, y0, grid):
         else inv_odd
     )
     inv_lin = np.linalg.inv(np.eye(d2) - b1[0] * g_mat)
+    # Every node 1 <= j < k collects the same pair cells at the same lags
+    # k - j for all steps k >= 2 of one parity, so its weight is
+    # lags[k % 2][k - j]: read both rows off the last step of each parity.
+    # Node 0 lies in the first pair only (the linear rule at k = 1).
+    lags = np.zeros((2, n + 1))
+    for kk in range(max(n - 1, 2), n + 1):
+        lags[kk % 2, 1 : kk + 1] = _pair_weights(kk, w_first, w_second)[kk - 1 :: -1]
+    w_node0 = np.empty(n + 1)
+    w_node0[1] = b0[0] - b1[0]
+    w_node0[2:] = w_first[0][1:] + w_second[0][:-1]
+    inv = (inv_even, inv_odd)
+    history = _History(lags, gy)
     for k in range(1, n + 1):
-        w = np.zeros(k + 1)
-        if k == 1:
-            w[0] = b0[0] - b1[0]
-            w[1] = b1[0]
-            inv = inv_lin
-        else:
-            n_paired = k if k % 2 == 0 else k - 1
-            # even cells (first of pair) have lags k-1, k-3, ...;
-            # odd cells (second of pair) have lags k-2, k-4, ...
-            stop_f = k - 1 - n_paired
-            stop_s = k - 2 - n_paired
-            m_first = slice(k - 1, stop_f if stop_f >= 0 else None, -2)
-            m_second = slice(k - 2, stop_s if stop_s >= 0 else None, -2)
-            for p in range(3):
-                # pair anchored at even cell 2i: its first cell adds
-                # w_first[p] and its second cell w_second[p], both to node
-                # 2i + p; the slices walk the anchors in ascending order
-                # while the lag slices walk m = k-1-cell descending
-                w[p : p + n_paired : 2] += w_first[p][m_first]
-                w[p : p + n_paired : 2] += w_second[p][m_second]
-            if k % 2 == 1:
-                # trailing cell k-1 through the backward pair (k-2, k-1, k)
-                for p in range(3):
-                    w[k - 2 + p] += w_second[p][0]
-                inv = inv_odd
-            else:
-                inv = inv_even
-        y[k] = inv @ (y[0] + np.tensordot(w[:k], gy[:k], axes=(0, 0)))
+        past = w_node0[k] * gy[0] + history(k)
+        y[k] = (inv_lin if k == 1 else inv[k % 2]) @ (y[0] + past)
         gy[k] = g_mat @ y[k]
     return y
 
 
-def _volterra_fractional(gen, kernel, y0, grid, n_subtract: int | None = None):
+def _volterra_fractional(gen, kernel, y0, grid):
     """Product integration of the Riemann-Liouville (integrated) form
     ``y = y0 + (A/Gamma(a)) int (t-s)^(a-1) G y ds`` with exact subtraction
     of the leading singular powers.
@@ -224,8 +297,7 @@ def _volterra_fractional(gen, kernel, y0, grid, n_subtract: int | None = None):
     n = grid.size - 1
     d2 = gen.matrix.shape[0]
     g_mat = gen.matrix
-    if n_subtract is None:
-        n_subtract = max(1, int(np.ceil(2.0 / alpha)) - 1)
+    n_subtract = max(1, int(np.ceil(2.0 / alpha)) - 1)
     m_arr = np.arange(n, dtype=float)
     ha = h**alpha
     up = (m_arr + 1.0) ** alpha
@@ -248,13 +320,14 @@ def _volterra_fractional(gen, kernel, y0, grid, n_subtract: int | None = None):
     phi = np.zeros((n + 1,) + y0.shape, dtype=complex)
     gphi = np.zeros_like(phi)
     top = c_vecs[n_subtract + 1]
+    # node j < k collects (d0 - d1)[k-1-j] from cell j and d1[k-j] from
+    # cell j - 1; node 0 drops out, since phi[0] = 0
+    lags = np.zeros((1, n + 1))
+    lags[0, 1:] = d0 - d1
+    lags[0, 1:n] += d1[1:]
+    history = _History(lags, gphi)
     for k in range(1, n + 1):
-        w_prev = (d0 - d1)[:k][::-1]  # pairs with gphi[0..k-1]
-        conv = np.tensordot(w_prev, gphi[:k], axes=(0, 0))
-        if k > 1:
-            w_next = d1[1:k][::-1]  # pairs with gphi[1..k-1]
-            conv += np.tensordot(w_next, gphi[1:k], axes=(0, 0))
-        phi[k] = lhs_inv @ (t_pows[n_subtract + 1][k] * top + c_pref * conv)
+        phi[k] = lhs_inv @ (t_pows[n_subtract + 1][k] * top + c_pref * history(k))
         gphi[k] = g_mat @ phi[k]
     series = np.einsum("kt,kdr->tdr", t_pows[: n_subtract + 1].astype(complex), np.stack(c_vecs[: n_subtract + 1]))
     return series + phi

@@ -229,6 +229,96 @@ def test_volterra_nan_trace_fails_the_drift_check():
         solvers.volterra_solve(gen, EXP_SAFE, rho, np.linspace(0.0, 1.0, 5))
 
 
+def _per_step_volterra(gen, kernel, y0, grid):
+    """O(n^2) oracle: the product-integration rules with their history
+    recomputed in full at every step (one weight vector per step)."""
+    from scipy.special import gammaln
+
+    h = grid[1] - grid[0]
+    n = grid.size - 1
+    g_mat = gen.matrix
+    eye = np.eye(g_mat.shape[0])
+    if isinstance(kernel, FractionalKernel):
+        alpha, a_amp = kernel.alpha, kernel.amplitude
+        n_subtract = max(1, int(np.ceil(2.0 / alpha)) - 1)
+        m_arr = np.arange(n, dtype=float)
+        up, dn = (m_arr + 1.0) ** alpha, m_arr**alpha
+        d0 = h**alpha * (up - dn) / alpha
+        d1 = h**alpha * (
+            (m_arr + 1.0) * (up - dn) / alpha
+            - ((m_arr + 1.0) ** (alpha + 1.0) - m_arr ** (alpha + 1.0)) / (alpha + 1.0)
+        )
+        c_pref = a_amp / np.exp(gammaln(alpha))
+        c_vecs = [y0.astype(complex)]
+        for k in range(1, n_subtract + 2):
+            c_vecs.append(
+                a_amp * (g_mat @ c_vecs[-1]) * np.exp(gammaln(1 + (k - 1) * alpha) - gammaln(1 + k * alpha))
+            )
+        t_pows = np.array([grid ** (k * alpha) for k in range(n_subtract + 2)])
+        lhs_inv = np.linalg.inv(eye - c_pref * d1[0] * g_mat)
+        phi = np.zeros((n + 1,) + y0.shape, dtype=complex)
+        gphi = np.zeros_like(phi)
+        for k in range(1, n + 1):
+            conv = np.tensordot((d0 - d1)[:k][::-1], gphi[:k], axes=(0, 0))
+            if k > 1:
+                conv += np.tensordot(d1[1:k][::-1], gphi[1:k], axes=(0, 0))
+            phi[k] = lhs_inv @ (t_pows[n_subtract + 1][k] * c_vecs[n_subtract + 1] + c_pref * conv)
+            gphi[k] = g_mat @ phi[k]
+        series = np.einsum("kt,kdr->tdr", t_pows[: n_subtract + 1].astype(complex), np.stack(c_vecs[:-1]))
+        return series + phi
+    b0, b1, b2 = solvers._regular_kernel_moments(kernel, h, n)
+    w_first = np.stack([(b2 - 3 * b1 + 2 * b0) / 2, 2 * b1 - b2, (b2 - b1) / 2])
+    w_second = np.stack([(b2 - b1) / 2, b0 - b2, (b2 + b1) / 2])
+    y = np.zeros((n + 1,) + y0.shape, dtype=complex)
+    y[0] = y0
+    gy = np.zeros_like(y)
+    gy[0] = g_mat @ y[0]
+    for k in range(1, n + 1):
+        w = np.zeros(k + 1)
+        if k == 1:
+            w[0], w[1] = b0[0] - b1[0], b1[0]
+        else:
+            # quadratic pairs (2i, 2i+1, 2i+2) over cells 0 .. n_paired - 1
+            n_paired = k if k % 2 == 0 else k - 1
+            for i in range(n_paired // 2):
+                for p in range(3):
+                    w[2 * i + p] += w_first[p][k - 1 - 2 * i] + w_second[p][k - 2 - 2 * i]
+            if k % 2 == 1:  # trailing cell k-1 through the backward pair
+                for p in range(3):
+                    w[k - 2 + p] += w_second[p][0]
+        y[k] = np.linalg.solve(eye - w[k] * g_mat, y[0] + np.tensordot(w[:k], gy[:k], axes=(0, 0)))
+        gy[k] = g_mat @ y[k]
+    return y
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        FractionalKernel(amplitude=1.0, alpha=0.5),
+        FractionalKernel(amplitude=1.0, alpha=0.9),
+        EXP_SAFE,
+        LaplaceKernel(transform=lambda u: 0.75 / (u + 2.0), scale=0.75 / 2.0),
+    ],
+    ids=["fractional-0.5", "fractional-0.9", "exponential", "laplace"],
+)
+def test_volterra_blocked_history_matches_per_step_sums(kernel, dim):
+    # the blocked-FFT history reproduces the per-step rule across block edges
+    from ctqrw.quantum import random_density, random_kraus_map, vec
+
+    rng = np.random.default_rng(dim)
+    gen = lindblad_from_kraus(random_kraus_map(dim, 2, rng))
+    batch = np.stack([random_density(dim, rng).matrix for _ in range(2)])
+    y0 = np.stack([vec(b) for b in batch], axis=1)
+    block = solvers._HISTORY_BLOCK
+    for n in (1, 2, 3, 4, 5, block - 1, block, block + 1, block + 2, 2 * block + 1, 4 * block + 3):
+        grid = np.linspace(0.0, 5.0, n + 1)
+        states = solvers.volterra_solve(gen, kernel, batch, grid)
+        oracle = solvers._unvec_trajectories(_per_step_volterra(gen, kernel, y0, grid), dim)
+        err = np.max(np.abs(states - oracle)) / np.max(np.abs(oracle))
+        assert err < 1e-12, (n, err)
+
+
 def test_closed_form_rejects_custom_kernel():
     _, basis = depol_basis()
     with pytest.raises(UnsupportedKernelError):
