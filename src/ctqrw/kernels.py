@@ -416,18 +416,17 @@ class WaitingTimeDistribution:
 
         def phat(s):
             w = self.laplace(s)
-            g = (1.0 - w) / s / (1.0 - z * w) - residue / (s - pole)
+            g = np.subtract(1.0, z * w)
+            np.divide((1.0 - w) / s, g, out=g)
+            if residue.any():
+                g -= residue / (s - pole)
             return np.fft.fft(g, axis=0)[:rows] / scale[:, None, None]
 
         table = np.zeros((rows, grid.size))
         table[0, grid == 0] = 1.0
-        pos = np.flatnonzero(grid > 0)
-        # blocks of times keep each contour array within 2^19 values (one time at least)
-        step = max(1, 2**19 // (n * (laplace.NODES + laplace.CHECK_NODES)))
-        for block in np.split(pos, np.arange(step, pos.size, step)):
-            t = grid[block]
-            poles = np.fft.fft(residue[..., 0] * np.exp(pole[..., 0] * t), axis=0)[:rows].real
-            table[:, block] = laplace.invert(phat, t) + poles / scale[:, None]
+        pos = grid > 0
+        poles = np.fft.fft(residue[..., 0] * np.exp(pole[..., 0] * grid[pos]), axis=0)[:rows].real
+        table[:, pos] = laplace.invert(phat, grid[pos]) + poles / scale[:, None]
         return table
 
 

@@ -223,8 +223,19 @@ def test_renewal_table_certifies_every_row():
         WaitingTimeDistribution.renewal_table(waiting, np.array([0.0, 42.0]), 64)
 
 
+def test_windowed_renewal_table_certifies_like_per_time():
+    # a window of times shares the contours of its latest time; a grid must
+    # be as accurate as its points one by one, and fail where they fail
+    waiting = ExponentialWaiting(rate=1.0)
+    grid = np.linspace(0.0, 25.0, 200)
+    generic = WaitingTimeDistribution.renewal_table(waiting, grid, 64)
+    assert np.max(np.abs(generic - waiting.renewal_table(grid, 64))) < 1e-9
+    with pytest.raises(InversionError):
+        WaitingTimeDistribution.renewal_table(waiting, np.linspace(0.0, 42.0, 200), 64)
+
+
 def test_renewal_table_many_rows_on_few_points():
-    # with 3001 rows one time alone fills more than a 2^19-value block
+    # 3001 rows: each contour row carries 12,004 generating-function points
     waiting = MittagLefflerWaiting(amplitude=1.0, alpha=0.9)
     grid = np.array([0.0, 1.0, 5.0])
     many = engine.renewal_probabilities(waiting, 3000, grid)

@@ -5,6 +5,7 @@ import pytest
 
 from ctqrw import laplace
 from ctqrw.errors import DomainError
+from ctqrw.kernels import LaplaceKernel
 from ctqrw.special import mittag_leffler
 
 
@@ -46,3 +47,58 @@ def test_oscillatory_smooth_transform():
 def test_rejects_nonpositive_times():
     with pytest.raises(DomainError):
         laplace.invert(lambda u: 1 / u, np.array([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, [1.0, np.nan], [np.inf, 2.0]])
+def test_rejects_nonfinite_times(t):
+    with pytest.raises(DomainError, match="finite"):
+        laplace.invert(lambda u: 1 / (u + 1), t)
+
+
+_WAITING_KERNEL = LaplaceKernel(transform=lambda u: 0.6 / (u + 1.0) + 0.4 / (u + 3.0))
+
+WINDOWED_CASES = {
+    "ml-survival-0.5": lambda u: u**-0.5 / (1.0 + u**0.5),
+    "ml-survival-0.9": lambda u: u**-0.1 / (1.0 + u**0.9),
+    # decay factor of the exponential kernel (A = 0.75, gamma = 2) at lambda = 2
+    "subordination-exp": lambda u: 1.0 / (u + 2.0 * 0.75 / (u + 2.0)),
+    "laplace-kernel-waiting": lambda u: (
+        _WAITING_KERNEL.laplace(u) / (u + _WAITING_KERNEL.laplace(u))
+    ),
+}
+WINDOWED_GRID = np.linspace(0.0, 26.7, 201)[1:]
+
+
+@pytest.mark.parametrize("name", sorted(WINDOWED_CASES))
+def test_windowed_inversion_matches_per_time_calls(name):
+    fhat = WINDOWED_CASES[name]
+    windowed = laplace.invert(fhat, WINDOWED_GRID)
+    per_time = np.array([laplace.invert(fhat, float(t)) for t in WINDOWED_GRID])
+    assert np.all(np.abs(windowed - per_time) <= 1e-10 * np.maximum(1.0, np.abs(per_time)))
+    # the latest time of a window is on its own contours: the per-time rule
+    assert windowed[-1] == per_time[-1]
+
+
+@pytest.mark.parametrize("name", sorted(WINDOWED_CASES))
+def test_windowed_inversion_ignores_order_and_repeats(name):
+    fhat = WINDOWED_CASES[name]
+    order = np.random.default_rng(5).permutation(WINDOWED_GRID.size)
+    order = np.concatenate([order, order[:40], [WINDOWED_GRID.size - 1]])  # a window's top too
+    sorted_vals = laplace.invert(fhat, WINDOWED_GRID)
+    assert np.array_equal(laplace.invert(fhat, WINDOWED_GRID[order]), sorted_vals[order])
+
+
+def test_windowed_inversion_evaluates_one_contour_pair_per_window():
+    # 200 times spanning a ratio of 200 make four windows of ratio <= 4
+    # (26.7, 6.54, 1.60 and 0.27 on top); times whose windowed sums
+    # disagree come back in calls of at most four rows on their own contours
+    rows = []
+
+    def fhat(u):
+        rows.append(u.shape)
+        return WINDOWED_CASES["ml-survival-0.9"](u)
+
+    laplace.invert(fhat, WINDOWED_GRID)
+    assert rows[0] == (4, laplace.NODES + laplace.CHECK_NODES)
+    assert all(shape[0] <= 4 for shape in rows[1:])
+    assert sum(shape[0] for shape in rows) < WINDOWED_GRID.size // 10
