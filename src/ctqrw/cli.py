@@ -13,8 +13,9 @@ the outputs are byte-identical for any thread count.
 
 CSV files carry one header row naming columns (times in seconds, other
 columns dimensionless), 17-significant-digit values, LF line endings.
-The JSON manifest echoes the configuration, seeds, library version and
-wall time, and validates against ``manifest_schema.json``.
+The JSON manifest echoes the configuration, seeds, library version, the
+python/numpy/scipy versions and wall time, and validates against
+``manifest_schema.json``.
 """
 
 import argparse
@@ -22,6 +23,7 @@ import functools
 import importlib.resources
 import json
 import os
+import platform
 import sys
 import time
 
@@ -53,12 +55,26 @@ def write_csv(path: str, header: list, columns: list):
             fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
+@functools.cache
+def _dependency_versions() -> dict:
+    """Python, numpy and scipy versions, read once per process from package
+    metadata, which imports neither package."""
+    from importlib import metadata
+
+    return {
+        "python": platform.python_version(),
+        "numpy": metadata.version("numpy"),
+        "scipy": metadata.version("scipy"),
+    }
+
+
 def _manifest(cfg: ExperimentConfig, seeds, outputs, wall, extra=None) -> dict:
     doc = {
         "experiment": cfg.kind,
         "config": cfg.raw,
         "seeds": [int(s) for s in seeds],
         "library_version": __version__,
+        "dependency_versions": dict(_dependency_versions()),
         "wall_time_sec": float(wall),
         "outputs": list(outputs),
     }

@@ -56,12 +56,24 @@ class EnsembleStats:
     observable_stderrs: dict
 
 
-def _check_grid(grid) -> np.ndarray:
+def check_grid(grid, uniform: bool = False) -> np.ndarray:
+    """`grid` as a float array once it is 1-d, nonempty, finite, increasing
+    and starts at t >= 0; with `uniform`, also at least two points from
+    t = 0 in equal steps (to 1e-9 relative), as the stepping solvers need.
+    Raises :class:`BadParametersError` otherwise.
+    """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise BadParametersError("grid must be a nonempty 1-d array")
-    if grid[0] < 0 or np.any(np.diff(grid) <= 0):
+    if not np.isfinite(grid).all():
+        raise BadParametersError("grid must be finite")
+    steps = np.diff(grid)
+    if grid[0] < 0 or np.any(steps <= 0):
         raise BadParametersError("grid must be increasing and start at t >= 0")
+    if uniform and (
+        grid.size < 2 or grid[0] != 0.0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
+    ):
+        raise BadParametersError("this solver needs a uniform grid of at least two points starting at 0")
     return grid
 
 
@@ -76,6 +88,8 @@ def _renewal_events(waiting: WaitingTimeDistribution, t_end: float, base_seed: i
     stays live until its clock passes `t_end`.  Returns flat (position in
     `realizations`, event time) arrays.
     """
+    if not np.isfinite(t_end):
+        raise BadParametersError(f"the renewal horizon must be finite, got {t_end}")
     realizations = np.asarray(realizations)
     clock = np.zeros(realizations.size)
     live = np.arange(realizations.size)
@@ -107,7 +121,7 @@ def event_counts(waiting: WaitingTimeDistribution, grid, n: int, base_seed: int)
     """
     if n < 1:
         raise BadParametersError(f"need at least one realization, got n = {n}")
-    grid = _check_grid(grid)
+    grid = check_grid(grid)
     owners, times = _renewal_events(waiting, float(grid[-1]), base_seed, np.arange(n))
     # an event at time s counts at every grid point t >= s
     first = np.searchsorted(grid, times, side="left")
@@ -169,7 +183,7 @@ def run_realization(
 ) -> Trajectory:
     """Realization `index` of the run seeded `seed`: the same events as row
     `index` of :func:`event_counts` for that seed."""
-    grid = _check_grid(grid)
+    grid = check_grid(grid)
     events = draw_event_times(waiting, float(grid[-1]), seed, index)
     # state index per grid point: number of events that occurred by then
     idx = np.searchsorted(events, grid, side="right")
@@ -203,7 +217,7 @@ def ensemble_average(
     distribution.  `threads` is accepted for compatibility and changes
     neither the result nor the work done.
     """
-    grid = _check_grid(grid)
+    grid = check_grid(grid)
     n = n_realizations
     counts = event_counts(waiting, grid, n, base_seed)
     powers, tables = count_tables(rho0, emap, int(counts.max()), observables)
@@ -262,7 +276,7 @@ def renewal_probabilities(
     earlier convolution quadrature, and is accepted only because
     ``benchmarks/gate.py`` still passes it.
     """
-    grid = _check_grid(grid)
+    grid = check_grid(grid)
     if grid[-1] <= 0:
         raise BadParametersError("renewal_probabilities needs a grid that reaches past t = 0")
     if n_max is not None:
@@ -294,7 +308,7 @@ def series_solution(
     Raises :class:`TruncationError` when the tail at the grid end exceeds
     `tol` at the allowed truncation.
     """
-    grid = _check_grid(grid)
+    grid = check_grid(grid)
     rho = as_matrix(rho0)
     probs = renewal_probabilities(waiting, n_max, grid, tail_tol=tol / 10)
     if probs.tail[-1] > tol:

@@ -23,13 +23,11 @@ Each variant is a frozen dataclass carrying its own formulas; the module
 functions add only what all variants share.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
-from scipy.special import gamma as _gamma
-from scipy.special import gammaln
 
 from . import laplace, special
 from .errors import (
@@ -322,7 +320,7 @@ class FractionalKernel(MemoryKernel):
         )
 
     def mean_count(self, t):
-        return self.amplitude * t**self.alpha / _gamma(1.0 + self.alpha)
+        return self.amplitude * t**self.alpha / math.gamma(1.0 + self.alpha)
 
     def decay_factor(self, lam, t):
         """E_alpha(-lam A_alpha t^alpha) for real lam; complex lam raises
@@ -331,7 +329,7 @@ class FractionalKernel(MemoryKernel):
         return special.mittag_leffler(self.alpha, rate * np.asarray(t, dtype=float) ** self.alpha)
 
     def short_time_law(self):
-        return self.alpha, 2.0 * self.amplitude / np.exp(gammaln(1.0 + self.alpha))
+        return self.alpha, 2.0 * self.amplitude / math.gamma(1.0 + self.alpha)
 
 
 @dataclass(frozen=True)
@@ -438,6 +436,8 @@ def _phase_chain_table(rates: tuple, grid: np.ndarray, rows: int) -> np.ndarray:
     phases: state (count n, phase j) moves on at rate ``rates[j]``, one
     matrix exponential of that bidiagonal generator per grid step, reused
     while later steps stay within ``_STEP_RTOL`` relative of it."""
+    import scipy.linalg  # loaded on first use, off the CLI's import path
+
     chain = np.tile(np.asarray(rates, dtype=float), rows)
     q = np.diag(-chain) + np.diag(chain[:-1], -1)
     state = np.zeros(chain.size)

@@ -10,8 +10,6 @@ random Hamiltonian phases.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.special import ndtri
 
 from . import engine, seeding, solvers
 from .errors import (
@@ -137,7 +135,7 @@ def qubit_closed_solution(
     ``C(t) = C(0) h_coh(t)``, with the model's damping eigenvalues feeding
     the kernel's decay function (exp / telegraph / Mittag-Leffler).
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = engine.check_grid(grid)
     m = as_matrix(rho0)
     if abs(np.trace(m) - 1.0) > 1e-9:
         raise BadParametersError("qubit_closed_solution expects a unit-trace state")
@@ -191,6 +189,8 @@ def ladder_operators(dim: int):
 def displacement_operator(beta: complex, dim: int) -> np.ndarray:
     """exp(beta a^dag - beta* a) on the truncated Fock space (exactly
     unitary: the exponent is skew-Hermitian)."""
+    import scipy.linalg  # loaded on first use, off the CLI's import path
+
     a, adag = ladder_operators(dim)
     return scipy.linalg.expm(beta * adag - np.conj(beta) * a)
 
@@ -252,6 +252,8 @@ class MarkLaw:
 def _normals(u: np.ndarray) -> np.ndarray:
     """Standard normals by the inverse CDF; u = 0 maps to the midpoint of
     its cell, so every draw is finite."""
+    from scipy.special import ndtri  # loaded on first use, off the CLI's import path
+
     return ndtri(np.maximum(u, _ZERO_CELL))
 
 
@@ -425,7 +427,7 @@ def wigner_ctrw(cfg: WignerWalkConfig, grid, base_seed: int, n0: float = 0.0) ->
     if not verdict.is_safe:
         raise DangerousKernelError(verdict.certificate)
     waiting = waiting_from_kernel(cfg.kernel)
-    grid = np.asarray(grid, dtype=float)
+    grid = engine.check_grid(grid)
     counts = engine.event_counts(waiting, grid, n_w, base_seed)  # (n_walkers, n_grid)
     paths = complex(cfg.initial) + _event_sums(base_seed, counts[:, -1], cfg.jumps)
     positions = np.take_along_axis(paths, counts, axis=1).T
@@ -575,7 +577,7 @@ def intrinsic_decoherence(
     lane (see :func:`_event_sums`).  Populations are conserved exactly
     (gamma_nn = 0).
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = engine.check_grid(grid)
     m = as_matrix(rho0)
     if m.shape != (spectrum.dim, spectrum.dim):
         raise BadParametersError("state dimension does not match the spectrum")

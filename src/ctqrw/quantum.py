@@ -17,7 +17,6 @@ Conventions (fixed once, asserted in tests):
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BadWeightsError,
@@ -300,6 +299,8 @@ def exp_generator_to_kraus(gen: GeneratorMatrix, kappa: float) -> KrausMap:
     """
     if kappa <= 0:
         raise BadWeightsError("control parameter kappa must be > 0")
+    import scipy.linalg  # loaded on first use, off the CLI's import path
+
     s = scipy.linalg.expm(kappa * gen.matrix)
     choi, cp_defect = choi_of_superop(s, gen.dim)
     if cp_defect < -TOL_CP:
@@ -344,7 +345,7 @@ def damping_basis(gen: GeneratorMatrix) -> DampingBasis:
     first.  Raises :class:`DefectiveGeneratorError` when the eigenvector
     matrix is ill-conditioned beyond 1e12 (Jordan block).
     """
-    eigvals, v = scipy.linalg.eig(gen.matrix)
+    eigvals, v = np.linalg.eig(gen.matrix)
     cond = np.linalg.cond(v)
     if not np.isfinite(cond) or cond > DEFECTIVE_COND:
         raise DefectiveGeneratorError(

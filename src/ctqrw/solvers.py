@@ -23,15 +23,15 @@ Plus the short-time linear-entropy laws and the Choi-matrix CP audit of a
 solution route.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.special import factorial, gammaln, roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from . import laplace
+from .engine import check_grid
 from .errors import (
-    BadParametersError,
     DangerousKernelError,
     DimMismatchError,
     DomainError,
@@ -78,7 +78,7 @@ def closed_form_solve(basis: DampingBasis, kernel: MemoryKernel, rho0, grid):
     functions (use :func:`volterra_solve`) and for the fractional kernel
     with complex damping rates.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = check_grid(grid)
     hs = np.array([np.asarray(kernel.decay_factor(lam, grid), dtype=complex) for lam in basis.rates])
     return basis.evolve(rho0, hs)
 
@@ -89,12 +89,7 @@ def closed_form_solve(basis: DampingBasis, kernel: MemoryKernel, rho0, grid):
 _TRACE_DRIFT = 1e-6
 
 
-def _check_uniform(grid) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    steps = np.diff(grid)
-    if grid.size < 2 or grid[0] != 0.0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-        raise BadParametersError("this solver needs a uniform grid of at least two points starting at 0")
-    return grid
+_FACTORIALS = np.array([float(math.factorial(n)) for n in range(28)])
 
 
 def _scaled_exp_moments(a: float) -> np.ndarray:
@@ -107,7 +102,7 @@ def _scaled_exp_moments(a: float) -> np.ndarray:
     """
     if a < 1.0:
         k = np.arange(25)
-        return np.array([factorial(p) * np.sum((-a) ** k / factorial(k + p + 1)) for p in range(3)])
+        return np.array([_FACTORIALS[p] * np.sum((-a) ** k / _FACTORIALS[k + p + 1]) for p in range(3)])
     e = np.exp(-a)
     return np.array([(1.0 - e) / a, (a - 1.0 + e) / a**2, (a * a - 2.0 * a + 2.0 - 2.0 * e) / a**3])
 
@@ -126,7 +121,7 @@ def _regular_kernel_moments(kernel, h: float, n: int) -> np.ndarray:
         for p in range(3):
             b[p] = h * (a_eps / g) * (1.0 / (p + 1) - decay * ev[p])
         return b
-    nodes, wts = roots_legendre(8)
+    nodes, wts = leggauss(8)
     theta = 0.5 * (nodes + 1.0)
     w = 0.5 * wts
     lags = (m[:, None] + 1.0 - theta[None, :]) * h
@@ -307,13 +302,13 @@ def _volterra_fractional(gen, kernel, y0, grid):
         (m_arr + 1.0) * (up - dn) / alpha
         - ((m_arr + 1.0) ** (alpha + 1.0) - m_arr ** (alpha + 1.0)) / (alpha + 1.0)
     )
-    c_pref = a_amp / np.exp(gammaln(alpha))
+    c_pref = a_amp / math.gamma(alpha)
     c_vecs = [y0.astype(complex)]
     for k in range(1, n_subtract + 2):
         c_vecs.append(
             a_amp
             * (g_mat @ c_vecs[-1])
-            * np.exp(gammaln(1 + (k - 1) * alpha) - gammaln(1 + k * alpha))
+            * math.exp(math.lgamma(1 + (k - 1) * alpha) - math.lgamma(1 + k * alpha))
         )
     t_pows = np.array([grid ** (k * alpha) for k in range(n_subtract + 2)])
     lhs_inv = np.linalg.inv(np.eye(d2) - c_pref * d1[0] * g_mat)
@@ -344,10 +339,12 @@ def volterra_solve(gen: GeneratorMatrix, kernel: MemoryKernel, rho0, grid):
     batch (n, d, d).  Raises :class:`UnstableStepError` on trace drift
     beyond 1e-6 or a non-finite trace.
     """
-    grid = _check_uniform(grid)
+    grid = check_grid(grid, uniform=True)
     batch, single = _as_batch(rho0)
     y0 = np.stack([vec(b) for b in batch], axis=1)
     if isinstance(kernel, MarkovianKernel):
+        import scipy.linalg  # loaded on first use, off the CLI's import path
+
         y = _propagate(scipy.linalg.expm(kernel.rate * (grid[1] - grid[0]) * gen.matrix), y0, grid.size)
     elif isinstance(kernel, FractionalKernel):
         y = _volterra_fractional(gen, kernel, y0, grid)
@@ -371,7 +368,9 @@ def telegraph_ode_solve(gen: GeneratorMatrix, kernel: ExponentialKernel, rho0, g
     """
     if not isinstance(kernel, ExponentialKernel):
         raise UnsupportedKernelError("telegraph_ode_solve applies to exponential kernels")
-    grid = _check_uniform(grid)
+    import scipy.linalg  # loaded on first use, off the CLI's import path
+
+    grid = check_grid(grid, uniform=True)
     batch, single = _as_batch(rho0)
     d2 = gen.matrix.shape[0]
     block = np.zeros((2 * d2, 2 * d2), dtype=complex)
@@ -470,7 +469,7 @@ def subordination_solve(kernel: MemoryKernel, basis: DampingBasis, rho0, grid):
     :class:`InversionError`.
     """
     _subordination_mode(kernel)  # refuses dangerous kernels
-    grid = np.asarray(grid, dtype=float)
+    grid = check_grid(grid)
     lams = basis.rates
     hs = np.ones((lams.size, grid.size), dtype=complex)
     for i in np.flatnonzero(np.abs(lams) >= 1e-12):

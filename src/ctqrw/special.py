@@ -25,10 +25,11 @@ Three evaluation regimes, cross-validated on the seams by the test suite:
   optimal truncation at its smallest term.
 """
 
+import functools
+import math
+
 import numpy as np
-from scipy.special import gammaln as _gammaln
-from scipy.special import rgamma as _rgamma
-from scipy.special import roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError
 from .laplace import like_input
@@ -38,6 +39,24 @@ _SERIES_MAX_K = 1500
 _ASYMP_X_MIN = 30.0
 
 
+def _rgamma(x: float) -> float:
+    """1/Gamma(x), exactly zero at the poles x = 0, -1, -2, ..."""
+    if x <= 0.0 and x == math.floor(x):
+        return 0.0
+    return 1.0 / math.gamma(x)
+
+
+@functools.lru_cache(maxsize=64)
+def _series_ratios(alpha: float, beta: float) -> np.ndarray:
+    """Read-only ``Gamma(alpha (k-1) + beta) / Gamma(alpha k + beta)`` for
+    k = 1.._SERIES_MAX_K, in log space so the recursion never
+    over/underflows; built once per (alpha, beta)."""
+    lg = np.array([math.lgamma(alpha * k + beta) for k in range(_SERIES_MAX_K + 1)])
+    ratios = np.exp(lg[:-1] - lg[1:])
+    ratios.flags.writeable = False
+    return ratios
+
+
 def _series(alpha: float, beta: float, x: np.ndarray):
     """Power series with a running cancellation guard.
 
@@ -45,12 +64,9 @@ def _series(alpha: float, beta: float, x: np.ndarray):
     better; entries whose largest term exceeded the guard are left NaN.
     """
     x = np.atleast_1d(x)
-    k = np.arange(_SERIES_MAX_K + 1)
-    # Gamma(alpha (k-1) + beta) / Gamma(alpha k + beta), in log space so the
-    # recursion never over/underflows
-    ratios = np.exp(_gammaln(alpha * (k[1:] - 1) + beta) - _gammaln(alpha * k[1:] + beta))
+    ratios = _series_ratios(alpha, beta)
     out = np.full(x.shape, np.nan)
-    term = np.full(x.shape, float(_rgamma(beta)))
+    term = np.full(x.shape, _rgamma(beta))
     acc = term.copy()
     max_abs = np.abs(term)
     converged = np.zeros(x.shape, dtype=bool)
@@ -137,6 +153,7 @@ def _tanhsinh_nodes(step: float = 1.0 / 14.0, t_max: float = 3.6):
 
 
 _TS_NODES, _TS_WEIGHTS = _tanhsinh_nodes()
+_GL_NODES, _GL_WEIGHTS = leggauss(12)
 
 
 def _spectral_vectorized(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
@@ -169,16 +186,15 @@ def _spectral_vectorized(alpha: float, beta: float, x: np.ndarray) -> np.ndarray
     total += (vals_q * _TS_WEIGHTS[None, :]).sum(axis=1) / alpha
 
     # [1, 55]: composite Gauss-Legendre on the shared-plus-peak panels
-    nl, wl = roots_legendre(12)
     bounds = _spectral_bounds(alpha, x)
     a = bounds[:, :-1]
     b = bounds[:, 1:]
     mid = 0.5 * (a + b)[:, :, None]
     half = 0.5 * (b - a)[:, :, None]
-    nodes = mid + half * nl[None, None, :]
+    nodes = mid + half * _GL_NODES[None, None, :]
     vals = integrand(nodes.reshape(x.size, -1)).reshape(nodes.shape)
     vals *= nodes ** (alpha - beta)
-    total += (vals * wl[None, None, :] * half).sum(axis=(1, 2))
+    total += (vals * _GL_WEIGHTS[None, None, :] * half).sum(axis=(1, 2))
     return total / np.pi
 
 
@@ -253,14 +269,15 @@ def ml_reference(alpha: float, x: float, beta: float = 1.0, dps: int = 50) -> fl
     import mpmath
 
     if x == 0.0:
-        return float(_rgamma(beta))
+        return _rgamma(beta)
     # predicted series length: terms peak near k with psi(alpha k) = ln x
     k_needed = 10 + 2.0 * np.exp(max(np.log(x), 0.0) / alpha) / alpha
     use_series = k_needed < 30000
     if use_series:
         # precision must absorb the cancellation: dps ~ log10(max term)
-        ks = np.arange(1, int(k_needed) + 1)
-        ln_max = float(np.max(ks * np.log(x) - _gammaln(alpha * ks + beta)))
+        ln_max = max(
+            k * math.log(x) - math.lgamma(alpha * k + beta) for k in range(1, int(k_needed) + 1)
+        )
         dps = max(dps, 30 + int(0.4343 * max(ln_max, 0.0)))
     with mpmath.workdps(dps):
         xm, am, bm = mpmath.mpf(x), mpmath.mpf(alpha), mpmath.mpf(beta)

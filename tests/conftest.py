@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -18,3 +21,24 @@ def plus_x_state():
 @pytest.fixture
 def depolarizing_generator():
     return lindblad_from_kraus(qubit_kraus(Depolarizing()))
+
+
+@pytest.fixture
+def time_budget():
+    """``with time_budget(s): ...`` fails the test with TimeoutError if the
+    block runs longer than s seconds (SIGALRM; main thread only)."""
+
+    @contextmanager
+    def budget(seconds: float):
+        def expire(signum, frame):
+            raise TimeoutError(f"call exceeded its {seconds:g} s budget")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return budget

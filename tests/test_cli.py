@@ -92,6 +92,27 @@ def test_manifest_without_seeds_is_rejected():
     cli.validate_manifest(dict(doc, seeds=[1]))
 
 
+def test_manifest_records_dependency_versions(tmp_path):
+    import platform
+    from importlib import metadata
+
+    import jsonschema
+
+    path = write(tmp_path, GOOD_ENSEMBLE)
+    out = tmp_path / "results"
+    assert cli.run(path, str(out)) == 0
+    manifest = json.loads((out / "run.json").read_text())
+    assert manifest["dependency_versions"] == {
+        "python": platform.python_version(),
+        "numpy": metadata.version("numpy"),
+        "scipy": metadata.version("scipy"),
+    }
+    assert cli._dependency_versions() is cli._dependency_versions()  # read once per process
+    bad = dict(manifest, dependency_versions={"python": "3", "numpy": 2})
+    with pytest.raises(jsonschema.ValidationError):
+        cli.validate_manifest(bad)
+
+
 def test_realizations_manifest_names_the_run_seed(tmp_path):
     text = (
         GOOD_ENSEMBLE.replace("kind = ensemble", "kind = realizations")
@@ -469,7 +490,8 @@ def test_main_entry_point(tmp_path):
     assert code == 0
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
+def _fresh_python(code: str) -> str:
+    """Run `code` in a new interpreter that finds this ctqrw; returns stdout."""
     import subprocess
     import sys
 
@@ -477,7 +499,65 @@ def test_cli_import_leaves_scipy_signal_unloaded():
 
     src = os.path.dirname(os.path.dirname(ctqrw.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, ctqrw.cli; print('scipy.signal' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, ctqrw.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    assert _fresh_python(code) == "[]"
+
+
+# Each route that needs scipy imports it on first use.  Tier-1 test modules
+# import scipy.linalg themselves, so only a fresh interpreter shows that the
+# route's own import is enough.
+_LAZY_SCIPY_ROUTES = {
+    "series-exponential-phase": (
+        "from ctqrw.kernels import ExponentialWaiting\n"
+        "out = engine.series_solution(rho, emap, ExponentialWaiting(rate=1.0), grid)[0]"
+    ),
+    "volterra-markovian": (
+        "from ctqrw.kernels import MarkovianKernel\n"
+        "out = solvers.volterra_solve(gen, MarkovianKernel(rate=1.0), rho, grid)"
+    ),
+    "telegraph-ode": (
+        "from ctqrw.kernels import ExponentialKernel\n"
+        "out = solvers.telegraph_ode_solve(gen, ExponentialKernel(amplitude=0.75, decay=2.0), rho, grid)"
+    ),
+    "gaussian-jumps": (
+        "from ctqrw.kernels import MarkovianKernel\n"
+        "from ctqrw.models import GaussianJumps, WignerWalkConfig, wigner_ctrw\n"
+        "cfg = WignerWalkConfig(jumps=GaussianJumps(), kernel=MarkovianKernel(rate=1.0), n_walkers=50)\n"
+        "out = wigner_ctrw(cfg, grid, base_seed=1).positions"
+    ),
+    "displacement-operator": (
+        "from ctqrw.models import displacement_operator\n"
+        "out = displacement_operator(0.3 + 0.2j, 8)"
+    ),
+    "exp-generator-to-kraus": (
+        "from ctqrw.quantum import exp_generator_to_kraus\n"
+        "out = np.array(exp_generator_to_kraus(gen, 0.5).operators)"
+    ),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_LAZY_SCIPY_ROUTES))
+def test_lazily_importing_route_runs_in_a_fresh_interpreter(route):
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import ctqrw.cli\n"
+        "from ctqrw import engine, solvers\n"
+        "from ctqrw.models import Depolarizing, qubit_kraus\n"
+        "from ctqrw.quantum import lindblad_from_kraus\n"
+        "assert 'scipy' not in sys.modules\n"
+        "emap = qubit_kraus(Depolarizing())\n"
+        "gen = lindblad_from_kraus(emap)\n"
+        "rho = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)\n"
+        "grid = np.linspace(0.0, 2.0, 21)\n"
+        f"{_LAZY_SCIPY_ROUTES[route]}\n"
+        "assert np.all(np.isfinite(out))\n"
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.special') if m in sys.modules))"
+    )
+    assert _fresh_python(code) != "[]"

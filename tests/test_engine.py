@@ -473,6 +473,37 @@ def test_monte_carlo_counts_reject_empty_ensembles(plus_x_state):
         engine.ensemble_average(plus_x_state, qubit_kraus(Depolarizing()), w, GRID, 0, 1)
 
 
+NONFINITE_GRIDS = [[0.0, np.inf], [0.0, np.nan], [np.nan, 1.0], [0.0, 1.0, np.inf, 3.0]]
+
+
+@pytest.mark.parametrize("grid", NONFINITE_GRIDS, ids=["inf-end", "nan-end", "nan-start", "inf-inside"])
+def test_nonfinite_grids_are_bad_parameters(plus_x_state, time_budget, grid):
+    # an infinite horizon used to keep the renewal loop running forever and
+    # a NaN one to return zero counts; every entry point now refuses both
+    from ctqrw.errors import BadParametersError
+
+    w = ExponentialWaiting(rate=1.0)
+    emap = qubit_kraus(Depolarizing())
+    calls = [
+        lambda: engine.event_counts(w, grid, 10, 1),
+        lambda: engine.run_realization(plus_x_state, emap, w, grid, seed=1),
+        lambda: engine.ensemble_average(plus_x_state, emap, w, grid, 10, 1),
+        lambda: engine.renewal_probabilities(w, 8, grid),
+        lambda: engine.series_solution(plus_x_state, emap, w, grid),
+    ]
+    for call in calls:
+        with time_budget(5.0), pytest.raises(BadParametersError, match="finite"):
+            call()
+
+
+@pytest.mark.parametrize("t_end", [np.inf, np.nan])
+def test_nonfinite_renewal_horizon_is_bad_parameters(time_budget, t_end):
+    from ctqrw.errors import BadParametersError
+
+    with time_budget(5.0), pytest.raises(BadParametersError, match="finite"):
+        engine.draw_event_times(ExponentialWaiting(rate=1.0), t_end, 1)
+
+
 def test_ensemble_mean_state_is_count_histogram_assembly(plus_x_state):
     emap = qubit_kraus(Depolarizing())
     w = HypoexponentialWaiting(r1=0.5, r2=1.5)

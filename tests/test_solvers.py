@@ -229,6 +229,39 @@ def test_volterra_nan_trace_fails_the_drift_check():
         solvers.volterra_solve(gen, EXP_SAFE, rho, np.linspace(0.0, 1.0, 5))
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [[0.0, np.inf], [0.0, np.nan], [0.0, 1.0, np.inf], np.append(np.linspace(0.0, 1.0, 5), np.nan)],
+    ids=["inf-end", "nan-end", "inf-after-step", "nan-after-linspace"],
+)
+def test_solvers_refuse_nonfinite_grids(time_budget, grid):
+    from ctqrw.errors import BadParametersError
+
+    gen, basis = depol_basis()
+    calls = [
+        lambda: solvers.volterra_solve(gen, MARKOV, PLUS_X, grid),
+        lambda: solvers.volterra_solve(gen, EXP_SAFE, PLUS_X, grid),
+        lambda: solvers.volterra_solve(gen, FRAC_HALF, PLUS_X, grid),
+        lambda: solvers.telegraph_ode_solve(gen, EXP_SAFE, PLUS_X, grid),
+        lambda: solvers.closed_form_solve(basis, MARKOV, PLUS_X, grid),
+        lambda: solvers.subordination_solve(FRAC_HALF, basis, PLUS_X, grid),
+    ]
+    for call in calls:
+        with time_budget(5.0), pytest.raises(BadParametersError, match="finite"):
+            call()
+
+
+def test_uniform_solvers_keep_refusing_uneven_grids():
+    from ctqrw.errors import BadParametersError
+
+    gen, _ = depol_basis()
+    for grid in ([0.0], [0.5, 1.0, 1.5], [0.0, 1.0, 3.0], [0.0, -1.0, -2.0]):
+        with pytest.raises(BadParametersError):
+            solvers.volterra_solve(gen, MARKOV, PLUS_X, grid)
+        with pytest.raises(BadParametersError):
+            solvers.telegraph_ode_solve(gen, EXP_SAFE, PLUS_X, grid)
+
+
 def _per_step_volterra(gen, kernel, y0, grid):
     """O(n^2) oracle: the product-integration rules with their history
     recomputed in full at every step (one weight vector per step)."""

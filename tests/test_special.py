@@ -119,3 +119,63 @@ def test_vector_and_scalar_shapes():
     out = mittag_leffler(0.5, [0.0, 1.0, 10.0, 100.0])
     assert out.shape == (4,)
     assert isinstance(mittag_leffler(0.5, 1.0), float)
+
+
+# plain primitives that stand in for scipy.special on the CLI's import path
+
+
+def test_rgamma_vanishes_exactly_at_the_poles():
+    for n in range(40):
+        assert special._rgamma(-float(n)) == 0.0
+
+
+def test_rgamma_matches_scipy_between_the_poles():
+    from scipy.special import rgamma
+
+    x = np.linspace(-39.5, 40.0, 2001) + 0.013
+    # the arguments beta - alpha k of the asymptotic series
+    alphas = np.linspace(0.01, 0.999, 60)
+    k = np.arange(1, 40)
+    for beta in (1.0, 0.5):
+        x = np.concatenate([x, (beta - alphas[:, None] * k[None, :]).ravel()])
+    x = x[np.abs(x - np.round(x)) > 1e-9]
+    ours = np.array([special._rgamma(float(v)) for v in x])
+    ref = rgamma(x)
+    assert np.all(np.abs(ours - ref) <= 1e-14 * np.abs(ref))
+
+
+def test_lgamma_matches_scipy_on_the_series_arguments():
+    import math
+
+    from scipy.special import gammaln
+
+    k = np.arange(special._SERIES_MAX_K + 1)
+    for alpha in (0.03, 0.5, 0.9, 0.999, 1.0):
+        for beta in (alpha, 0.5, 1.0):
+            x = alpha * k + beta
+            ours = np.array([math.lgamma(v) for v in x])
+            ref = gammaln(x)
+            assert np.all(np.abs(ours - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+            ratios = np.exp(gammaln(alpha * (k[1:] - 1) + beta) - gammaln(alpha * k[1:] + beta))
+            # the log differences of lgamma ~ 1e4 carry ~1e-12 absolute
+            assert np.allclose(special._series_ratios(alpha, beta), ratios, rtol=1e-11, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_leggauss_matches_roots_legendre(n):
+    from numpy.polynomial.legendre import leggauss
+    from scipy.special import roots_legendre
+
+    nodes, weights = leggauss(n)
+    ref_nodes, ref_weights = roots_legendre(n)
+    assert np.allclose(nodes, ref_nodes, rtol=0.0, atol=1e-15)
+    assert np.allclose(weights, ref_weights, rtol=0.0, atol=1e-14)
+
+
+def test_series_ratio_table_is_cached_and_read_only():
+    first = special._series_ratios(0.63, 0.63)
+    assert special._series_ratios(0.63, 0.63) is first
+    assert first.shape == (special._SERIES_MAX_K,)
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 1.0
