@@ -16,7 +16,6 @@ from ctqrw import (
     LaplaceKernel,
     MarkovianKernel,
     classify_kernel,
-    kernel_laplace,
     waiting_from_kernel,
     waiting_pdf,
 )
@@ -40,7 +39,7 @@ kern = ExponentialKernel(amplitude=0.75, decay=2.0)
 w = waiting_from_kernel(kern)
 u = np.geomspace(1e-2, 1e2, 7)
 print("\nduality round trip (safe exponential kernel):")
-print("  Ktilde(u)      :", np.array2string(kernel_laplace(kern, u), precision=6))
+print("  Ktilde(u)      :", np.array2string(kern.laplace(u), precision=6))
 print("  from waiting   :", np.array2string(kernel_from_waiting(w)(u), precision=6))
 
 # the dangerous witness: the analytically continued density oscillates

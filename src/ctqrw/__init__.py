@@ -33,10 +33,7 @@ from .kernels import (
     MarkovianKernel,
     MittagLefflerWaiting,
     classify_kernel,
-    kernel_laplace,
-    kernel_time_scale,
     renewal_mean_count,
-    sample_waiting,
     waiting_from_kernel,
     waiting_pdf,
     waiting_survival,

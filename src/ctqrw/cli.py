@@ -2,14 +2,12 @@
 
 Usage::
 
-    ctqrw --config run.ini [--out-dir DIR] [--seed-override N] [--threads N]
+    ctqrw --config run.ini [--out-dir DIR] [--seed-override N]
 
 Exit codes: 0 success, 2 malformed configuration (message names the key),
-3 numeric failure (message names the operation).  ``--threads`` and its
-environment fallback ``CTQRW_THREADS`` are deprecated: they are accepted
-for compatibility but change neither the output nor the work done, since
-every Monte Carlo route runs one vectorized pass over all realizations;
-the outputs are byte-identical for any thread count.
+3 numeric failure (message names the operation).  Every Monte Carlo route
+runs one vectorized pass over all realizations, so a run has no worker
+count to set.
 
 CSV files carry one header row naming columns (times in seconds, other
 columns dimensionless), 17-significant-digit values, LF line endings.
@@ -145,7 +143,6 @@ def _run_ensemble(cfg, grid, out_csv):
         grid,
         n_realizations=cfg.n_realizations,
         base_seed=cfg.seed,
-        threads=cfg.threads,
     )
     sol = qubit_closed_solution(cfg.model, kernel, cfg.initial, grid)
     analytic_mx = 2.0 * sol.coherence_up.real
@@ -276,18 +273,13 @@ _FIGURE_KIND = {
 }
 
 
-def run(config_path: str, out_dir: str = ".", seed_override: int | None = None,
-        threads: int | None = None) -> int:
+def run(config_path: str, out_dir: str = ".", seed_override: int | None = None) -> int:
     """Execute one experiment; returns the process exit code."""
     t0 = time.perf_counter()
     try:
         cfg = parse_config(config_path)
         if seed_override is not None:
             cfg.seed = int(seed_override)
-        if threads is not None:
-            cfg.threads = int(threads)
-        elif cfg.threads is None and os.environ.get("CTQRW_THREADS"):
-            cfg.threads = int(os.environ["CTQRW_THREADS"])
         grid = cfg.grid()
     except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -319,15 +311,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="experiment file (INI grammar)")
     parser.add_argument("--out-dir", default=".", help="directory for CSV/manifest outputs")
     parser.add_argument("--seed-override", type=int, default=None)
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="deprecated: accepted for compatibility; changes neither output nor work "
-        "(CTQRW_THREADS fallback)",
-    )
     args = parser.parse_args(argv)
-    return run(args.config, args.out_dir, args.seed_override, args.threads)
+    return run(args.config, args.out_dir, args.seed_override)
 
 
 if __name__ == "__main__":

@@ -38,12 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadMomentsError, BadParametersError, ConfigError
-from .kernels import (
-    ExponentialKernel,
-    FractionalKernel,
-    MarkovianKernel,
-    kernel_time_scale,
-)
+from .kernels import ExponentialKernel, FractionalKernel, MarkovianKernel
 from .models import (
     DeltaPhase,
     Depolarizing,
@@ -77,7 +72,6 @@ KINDS = (
 class ExperimentConfig:
     kind: str
     seed: int = 1
-    threads: int | None = None
     model: object | None = None
     kernels: list = field(default_factory=list)  # (label, kernel) pairs
     t_max_over_scale: float = 10.0
@@ -95,7 +89,7 @@ class ExperimentConfig:
     def grid(self) -> np.ndarray:
         if self.n_points < 1:
             raise ConfigError("grid.n_points must be >= 1")
-        scale = kernel_time_scale(self.kernels[0][1]) if self.kernels else 1.0
+        scale = self.kernels[0][1].time_scale if self.kernels else 1.0
         return np.linspace(0.0, self.t_max_over_scale * scale, self.n_points)
 
 
@@ -264,13 +258,10 @@ def parse_config(path: str) -> ExperimentConfig:
         cfg.seed = int(exp.get("seed", 1))
     except ValueError as exc:
         raise ConfigError("experiment.seed: not an integer") from exc
-    if "threads" in exp:
-        cfg.threads = _get_count(exp, "threads", "experiment", 1)
 
     if kind.startswith("figure"):
         preset = figure_presets(int(kind[-1]))
         preset.seed = cfg.seed
-        preset.threads = cfg.threads
         if "output" in parser:
             preset.csv_name = parser["output"].get("csv", preset.csv_name)
             preset.manifest_name = parser["output"].get("manifest", preset.manifest_name)

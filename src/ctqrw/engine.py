@@ -19,7 +19,7 @@ import numpy as np
 
 from . import seeding
 from .errors import BadParametersError, TruncationError
-from .kernels import WaitingTimeDistribution, waiting_from_uniforms
+from .kernels import WaitingTimeDistribution
 from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, KrausMap, apply_kraus, as_matrix, linear_entropy
 
 DRAWS_PER_BLOCK = 16  # waiting times drawn per live realization and round
@@ -100,7 +100,7 @@ def _renewal_events(waiting: WaitingTimeDistribution, t_end: float, base_seed: i
         u = seeding.uniforms(
             base_seed, realizations[live, None], draws, seeding.WAITING_LANE, waiting.uniforms
         )
-        taus = waiting_from_uniforms(waiting, u)
+        taus = waiting.from_uniforms(u)
         clocks = np.cumsum(np.concatenate([clock[live, None], taus], axis=1), axis=1)[:, 1:]
         hit = clocks <= t_end
         owners.append(np.broadcast_to(live[:, None], hit.shape)[hit])
@@ -206,16 +206,14 @@ def ensemble_average(
     n_realizations: int,
     base_seed: int,
     observables: dict | None = None,
-    threads: int | None = None,
 ) -> EnsembleStats:
-    """Monte Carlo mean and standard error over `n_realizations` streams.
+    """Monte Carlo mean and standard error over `n_realizations` realizations.
 
     Realization k has the counts of :func:`event_counts`; its observable
     series are gathered from :func:`count_tables` and reduced with numpy
     summation over the gathered (n_realizations, n_grid) arrays.  The mean
     state is ``sum_n P_n(t) E^n[rho0]`` with P_n the empirical count
-    distribution.  `threads` is accepted for compatibility and changes
-    neither the result nor the work done.
+    distribution.
     """
     grid = check_grid(grid)
     n = n_realizations
@@ -280,6 +278,8 @@ def renewal_probabilities(
     if grid[-1] <= 0:
         raise BadParametersError("renewal_probabilities needs a grid that reaches past t = 0")
     if n_max is not None:
+        if not n_max >= 0:
+            raise BadParametersError(f"n_max must be >= 0, got {n_max}")
         table = waiting.renewal_table(grid, int(n_max) + 1)
     else:
         rows = 16

@@ -76,6 +76,21 @@ def telegraph_h(t, lam, gamma: float, a_eps: float):
     return out
 
 
+def _check_positive(**values):
+    """Raise :class:`BadParametersError` unless every value is finite and
+    > 0; the comparisons fail for NaN."""
+    for name, value in values.items():
+        if not (np.isfinite(value) and value > 0):
+            raise BadParametersError(f"{name} must be finite and > 0, got {value}")
+
+
+def _check_fractional(amplitude: float, alpha: float):
+    """The Mittag-Leffler parameters: finite amplitude > 0, 0 < alpha <= 1."""
+    _check_positive(amplitude=amplitude)
+    if not (0.0 < alpha <= 1.0):
+        raise BadParametersError(f"alpha must be in (0, 1], got {alpha}")
+
+
 def _real_rate(lam) -> float:
     lam_c = complex(lam)
     if abs(lam_c.imag) > 1e-10 * max(1.0, abs(lam_c.real)):
@@ -89,11 +104,15 @@ def _real_rate(lam) -> float:
 # kernel variants
 
 
+PROBE_ORDER = 8  # derivative orders checked by the numeric CM probe
+
+
 class MemoryKernel:
     """Common base of the kernel variants.
 
     A variant defines ``laplace(u)``, Ktilde at real or complex u, and the
-    property ``time_scale``, the characteristic time T.  The defaults here
+    property ``time_scale``, the characteristic time T with A1 =
+    A_alpha^(1/alpha) = A_eps/gamma = 1/T.  The defaults here
     build everything else from ``laplace`` alone by fixed-Talbot inversion
     and the numeric complete-monotonicity probe, which is how
     :class:`LaplaceKernel` is served; the built-in variants override them
@@ -105,15 +124,13 @@ class MemoryKernel:
         k = self.laplace(u)
         return k / (u + k)
 
-    def waiting(self, grid=None):
-        """The dual waiting-time distribution, tabulated on `grid` (default:
-        4000 points up to 20 T) and carrying the exact transform
-        ``wtilde = Ktilde/(u + Ktilde)``.  Raises
-        :class:`NotADistributionError` with a witness time when the inverted
-        density goes negative."""
-        if grid is None:
-            t_max = 20.0 * self.time_scale
-            grid = np.linspace(t_max / 4000.0, t_max, 4000)
+    def waiting(self):
+        """The dual waiting-time distribution, tabulated on 4000 points up to
+        20 T and carrying the exact transform ``wtilde = Ktilde/(u +
+        Ktilde)``.  Raises :class:`NotADistributionError` with a witness time
+        when the inverted density goes negative."""
+        t_max = 20.0 * self.time_scale
+        grid = np.linspace(t_max / 4000.0, t_max, 4000)
         pdf = laplace.invert(self._waiting_laplace, grid)
         if pdf.min() < -1e-9 * max(pdf.max(), 1e-30):
             i = int(np.argmin(pdf))
@@ -122,15 +139,15 @@ class MemoryKernel:
             times=grid, pdf=np.clip(pdf, 0.0, None), transform=self._waiting_laplace
         )
 
-    def verdict(self, probe_order: int = 8) -> "KernelVerdict":
+    def verdict(self) -> "KernelVerdict":
         """Numeric probe: wtilde(u) = 1/(u/Ktilde(u) + 1) must be positive
-        with alternating derivative signs up to `probe_order` on a log grid
+        with alternating derivative signs up to ``PROBE_ORDER`` on a log grid
         spanning [1e-3, 1e3] times the kernel rate, and the inverted density
         must be nonnegative."""
         rate = 1.0 / self.time_scale
         for u0 in np.geomspace(1e-3 * rate, 1e3 * rate, 25):
-            coeffs = _circle_derivatives(self._waiting_laplace, float(u0), 0.5 * float(u0), probe_order)
-            signs = coeffs * (-1.0) ** np.arange(probe_order + 1)
+            coeffs = _circle_derivatives(self._waiting_laplace, float(u0), 0.5 * float(u0), PROBE_ORDER)
+            signs = coeffs * (-1.0) ** np.arange(PROBE_ORDER + 1)
             bad = np.where(signs < -1e-9 * np.max(np.abs(coeffs)))[0]
             if bad.size:
                 return KernelVerdict(
@@ -152,10 +169,10 @@ class MemoryKernel:
         return KernelVerdict(
             verdict="safe-conditional",
             certificate=(
-                f"numeric probe only: wtilde sign-alternating through order {probe_order} "
+                f"numeric probe only: wtilde sign-alternating through order {PROBE_ORDER} "
                 "on the log grid and inverted density nonnegative"
             ),
-            witness={"order": probe_order},
+            witness={"order": PROBE_ORDER},
         )
 
     def mean_count(self, t: np.ndarray) -> np.ndarray:
@@ -200,8 +217,7 @@ class MarkovianKernel(MemoryKernel):
     rate: float
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise BadParametersError(f"rate must be > 0, got {self.rate}")
+        _check_positive(rate=self.rate)
 
     def laplace(self, u):
         return self.rate * np.ones_like(np.asarray(u))
@@ -210,10 +226,10 @@ class MarkovianKernel(MemoryKernel):
     def time_scale(self) -> float:
         return 1.0 / self.rate
 
-    def waiting(self, grid=None):
+    def waiting(self):
         return ExponentialWaiting(rate=self.rate)
 
-    def verdict(self, probe_order: int = 8) -> "KernelVerdict":
+    def verdict(self) -> "KernelVerdict":
         return KernelVerdict(
             verdict="safe",
             certificate=f"exponential waiting density {self.rate:g} exp(-{self.rate:g} t)",
@@ -238,8 +254,7 @@ class ExponentialKernel(MemoryKernel):
     decay: float
 
     def __post_init__(self):
-        if self.amplitude <= 0 or self.decay <= 0:
-            raise BadParametersError("amplitude and decay must be > 0")
+        _check_positive(amplitude=self.amplitude, decay=self.decay)
 
     @property
     def discriminant(self) -> float:
@@ -252,13 +267,13 @@ class ExponentialKernel(MemoryKernel):
     def time_scale(self) -> float:
         return self.decay / self.amplitude
 
-    def waiting(self, grid=None):
+    def waiting(self):
         verdict = self.verdict()
         if not verdict.is_safe:
             raise NotADistributionError(verdict.witness["t"], verdict.witness["w_value"])
         return HypoexponentialWaiting(**verdict.witness)
 
-    def verdict(self, probe_order: int = 8) -> "KernelVerdict":
+    def verdict(self) -> "KernelVerdict":
         if self.discriminant >= 0:
             # hypoexponential rates r1 <= r2
             s = np.sqrt(self.discriminant)
@@ -295,10 +310,7 @@ class FractionalKernel(MemoryKernel):
     alpha: float
 
     def __post_init__(self):
-        if self.amplitude <= 0:
-            raise BadParametersError("amplitude must be > 0")
-        if not (0.0 < self.alpha <= 1.0):
-            raise BadParametersError(f"alpha must be in (0, 1], got {self.alpha}")
+        _check_fractional(self.amplitude, self.alpha)
 
     def laplace(self, u):
         return self.amplitude * np.asarray(u) ** (1.0 - self.alpha)
@@ -307,10 +319,10 @@ class FractionalKernel(MemoryKernel):
     def time_scale(self) -> float:
         return self.amplitude ** (-1.0 / self.alpha)
 
-    def waiting(self, grid=None):
+    def waiting(self):
         return MittagLefflerWaiting(amplitude=self.amplitude, alpha=self.alpha)
 
-    def verdict(self, probe_order: int = 8) -> "KernelVerdict":
+    def verdict(self) -> "KernelVerdict":
         return KernelVerdict(
             verdict="safe",
             certificate=(
@@ -345,8 +357,7 @@ class LaplaceKernel(MemoryKernel):
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise BadParametersError("scale must be > 0")
+        _check_positive(scale=self.scale)
 
     def laplace(self, u):
         return self.transform(np.asarray(u))
@@ -354,16 +365,6 @@ class LaplaceKernel(MemoryKernel):
     @property
     def time_scale(self) -> float:
         return 1.0 / self.scale
-
-
-def kernel_laplace(kernel: MemoryKernel, u):
-    """Ktilde(u) for real or complex u (u > 0 on the real axis)."""
-    return kernel.laplace(u)
-
-
-def kernel_time_scale(kernel: MemoryKernel) -> float:
-    """The characteristic time T with A1 = A_alpha^(1/alpha) = A_eps/gamma = 1/T."""
-    return kernel.time_scale
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +459,9 @@ class ExponentialWaiting(WaitingTimeDistribution):
 
     rate: float
 
+    def __post_init__(self):
+        _check_positive(rate=self.rate)
+
     def density(self, t):
         return self.rate * np.exp(-self.rate * t)
 
@@ -485,6 +489,9 @@ class HypoexponentialWaiting(WaitingTimeDistribution):
     r2: float
 
     uniforms = 2
+
+    def __post_init__(self):
+        _check_positive(r1=self.r1, r2=self.r2)
 
     def density(self, t):
         r1, r2 = self.r1, self.r2
@@ -516,6 +523,9 @@ class MittagLefflerWaiting(WaitingTimeDistribution):
     alpha: float
 
     uniforms = 2
+
+    def __post_init__(self):
+        _check_fractional(self.amplitude, self.alpha)
 
     def density(self, t):
         """Diverges as t^(alpha-1) at 0 for alpha < 1."""
@@ -594,13 +604,13 @@ class EmpiricalWaiting(WaitingTimeDistribution):
         return super().laplace(u) if self.transform is None else self.transform(np.asarray(u))
 
 
-def waiting_from_kernel(kernel: MemoryKernel, grid: np.ndarray | None = None):
+def waiting_from_kernel(kernel: MemoryKernel):
     """The waiting-time distribution dual to a kernel (Eq. duality).
 
     Raises :class:`NotADistributionError` with a witness time when the
     inverted density goes negative (dangerous kernel).
     """
-    return kernel.waiting(grid)
+    return kernel.waiting()
 
 
 def _exponential_negative_witness(kernel: ExponentialKernel):
@@ -688,32 +698,10 @@ def _circle_derivatives(f, center: float, radius: float, n_max: int):
     return np.real(coeffs[: n_max + 1]) / radius ** np.arange(n_max + 1)
 
 
-def classify_kernel(kernel: MemoryKernel, probe_order: int = 8) -> KernelVerdict:
+def classify_kernel(kernel: MemoryKernel) -> KernelVerdict:
     """Safe/dangerous classification: exact criteria for the built-ins, the
     numeric probe of :meth:`MemoryKernel.verdict` for a LaplaceKernel."""
-    return kernel.verdict(probe_order)
-
-
-# ---------------------------------------------------------------------------
-# sampling
-
-
-def waiting_from_uniforms(waiting: WaitingTimeDistribution, u) -> np.ndarray:
-    """Waiting times from raw uniforms; ``u[..., j]`` is uniform j of each
-    draw (see :meth:`WaitingTimeDistribution.from_uniforms`)."""
-    return waiting.from_uniforms(np.asarray(u, dtype=float))
-
-
-def sample_waiting(waiting: WaitingTimeDistribution, rng: np.random.Generator, size=None):
-    """Draw renewal intervals through :func:`waiting_from_uniforms`.
-
-    A batch draws the first uniform of every interval, then the second, so
-    a scalar call consumes the stream in per-draw order.
-    """
-    n = 1 if size is None else int(size)
-    u = rng.random((waiting.uniforms, n)).T
-    out = waiting_from_uniforms(waiting, u)
-    return float(out[0]) if size is None else out
+    return kernel.verdict()
 
 
 # ---------------------------------------------------------------------------

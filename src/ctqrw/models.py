@@ -33,7 +33,7 @@ class Depolarizing:
     p_y: float = 0.5
 
     def __post_init__(self):
-        if self.p_x < 0 or self.p_y < 0 or abs(self.p_x + self.p_y - 1.0) > 1e-12:
+        if not (self.p_x >= 0 and self.p_y >= 0 and abs(self.p_x + self.p_y - 1.0) <= 1e-12):
             raise BadParametersError("need p_x, p_y >= 0 with p_x + p_y = 1")
 
 
@@ -58,7 +58,8 @@ class Thermal:
     def __post_init__(self):
         if not (0.0 < self.kappa <= 1.0):
             raise BadParametersError(f"kappa must be in (0, 1], got {self.kappa}")
-        if self.p_up < 0 or self.p_down < 0 or abs(self.p_up + self.p_down - 1.0) > 1e-12:
+        pu, pd = self.p_up, self.p_down
+        if not (pu >= 0 and pd >= 0 and abs(pu + pd - 1.0) <= 1e-12):
             raise BadParametersError("need p_up, p_down >= 0 with p_up + p_down = 1")
 
     @property
@@ -245,9 +246,6 @@ class MarkLaw:
 
     uniforms = 0
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.from_uniforms(rng.random((n, self.uniforms)))
-
 
 def _normals(u: np.ndarray) -> np.ndarray:
     """Standard normals by the inverse CDF; u = 0 maps to the midpoint of
@@ -267,6 +265,8 @@ class GaussianJumps(MarkLaw):
     _factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not np.isfinite([self.mean, self.mean_sq, self.mean_abs_sq]).all():
+            raise BadParametersError("Gaussian jump moments must be finite")
         c = self.mean_abs_sq - abs(self.mean) ** 2
         p = self.mean_sq - self.mean**2
         if c < -1e-12 or abs(p) > c + 1e-12:
@@ -306,6 +306,10 @@ class PointMassJumps(MarkLaw):
 
     beta0: complex = 0.0
 
+    def __post_init__(self):
+        if not np.isfinite(self.beta0):
+            raise BadParametersError(f"beta0 must be finite, got {self.beta0}")
+
     @property
     def mean_abs_sq(self) -> float:
         return abs(self.beta0) ** 2
@@ -335,8 +339,8 @@ class LevyJumps(MarkLaw):
     def __post_init__(self):
         if not (0.0 < self.mu <= 2.0):
             raise BadParametersError(f"mu must be in (0, 2], got {self.mu}")
-        if self.sigma <= 0:
-            raise BadParametersError("sigma must be > 0")
+        if not (np.isfinite(self.sigma) and self.sigma > 0):
+            raise BadParametersError(f"sigma must be finite and > 0, got {self.sigma}")
 
     uniforms = 4
 

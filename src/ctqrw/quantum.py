@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadParametersError,
     BadWeightsError,
     ClosureDefectError,
     DefectiveGeneratorError,
@@ -142,6 +143,8 @@ class KrausMap:
         for c in ops:
             if c.shape != (d, d):
                 raise DimMismatchError("all Kraus operators must share one square shape")
+        if not all(np.isfinite(c).all() for c in ops):
+            raise BadParametersError("Kraus operators must be finite")
         closure = sum(c.conj().T @ c for c in ops)
         defect = float(np.max(np.abs(closure - np.eye(d))))
         if defect > TOL_CLOSURE:

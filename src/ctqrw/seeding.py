@@ -7,11 +7,9 @@ uniforms of draw j of realization k on a lane are a pure function of
 (base seed, k, j, lane), so a whole ensemble is one vectorized call and any
 realization can be rebuilt alone, whatever the ensemble size.  Lane
 ``WAITING_LANE`` feeds the renewal waiting times, lane ``MARK_LANE`` the
-jumps or phases that the events carry.
-
-``stream`` builds a numpy ``Generator`` for callers of the public samplers
-that take one (``kernels.sample_waiting``); its seed for stream k of base
-seed s is ``splitmix64(s + k * GOLDEN)``.
+jumps or phases that the events carry.  A law turns the uniforms of a
+draw into its value through its ``from_uniforms``; nothing in the library
+draws from any other source.
 """
 
 import numpy as np
@@ -19,7 +17,6 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 _MASK32 = np.uint64((1 << 32) - 1)
 _SHIFT32 = np.uint64(32)
-GOLDEN = 0x9E3779B97F4A7C15
 
 WAITING_LANE = 0
 MARK_LANE = 1
@@ -28,25 +25,6 @@ MARK_LANE = 1
 _PHILOX_M = (np.uint64(0xD2511F53), np.uint64(0xCD9E8D57))
 _PHILOX_W = (0x9E3779B9, 0xBB67AE85)
 _PHILOX_ROUNDS = 10
-
-
-def splitmix64(x: int) -> int:
-    """One round of the splitmix64 avalanche hash (64-bit)."""
-    x = (x + GOLDEN) & _MASK64
-    z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
-
-
-def derive_seed(base_seed: int, index: int) -> int:
-    """Seed for stream `index` of a run seeded with `base_seed`."""
-    return splitmix64((base_seed & _MASK64) + (index * GOLDEN & _MASK64) & _MASK64)
-
-
-def stream(base_seed: int, index: int = 0) -> np.random.Generator:
-    """Independent generator for one stream of a caller-driven sampler."""
-    return np.random.Generator(np.random.PCG64(derive_seed(base_seed, index)))
 
 
 def philox4x32(counter, key) -> np.ndarray:

@@ -24,7 +24,6 @@ from ctqrw.kernels import (
     MarkovianKernel,
     MittagLefflerWaiting,
     classify_kernel,
-    sample_waiting,
     waiting_from_kernel,
     waiting_survival,
 )
@@ -43,7 +42,7 @@ from ctqrw.models import (
     wigner_ctrw,
 )
 from ctqrw.quantum import damping_basis, linear_entropy, lindblad_from_kraus, make_density, vec
-from ctqrw.seeding import stream
+from ctqrw.seeding import WAITING_LANE, uniforms
 from ctqrw.special import mittag_leffler
 
 PLUS_X = make_density(0.5 * np.array([[1, 1], [1, 1]], dtype=complex))
@@ -258,14 +257,14 @@ def test_criterion_08_sampler_fidelity():
     ks_vals = {}
     for i, alpha in enumerate((0.3, 0.5, 0.8)):
         w = MittagLefflerWaiting(amplitude=1.0, alpha=alpha)
-        draws = np.sort(sample_waiting(w, stream(2026, i), size=n))
+        draws = np.sort(w.from_uniforms(uniforms(2026, i, np.arange(n), WAITING_LANE, w.uniforms)))
         emp = np.arange(1, n + 1) / n
         cdf = 1.0 - waiting_survival(w, draws)
         ks_vals[alpha] = float(np.max(np.abs(cdf - emp)))
     from ctqrw.kernels import HypoexponentialWaiting
 
     hypo = HypoexponentialWaiting(r1=0.5, r2=1.5)
-    draws = sample_waiting(hypo, stream(2027, 0), size=n)
+    draws = hypo.from_uniforms(uniforms(2027, 0, np.arange(n), WAITING_LANE, hypo.uniforms))
     mean_err = abs(draws.mean() - (2.0 + 2.0 / 3.0))
     se = draws.std(ddof=1) / np.sqrt(n)
     ok = bool(all(v < 0.0052 for v in ks_vals.values()) and mean_err < 3 * se)

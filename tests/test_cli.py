@@ -134,12 +134,24 @@ def test_rerun_is_byte_identical(tmp_path):
     assert (out1 / "out.csv").read_bytes() == (out2 / "out.csv").read_bytes()
 
 
-def test_threads_do_not_change_output(tmp_path):
-    path = write(tmp_path, GOOD_ENSEMBLE)
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert cli.run(path, str(out1), threads=1) == 0
-    assert cli.run(path, str(out2), threads=4) == 0
-    assert (out1 / "out.csv").read_bytes() == (out2 / "out.csv").read_bytes()
+@pytest.mark.parametrize(
+    "text", [GOOD_ENSEMBLE, "[experiment]\nkind = figure2\nseed = 1\n"], ids=["ensemble", "figure2"]
+)
+def test_unnamed_experiment_key_is_ignored(tmp_path, text):
+    # an old `threads = 2` line still runs, with the same bytes as without it
+    plain = write(tmp_path, text, "plain.ini")
+    keyed = write(tmp_path, text.replace("seed = 1", "seed = 1\nthreads = 2"), "keyed.ini")
+    out1, out2 = tmp_path / "plain", tmp_path / "keyed"
+    assert cli.run(plain, str(out1)) == 0
+    assert cli.run(keyed, str(out2)) == 0
+    csv = parse_config(plain).csv_name
+    assert (out1 / csv).read_bytes() == (out2 / csv).read_bytes()
+
+
+def test_threads_flag_is_a_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", write(tmp_path, GOOD_ENSEMBLE), "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_seed_override_changes_output(tmp_path):
@@ -223,9 +235,7 @@ def test_figure_presets_match_captions():
     for preset in (p1, p3, p4):
         grid = preset.grid()
         assert grid.size == 200
-        from ctqrw.kernels import kernel_time_scale
-
-        assert grid[-1] == pytest.approx(10.0 * kernel_time_scale(preset.kernels[0][1]))
+        assert grid[-1] == pytest.approx(10.0 * preset.kernels[0][1].time_scale)
 
 
 def test_figure3_run_produces_four_curves(tmp_path):
@@ -341,11 +351,9 @@ def test_counts_below_one_are_config_errors(tmp_path, capsys, text, line, key):
         (GOOD_ENSEMBLE, "t_max_over_T = nan", "grid.t_max_over_T"),
         (GOOD_ENSEMBLE, "t_max_over_T = inf", "grid.t_max_over_T"),
         (GOOD_ENSEMBLE, "t_max_over_T = -1", "grid.t_max_over_T"),
-        (GOOD_ENSEMBLE.replace("seed = 1", "seed = 1\nthreads = 1"), "threads = 1.5",
-         "experiment.threads"),
     ],
 )
-def test_bad_grid_span_and_threads_are_config_errors(tmp_path, capsys, text, line, key):
+def test_bad_grid_span_is_config_error(tmp_path, capsys, text, line, key):
     test_counts_below_one_are_config_errors(tmp_path, capsys, text, line, key)
 
 
@@ -460,17 +468,6 @@ def test_write_csv_matches_per_value_formatting(tmp_path):
         ",".join(f"{v:.17g}" for v in row) + "\n" for row in np.column_stack(columns)
     )
     assert path.read_bytes() == expected.encode()
-
-
-def test_env_threads_fallback(tmp_path, monkeypatch):
-    path = write(tmp_path, GOOD_ENSEMBLE)
-    monkeypatch.setenv("CTQRW_THREADS", "2")
-    out1 = tmp_path / "env"
-    assert cli.run(path, str(out1)) == 0
-    out2 = tmp_path / "plain"
-    monkeypatch.delenv("CTQRW_THREADS")
-    assert cli.run(path, str(out2)) == 0
-    assert (out1 / "out.csv").read_bytes() == (out2 / "out.csv").read_bytes()
 
 
 def test_csv_17_digit_round_trip(tmp_path):

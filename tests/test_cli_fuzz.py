@@ -43,7 +43,6 @@ VALID = st.fixed_dictionaries(
             {"kind": st.sampled_from(["realizations", "ensemble", "solve", "classify",
                                       "cp-audit", "entropy", "wigner", "intrinsic"])},
             seed=st.integers(0, 2**31 - 1).map(str),
-            threads=st.integers(1, 4).map(str),
         ),
         "kernel": section(
             {"type": st.sampled_from(["markovian", "exponential", "fractional"]),
@@ -79,7 +78,7 @@ VALID = st.fixed_dictionaries(
 )
 
 KEYS = {
-    "experiment": ("kind", "seed", "threads"),
+    "experiment": ("kind", "seed"),
     "kernel": ("type", "rate", "amplitude", "gamma", "alpha"),
     "grid": ("n_points", "t_max_over_T"),
     "ensemble": ("n_realizations",),

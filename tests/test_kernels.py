@@ -21,29 +21,44 @@ from ctqrw.kernels import (
     MittagLefflerWaiting,
     classify_kernel,
     kernel_from_waiting,
-    kernel_laplace,
-    kernel_time_scale,
     renewal_mean_count,
-    sample_waiting,
     waiting_from_kernel,
     waiting_pdf,
     waiting_survival,
 )
-from ctqrw.seeding import stream
+from ctqrw.seeding import WAITING_LANE, uniforms
 from ctqrw.special import mittag_leffler
 
 
+def draws(waiting, seed, n):
+    """The first `n` waiting times of realization 0 of the run seeded `seed`,
+    as every Monte Carlo route draws them."""
+    return waiting.from_uniforms(uniforms(seed, 0, np.arange(n), WAITING_LANE, waiting.uniforms))
+
+
 def test_kernel_laplace_values():
-    assert kernel_laplace(MarkovianKernel(rate=0.5), 7.3) == pytest.approx(0.5)
-    assert kernel_laplace(ExponentialKernel(amplitude=1.0, decay=2.0), 2.0) == pytest.approx(0.25)
-    assert kernel_laplace(FractionalKernel(amplitude=1.0, alpha=0.5), 4.0) == pytest.approx(2.0)
+    assert MarkovianKernel(rate=0.5).laplace(7.3) == pytest.approx(0.5)
+    assert ExponentialKernel(amplitude=1.0, decay=2.0).laplace(2.0) == pytest.approx(0.25)
+    assert FractionalKernel(amplitude=1.0, alpha=0.5).laplace(4.0) == pytest.approx(2.0)
 
 
 def test_parameter_validation():
-    with pytest.raises(BadParametersError):
-        MarkovianKernel(rate=-1.0)
-    with pytest.raises(BadParametersError):
-        FractionalKernel(amplitude=1.0, alpha=1.5)
+    # NaN fails no `x <= 0` test: the non-finite cases used to give NaN
+    # decay factors
+    invalid = [
+        lambda: MarkovianKernel(rate=-1.0),
+        lambda: FractionalKernel(amplitude=1.0, alpha=1.5),
+        lambda: MarkovianKernel(rate=np.nan),
+        lambda: MarkovianKernel(rate=np.inf),
+        lambda: ExponentialKernel(amplitude=np.nan, decay=1.0),
+        lambda: ExponentialKernel(amplitude=1.0, decay=np.inf),
+        lambda: FractionalKernel(amplitude=np.nan, alpha=0.5),
+        lambda: FractionalKernel(amplitude=1.0, alpha=np.nan),
+        lambda: LaplaceKernel(transform=np.sqrt, scale=np.nan),
+    ]
+    for make in invalid:
+        with pytest.raises(BadParametersError):
+            make()
 
 
 def test_waiting_from_kernel_variants():
@@ -84,8 +99,8 @@ def test_duality_round_trip():
     for kern in cases:
         w = waiting_from_kernel(kern)
         ktilde = kernel_from_waiting(w)
-        assert np.max(np.abs(ktilde(u) - kernel_laplace(kern, u))) < 1e-9 * np.max(
-            np.abs(kernel_laplace(kern, u))
+        assert np.max(np.abs(ktilde(u) - kern.laplace(u))) < 1e-9 * np.max(
+            np.abs(kern.laplace(u))
         )
 
 
@@ -161,13 +176,13 @@ def test_exponential_sampler_inverse_cdf():
 def test_sampler_means(rng):
     n = 100_000
     w = ExponentialWaiting(rate=0.5)
-    draws = sample_waiting(w, stream(11, 0), size=n)
-    mean, se = draws.mean(), draws.std(ddof=1) / np.sqrt(n)
+    taus = draws(w, 11, n)
+    mean, se = taus.mean(), taus.std(ddof=1) / np.sqrt(n)
     assert abs(mean - 2.0) < 3 * se
 
     w = HypoexponentialWaiting(r1=0.5, r2=1.5)
-    draws = sample_waiting(w, stream(12, 0), size=n)
-    mean, se = draws.mean(), draws.std(ddof=1) / np.sqrt(n)
+    taus = draws(w, 12, n)
+    mean, se = taus.mean(), taus.std(ddof=1) / np.sqrt(n)
     assert abs(mean - (2.0 + 2.0 / 3.0)) < 3 * se
 
 
@@ -175,9 +190,9 @@ def test_ml_sampler_alpha_one_is_exponential():
     # alpha = 1 reduces to the exponential law (KS test)
     n = 100_000
     w = MittagLefflerWaiting(amplitude=0.8, alpha=1.0)
-    draws = np.sort(sample_waiting(w, stream(13, 0), size=n))
+    taus = np.sort(draws(w, 13, n))
     emp = np.arange(1, n + 1) / n
-    ks = np.max(np.abs((1.0 - np.exp(-0.8 * draws)) - emp))
+    ks = np.max(np.abs((1.0 - np.exp(-0.8 * taus)) - emp))
     assert ks < 1.63 / np.sqrt(n)
 
 
@@ -185,8 +200,7 @@ def test_ml_sampler_median_and_survival():
     # no mean exists for alpha < 1; check the median against the survival
     w = MittagLefflerWaiting(amplitude=1 / np.sqrt(2), alpha=0.5)
     n = 100_000
-    draws = sample_waiting(w, stream(14, 0), size=n)
-    median = np.median(draws)
+    median = np.median(draws(w, 14, n))
     surv = waiting_survival(w, median)
     assert abs(surv - 0.5) < 3.0 * 0.5 / np.sqrt(n) * 2.0
 
@@ -195,8 +209,7 @@ def test_empirical_waiting_round_trip():
     t = np.linspace(1e-4, 40.0, 4000)
     w = EmpiricalWaiting(times=t, pdf=0.5 * np.exp(-0.5 * t))
     assert waiting_survival(w, 2.0) == pytest.approx(np.exp(-1.0), abs=1e-3)
-    draws = sample_waiting(w, stream(15, 0), size=20_000)
-    assert abs(np.mean(draws) - 2.0) < 0.1
+    assert abs(np.mean(draws(w, 15, 20_000)) - 2.0) < 0.1
 
 
 def test_renewal_mean_count_closed_forms():
@@ -234,9 +247,9 @@ def test_renewal_mean_matches_quadrature_of_kernel():
 
 
 def test_kernel_time_scale_convention():
-    assert kernel_time_scale(MarkovianKernel(rate=0.5)) == pytest.approx(2.0)
-    assert kernel_time_scale(ExponentialKernel(amplitude=1.0, decay=2.0)) == pytest.approx(2.0)
-    assert kernel_time_scale(FractionalKernel(amplitude=1 / np.sqrt(2), alpha=0.5)) == pytest.approx(2.0)
+    assert MarkovianKernel(rate=0.5).time_scale == pytest.approx(2.0)
+    assert ExponentialKernel(amplitude=1.0, decay=2.0).time_scale == pytest.approx(2.0)
+    assert FractionalKernel(amplitude=1 / np.sqrt(2), alpha=0.5).time_scale == pytest.approx(2.0)
 
 
 def test_waiting_pdf_domain():
@@ -258,7 +271,7 @@ def test_duality_round_trip_property(amplitude, alpha):
     kern = FractionalKernel(amplitude=amplitude, alpha=alpha)
     w = waiting_from_kernel(kern)
     u = np.geomspace(1e-2, 1e2, 11)
-    expected = kernel_laplace(kern, u)
+    expected = kern.laplace(u)
     got = kernel_from_waiting(w)(u)
     assert np.max(np.abs(got - expected)) < 1e-9 * np.max(np.abs(expected))
 

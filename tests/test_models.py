@@ -44,7 +44,7 @@ from ctqrw.quantum import (
     mixture_generator,
     vec,
 )
-from ctqrw.seeding import stream
+from ctqrw.seeding import MARK_LANE, uniforms
 from ctqrw.special import mittag_leffler
 
 PLUS_X = make_density(0.5 * np.array([[1, 1], [1, 1]], dtype=complex))
@@ -240,11 +240,36 @@ def test_bad_moments_rejected():
         GaussianJumps(mean=0.0, mean_sq=2.0, mean_abs_sq=1.0)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Depolarizing(p_x=np.nan, p_y=np.nan),
+        lambda: Thermal(kappa=0.5, p_up=np.nan, p_down=np.nan),
+        lambda: GaussianJumps(mean_abs_sq=np.nan),
+        lambda: GaussianJumps(mean=np.inf, mean_sq=np.inf, mean_abs_sq=np.inf),
+        lambda: PointMassJumps(beta0=complex(np.nan, 0.0)),
+        lambda: LevyJumps(mu=1.0, sigma=np.nan),
+        lambda: KrausMap(operators=(np.full((2, 2), np.nan),)),
+    ],
+    ids=["depolarizing", "thermal", "gaussian-nan", "gaussian-inf", "point", "levy", "kraus"],
+)
+def test_nonfinite_model_parameters_are_rejected(make):
+    # NaN fails no `x < 0` test: these used to be accepted, and the jump
+    # laws reached np.histogram's bare ValueError in wigner_ctrw
+    with pytest.raises(BadParametersError):
+        make()
+
+
+def marks(law, seed, k, n):
+    """The first `n` marks of realization `k` of the run seeded `seed`, as
+    the Monte Carlo routes draw them."""
+    return law.from_uniforms(uniforms(seed, k, np.arange(n), MARK_LANE, law.uniforms))
+
+
 def test_positive_stable_laplace_transform():
     # Kanter draw: E exp(-s S) = exp(-s^a)
-    rng = stream(2024, 0)
-    for a in (0.25, 0.5, 0.75):
-        draws = positive_stable(a, rng.random((200_000, 2)))
+    for k, a in enumerate((0.25, 0.5, 0.75)):
+        draws = positive_stable(a, uniforms(2024, k, np.arange(200_000), MARK_LANE, 2))
         for s in (0.3, 1.0, 3.0):
             emp = np.exp(-s * draws)
             err = emp.mean() - np.exp(-(s**a))
@@ -253,24 +278,22 @@ def test_positive_stable_laplace_transform():
 
 
 def test_levy_characteristic_function_empirical():
-    rng = stream(2025, 0)
     law = LevyJumps(mu=1.0, sigma=1.0)
-    draws = law.sample(rng, 200_000)
+    draws = marks(law, 2025, 0, 200_000)
     for k in (0.5 + 0.0j, 1.0j):
         emp = np.exp(1j * (k.real * draws.real + k.imag * draws.imag)).mean()
         assert abs(emp - law.characteristic(np.array([k]))[0]) < 5e-3
 
 
 def test_gaussian_jumps_degenerate_and_point_like():
-    rng = stream(2028, 0)
     point = GaussianJumps(mean=0.3 - 0.2j, mean_sq=(0.3 - 0.2j) ** 2, mean_abs_sq=0.13)
-    assert np.allclose(point.sample(rng, 1000), 0.3 - 0.2j, rtol=0, atol=1e-7)
+    assert np.allclose(marks(point, 2028, 0, 1000), 0.3 - 0.2j, rtol=0, atol=1e-7)
     real_line = GaussianJumps(mean=0.0, mean_sq=1.0, mean_abs_sq=1.0)
-    draws = real_line.sample(rng, 100_000)
+    draws = marks(real_line, 2028, 1, 100_000)
     assert np.max(np.abs(draws.imag)) < 1e-12
     assert draws.real.var() == pytest.approx(1.0, abs=0.02)
     tilted = GaussianJumps(mean=1.0 + 0.5j, mean_sq=(1.0 + 0.5j) ** 2 + 0.4j, mean_abs_sq=1.25 + 0.8)
-    draws = tilted.sample(rng, 200_000)
+    draws = marks(tilted, 2028, 2, 200_000)
     assert np.mean(draws) == pytest.approx(1.0 + 0.5j, abs=0.01)
     assert np.mean(draws**2) == pytest.approx(tilted.mean_sq, abs=0.02)
     assert np.mean(np.abs(draws) ** 2) == pytest.approx(tilted.mean_abs_sq, abs=0.02)
@@ -394,7 +417,7 @@ def test_intrinsic_log_formal_rate():
     spec = SpectrumModel(levels=np.array([0.0, 3.0]), phase=LogFormalPhase(tau_b=0.4))
     assert spec.rates()[0, 1] == pytest.approx(np.log(1 + 1j * (-3.0) * 0.4), abs=1e-14)
     with pytest.raises(BadParametersError):
-        spec.phase.sample(stream(1, 0), 5)
+        marks(spec.phase, 1, 0, 5)
 
 
 def test_intrinsic_stochastic_route_matches_closed():
