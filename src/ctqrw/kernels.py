@@ -275,9 +275,10 @@ class ExponentialKernel(MemoryKernel):
 
     def verdict(self) -> "KernelVerdict":
         if self.discriminant >= 0:
-            # hypoexponential rates r1 <= r2
+            # hypoexponential rates r1 <= r2; r1 = A_eps / r2 does not cancel
+            # when gamma^2 >> 4 A_eps, as (gamma - s) / 2 would
             s = np.sqrt(self.discriminant)
-            r1, r2 = (self.decay - s) / 2.0, (self.decay + s) / 2.0
+            r1, r2 = 2.0 * self.amplitude / (self.decay + s), (self.decay + s) / 2.0
             return KernelVerdict(
                 verdict="safe",
                 certificate=f"hypoexponential waiting with rates r1={r1:g}, r2={r2:g}",
@@ -583,6 +584,8 @@ class EmpiricalWaiting(WaitingTimeDistribution):
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
         p = np.asarray(self.pdf, dtype=float)
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(p))):
+            raise BadParametersError("times and pdf must be finite")
         cdf = np.concatenate([[0.0], np.cumsum(0.5 * (p[1:] + p[:-1]) * np.diff(t))])
         total = cdf[-1]
         if total <= 0:

@@ -471,11 +471,22 @@ def _event_sums(base_seed: int, totals: np.ndarray, law: MarkLaw) -> np.ndarray:
 # generalized intrinsic decoherence
 
 
+def _check_tau_b(tau_b: float):
+    """The exponential and logarithmic presets need a finite tau_b > 0;
+    the comparison fails for NaN."""
+    if not (np.isfinite(tau_b) and tau_b > 0):
+        raise BadParametersError(f"tau_b must be finite and > 0, got {tau_b}")
+
+
 @dataclass(frozen=True)
 class DeltaPhase(MarkLaw):
     """P(tau) = delta(tau - tau_b): every event applies exp(-i H tau_b)."""
 
     tau_b: float
+
+    def __post_init__(self):
+        if not np.isfinite(self.tau_b):
+            raise BadParametersError(f"tau_b must be finite, got {self.tau_b}")
 
     def fourier(self, omega):
         return np.exp(-1j * np.asarray(omega) * self.tau_b)
@@ -489,6 +500,9 @@ class ExponentialPhase(MarkLaw):
     """P(tau) = exp(-tau/tau_b)/tau_b on tau > 0."""
 
     tau_b: float
+
+    def __post_init__(self):
+        _check_tau_b(self.tau_b)
 
     def fourier(self, omega):
         return 1.0 / (1.0 + 1j * np.asarray(omega) * self.tau_b)
@@ -509,6 +523,9 @@ class LogFormalPhase(MarkLaw):
     """
 
     tau_b: float
+
+    def __post_init__(self):
+        _check_tau_b(self.tau_b)
 
     def fourier(self, omega):
         return 1.0 - np.log(1.0 + 1j * np.asarray(omega) * self.tau_b)

@@ -6,7 +6,10 @@ Four independent paths to ``drho/dt = int_0^t K(t-s) L[rho(s)] ds``:
   functions h_lam(t) (exponential / telegraph / Mittag-Leffler);
 * ``volterra_solve``: product-integration quadrature of the integrated
   equation (second-order quadratic panels for regular kernels,
-  singular-prefix corrected weights for the fractional kernel);
+  singular-prefix corrected weights for the fractional kernel), solved as
+  a lower-triangular block-Toeplitz system one block of steps at a time:
+  FFT history sums over earlier blocks, and an FFT convolution with the
+  truncated inverse of the step operator series within the block;
 * ``telegraph_ode_solve``: the exponential-kernel dynamics as the
   equivalent second-order ODE system, propagated by one matrix exponential
   per step (an independent check route, exact up to expm);
@@ -140,67 +143,72 @@ def _propagate(step: np.ndarray, y0: np.ndarray, n_grid: int) -> np.ndarray:
     return y
 
 
-# Output steps per block of the Volterra history convolution.
-_HISTORY_BLOCK = 256
+# Rows per block of the Volterra Toeplitz solve.
+_BLOCK = 256
 
 
-class _History:
-    """Running history sums
-    ``S_k = sum_{1 <= j < k} lags[k % P][k - j] values[j]`` for rising k.
+def _series_inverse(series: np.ndarray) -> np.ndarray:
+    """First len(series) coefficients of the inverse of the matrix power
+    series ``A(z) = sum_l series[l] z^l`` (series[0] invertible).
 
-    Both product-integration rules weigh their history by the lag k - j
-    alone (per class of k modulo P), so it is one blocked FFT convolution
-    (Hairer, Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6, 532, 1985).
-    `lags` has one row per class; the caller fills row k of `values`
-    (n + 1, ...) after reading S_k, and weighs node 0 itself.  On entering
-    target block c the sources of blocks 0 .. c-2 are transformed one block
-    at a time, multiplied by the spectrum of their lag window and
-    accumulated in the frequency domain; one inverse transform then serves
-    all B steps of the block, and the last <= 2B sources are summed
-    directly.  That is O((n/B)^2) length-2B products plus O(nB) direct
-    terms, in O(B) rows of work memory.
+    Newton doubling: with X right to m coefficients, ``A X - I`` starts at
+    z^m and ``X - X (A X - I)`` is right to 2m.  Both products are FFT
+    convolutions of length 2m: what wraps lands on terms below m, unused.
     """
+    x = np.linalg.inv(series[:1])
+    while x.shape[0] < series.shape[0]:
+        m = x.shape[0]
+        x_hat = np.fft.fft(x, n=2 * m, axis=0)
+        residual = np.fft.ifft(np.fft.fft(series[: 2 * m], n=2 * m, axis=0) @ x_hat, axis=0)[m:]
+        correction = np.fft.ifft(x_hat @ np.fft.fft(residual, n=2 * m, axis=0), axis=0)[:m]
+        x = np.concatenate([x, -correction])
+    return x[: series.shape[0]]
 
-    def __init__(self, lags: np.ndarray, values: np.ndarray):
-        b = _HISTORY_BLOCK
-        self._lags = lags
-        self._values = values.reshape(values.shape[0], -1)  # a view: rows fill in place
-        self._shape = values.shape[1:]
-        n_blocks = -(-values.shape[0] // b)
-        padded = np.zeros((lags.shape[0], (n_blocks + 2) * b))
-        padded[:, : lags.shape[1]] = lags
-        # window q holds lags qB .. qB + 2B - 1: the lags between target
-        # block c and source block c - 1 - q (its entry 0 reaches no kept output)
-        windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * b, axis=1)[:, ::b]
-        self._spectra = np.fft.fft(windows, axis=-1)
-        self._block = None
-        self._far = None
 
-    def _far_sums(self, c: int) -> np.ndarray:
-        """Contributions of source blocks 0 .. c-2 to the B steps of block c."""
-        b = _HISTORY_BLOCK
-        acc = np.zeros((self._lags.shape[0], 2 * b, self._values.shape[1]), dtype=complex)
-        for src in range(c - 1):
-            x = self._values[src * b : (src + 1) * b]
-            if src == 0:
-                x = x.copy()
-                x[0] = 0.0
-            acc += self._spectra[:, c - 1 - src, :, None] * np.fft.fft(x, n=2 * b, axis=0)
-        # circular index B + m is target step cB + m: lags B + m - i never wrap
-        out = np.fft.ifft(acc, axis=1)[:, b:]
-        steps = c * b + np.arange(b)
-        return out[steps % out.shape[0], np.arange(b)]
+def _toeplitz_solve(weights: np.ndarray, g_mat: np.ndarray, forcing: np.ndarray) -> None:
+    """Solve ``x[p] - sum_{q <= p} (weights[p - q] kron G) x[q] = forcing[p]``
+    in place: `forcing` (N, P, D, R) is overwritten by x.
 
-    def __call__(self, k: int) -> np.ndarray:
-        c, m = divmod(k, _HISTORY_BLOCK)
-        start = max(1, (c - 1) * _HISTORY_BLOCK)
-        lag = self._lags[k % self._lags.shape[0]]
-        total = lag[k - start : 0 : -1] @ self._values[start:k]
-        if c >= 2:
-            if c != self._block:
-                self._far, self._block = self._far_sums(c), c
-            total += self._far[m]
-        return total.reshape(self._shape)
+    `weights` (N, P, P) holds one P x P scalar block per lag.  Both
+    product-integration rules are this lower-triangular block-Toeplitz
+    system, so it is solved B rows at a time.  The history of block c,
+    every earlier block included, is one frequency-domain accumulation of
+    the lag-window spectra against the stored spectra of ``G x`` per source
+    block (Hairer, Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6, 532,
+    1985); each source block is transformed once.  The block's own rows are
+    then one length-2B FFT convolution with the first B coefficients of the
+    inverse step series ``A(z) = I - W(z) kron G``, computed once per solve.
+    Work memory is O(N P D R + B (P D)^2); no dense block matrix is formed.
+    """
+    n_rows, p, _ = weights.shape
+    # a block no longer than the system: lags past its last row would enter
+    # A(z) as zeros, and the inverse of that series can grow without bound
+    b = max(1, min(_BLOCK, n_rows))
+    d, r = forcing.shape[2:]
+    n_blocks = -(-n_rows // b)
+    padded = np.zeros((max(n_blocks, 2) * b, p, p))
+    padded[:n_rows] = weights
+    series = -np.einsum("lab,ij->laibj", padded[:b], g_mat).reshape(b, p * d, p * d)
+    series[0] += np.eye(p * d)
+    inverse_hat = np.fft.fft(_series_inverse(series), n=2 * b, axis=0)
+    # window q holds lags qB .. qB + 2B - 1: the lags between target block
+    # c and source block c - 1 - q (its entry 0 reaches no kept output).
+    # Stored last window first, as (2B, P, window, P): block c reads the
+    # trailing c windows against source blocks 0 .. c-1.
+    starts = slice(0, max(n_blocks - 1, 0) * b, b)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * b, axis=0)[starts]
+    window_hat = np.fft.fft(windows[::-1], axis=-1).transpose(3, 1, 0, 2).copy()
+    source_hat = np.empty((2 * b, n_blocks, p, d * r), dtype=complex)
+    for c in range(n_blocks):
+        x = forcing[c * b : (c + 1) * b]  # the last block may be short
+        if c:
+            lag_hat = window_hat[:, :, n_blocks - 1 - c :].reshape(2 * b, p, c * p)
+            acc = lag_hat @ source_hat[:, :c].reshape(2 * b, c * p, d * r)
+            # circular index B + m is row cB + m: lags B + m - i never wrap
+            x += np.fft.ifft(acc, axis=0)[b : b + len(x)].reshape(x.shape)
+        block = np.fft.fft(x.reshape(len(x), p * d, r), n=2 * b, axis=0)
+        x[...] = np.fft.ifft(inverse_hat @ block, axis=0)[: len(x)].reshape(x.shape)
+        source_hat[:, c] = np.fft.fft(g_mat @ x, n=2 * b, axis=0).reshape(2 * b, p, d * r)
 
 
 def _pair_weights(k: int, w_first: np.ndarray, w_second: np.ndarray) -> np.ndarray:
@@ -232,48 +240,43 @@ def _volterra_regular(gen, kernel, y0, grid):
 
     Piecewise-quadratic interpolation of y on node pairs with exact
     product moments of R; the first step uses the linear rule (no forward
-    node yet), a one-off O(h^3) contribution.
+    node yet), a one-off O(h^3) contribution.  Steps 2, 3, ... are solved
+    in (even, odd) pairs, a block-Toeplitz system in the pair index.
     """
     h = grid[1] - grid[0]
     n = grid.size - 1
-    d2 = gen.matrix.shape[0]
     g_mat = gen.matrix
     b0, b1, b2 = _regular_kernel_moments(kernel, h, n)
     # nodal weights of the quadratic shaped on pair (2i, 2i+1, 2i+2):
     # cell 2i uses xi = theta, cell 2i+1 uses xi = 1 + theta
     w_first = np.stack([(b2 - 3 * b1 + 2 * b0) / 2, 2 * b1 - b2, (b2 - b1) / 2])
     w_second = np.stack([(b2 - b1) / 2, b0 - b2, (b2 + b1) / 2])
-    y = np.zeros((n + 1,) + y0.shape, dtype=complex)
-    y[0] = y0
-    gy = np.zeros_like(y)
-    gy[0] = g_mat @ y[0]
-    # implicit node-k weight: odd k closes with the backward pair's second
-    # cell alone; even k also collects the last forward pair's first cell
-    # at lag 1
-    inv_odd = np.linalg.inv(np.eye(d2) - w_second[2, 0] * g_mat)
-    inv_even = (
-        np.linalg.inv(np.eye(d2) - (w_second[2, 0] + w_first[2, 1]) * g_mat)
-        if n >= 2
-        else inv_odd
-    )
-    inv_lin = np.linalg.inv(np.eye(d2) - b1[0] * g_mat)
-    # Every node 1 <= j < k collects the same pair cells at the same lags
+    gy0 = g_mat @ y0
+    y1 = np.linalg.solve(np.eye(g_mat.shape[0]) - b1[0] * g_mat, y0 + (b0[0] - b1[0]) * gy0)
+    # Every node 1 <= j <= k collects the same pair cells at the same lags
     # k - j for all steps k >= 2 of one parity, so its weight is
-    # lags[k % 2][k - j]: read both rows off the last step of each parity.
-    # Node 0 lies in the first pair only (the linear rule at k = 1).
-    lags = np.zeros((2, n + 1))
+    # lags[k % 2][k - j] (lag 0: the implicit weight): read both rows off
+    # the last step of each parity.  Node 0 lies in the first pair only.
+    n_pairs = n // 2
+    lags = np.zeros((2, 2 * n_pairs + 2))
     for kk in range(max(n - 1, 2), n + 1):
-        lags[kk % 2, 1 : kk + 1] = _pair_weights(kk, w_first, w_second)[kk - 1 :: -1]
-    w_node0 = np.empty(n + 1)
-    w_node0[1] = b0[0] - b1[0]
-    w_node0[2:] = w_first[0][1:] + w_second[0][:-1]
-    inv = (inv_even, inv_odd)
-    history = _History(lags, gy)
-    for k in range(1, n + 1):
-        past = w_node0[k] * gy[0] + history(k)
-        y[k] = (inv_lin if k == 1 else inv[k % 2]) @ (y[0] + past)
-        gy[k] = g_mat @ y[k]
-    return y
+        lags[kk % 2, : kk + 1] = _pair_weights(kk, w_first, w_second)[::-1]
+    w_node0 = np.zeros(2 * n_pairs + 2)
+    w_node0[2 : n + 1] = w_first[0][1:] + w_second[0][:-1]
+    # pair p holds steps (2p + 2, 2p + 3); step k = 2p + 2 + e meets step
+    # 2q + 2 + e' at lag 2 (p - q) + e - e'
+    e = np.arange(2)
+    lag = 2 * np.arange(n_pairs)[:, None, None] + e[:, None] - e
+    weights = np.where(lag >= 0, lags[e[:, None], np.maximum(lag, 0)], 0.0)
+    # node 0 and step 1 are known forcing; for even n the last pair holds
+    # a step n + 1, solved and dropped (no earlier step depends on it)
+    k = np.arange(2, 2 * n_pairs + 2)
+    y = np.empty((2 * n_pairs + 2,) + y0.shape, dtype=complex)
+    y[0], y[1] = y0, y1
+    y[2:] = y0 + w_node0[k, None, None] * gy0
+    y[2:] += lags[k % 2, k - 1, None, None] * (g_mat @ y1)
+    _toeplitz_solve(weights, g_mat, y[2:].reshape((n_pairs, 2) + y0.shape))
+    return y[: n + 1]
 
 
 def _volterra_fractional(gen, kernel, y0, grid):
@@ -290,7 +293,6 @@ def _volterra_fractional(gen, kernel, y0, grid):
     alpha, a_amp = kernel.alpha, kernel.amplitude
     h = grid[1] - grid[0]
     n = grid.size - 1
-    d2 = gen.matrix.shape[0]
     g_mat = gen.matrix
     n_subtract = max(1, int(np.ceil(2.0 / alpha)) - 1)
     m_arr = np.arange(n, dtype=float)
@@ -311,21 +313,16 @@ def _volterra_fractional(gen, kernel, y0, grid):
             * math.exp(math.lgamma(1 + (k - 1) * alpha) - math.lgamma(1 + k * alpha))
         )
     t_pows = np.array([grid ** (k * alpha) for k in range(n_subtract + 2)])
-    lhs_inv = np.linalg.inv(np.eye(d2) - c_pref * d1[0] * g_mat)
-    phi = np.zeros((n + 1,) + y0.shape, dtype=complex)
-    gphi = np.zeros_like(phi)
-    top = c_vecs[n_subtract + 1]
-    # node j < k collects (d0 - d1)[k-1-j] from cell j and d1[k-j] from
+    # node j <= k collects (d0 - d1)[k-1-j] from cell j and d1[k-j] from
     # cell j - 1; node 0 drops out, since phi[0] = 0
-    lags = np.zeros((1, n + 1))
-    lags[0, 1:] = d0 - d1
-    lags[0, 1:n] += d1[1:]
-    history = _History(lags, gphi)
-    for k in range(1, n + 1):
-        phi[k] = lhs_inv @ (t_pows[n_subtract + 1][k] * top + c_pref * history(k))
-        gphi[k] = g_mat @ phi[k]
+    lags = np.empty(n)
+    lags[0] = d1[0]
+    lags[1:] = (d0 - d1)[:-1] + d1[1:]
+    phi = np.multiply.outer(t_pows[n_subtract + 1][1:], c_vecs[n_subtract + 1])
+    _toeplitz_solve(c_pref * lags[:, None, None], g_mat, phi[:, None])
     series = np.einsum("kt,kdr->tdr", t_pows[: n_subtract + 1].astype(complex), np.stack(c_vecs[: n_subtract + 1]))
-    return series + phi
+    series[1:] += phi
+    return series
 
 
 def volterra_solve(gen: GeneratorMatrix, kernel: MemoryKernel, rho0, grid):

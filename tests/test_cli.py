@@ -422,6 +422,7 @@ MEAN_WIGNER = GOOD_WIGNER.replace("mean_abs_sq = 0.5", "mean_abs_sq = 0.5\nmean 
         (MEAN_WIGNER, "mean = 1+", "wigner.mean"),
         (MEAN_WIGNER, "mean = inf", "wigner.mean"),
         (GOOD_INTRINSIC, "levels = 0,1,inf", "[intrinsic]"),
+        (GOOD_INTRINSIC.replace("phase = delta", "phase = exponential"), "tau_b = -1", "[intrinsic]"),
     ],
 )
 def test_bad_model_kernel_jump_and_spectrum_values_are_config_errors(

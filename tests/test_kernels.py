@@ -55,6 +55,9 @@ def test_parameter_validation():
         lambda: FractionalKernel(amplitude=np.nan, alpha=0.5),
         lambda: FractionalKernel(amplitude=1.0, alpha=np.nan),
         lambda: LaplaceKernel(transform=np.sqrt, scale=np.nan),
+        # NaN fails no `total <= 0` test either: an all-NaN cdf was built
+        lambda: EmpiricalWaiting(times=np.linspace(0.0, 1.0, 5), pdf=np.full(5, np.nan)),
+        lambda: EmpiricalWaiting(times=np.array([0.0, 1.0, np.inf]), pdf=np.ones(3)),
     ]
     for make in invalid:
         with pytest.raises(BadParametersError):
@@ -76,6 +79,13 @@ def test_waiting_from_kernel_variants():
         waiting_from_kernel(ExponentialKernel(amplitude=1.0, decay=1.0))
     assert exc.value.witness_t > 0
     assert exc.value.value < 0
+
+
+def test_exponential_kernel_slow_rate_does_not_cancel():
+    # gamma^2 >> 4 A_eps: (gamma - sqrt(gamma^2 - 4 A_eps)) / 2 gave 7.45e-9
+    witness = ExponentialKernel(amplitude=1.0, decay=1e8).verdict().witness
+    assert witness["r1"] == pytest.approx(1e-8, rel=1e-12)
+    assert witness["r2"] == pytest.approx(1e8, rel=1e-12)
 
 
 def test_hypoexponential_matches_sinh_form():

@@ -250,8 +250,19 @@ def test_bad_moments_rejected():
         lambda: PointMassJumps(beta0=complex(np.nan, 0.0)),
         lambda: LevyJumps(mu=1.0, sigma=np.nan),
         lambda: KrausMap(operators=(np.full((2, 2), np.nan),)),
+        lambda: DeltaPhase(tau_b=np.nan),
+        lambda: DeltaPhase(tau_b=np.inf),
+        lambda: ExponentialPhase(tau_b=np.nan),
+        lambda: ExponentialPhase(tau_b=-1.0),
+        lambda: ExponentialPhase(tau_b=np.inf),
+        lambda: LogFormalPhase(tau_b=0.0),
+        lambda: LogFormalPhase(tau_b=np.nan),
     ],
-    ids=["depolarizing", "thermal", "gaussian-nan", "gaussian-inf", "point", "levy", "kraus"],
+    ids=[
+        "depolarizing", "thermal", "gaussian-nan", "gaussian-inf", "point", "levy", "kraus",
+        "delta-phase-nan", "delta-phase-inf", "exp-phase-nan", "exp-phase-negative",
+        "exp-phase-inf", "log-phase-zero", "log-phase-nan",
+    ],
 )
 def test_nonfinite_model_parameters_are_rejected(make):
     # NaN fails no `x < 0` test: these used to be accepted, and the jump

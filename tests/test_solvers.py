@@ -334,20 +334,50 @@ def _per_step_volterra(gen, kernel, y0, grid):
     ids=["fractional-0.5", "fractional-0.9", "exponential", "laplace"],
 )
 def test_volterra_blocked_history_matches_per_step_sums(kernel, dim):
-    # the blocked-FFT history reproduces the per-step rule across block edges
+    # the blocked Toeplitz solve reproduces the per-step rule across block
+    # edges: the fractional rule solves steps 1 .. n, B per block; the
+    # regular rule solves steps 2 .. n in (even, odd) pairs, B pairs per
+    # block, with a padded last pair when n is even
     from ctqrw.quantum import random_density, random_kraus_map, vec
 
     rng = np.random.default_rng(dim)
     gen = lindblad_from_kraus(random_kraus_map(dim, 2, rng))
     batch = np.stack([random_density(dim, rng).matrix for _ in range(2)])
     y0 = np.stack([vec(b) for b in batch], axis=1)
-    block = solvers._HISTORY_BLOCK
-    for n in (1, 2, 3, 4, 5, block - 1, block, block + 1, block + 2, 2 * block + 1, 4 * block + 3):
+    block = solvers._BLOCK
+    edges = (block - 1, block, block + 1, block + 2, 2 * block, 2 * block + 1, 2 * block + 2, 2 * block + 3)
+    for n in (1, 2, 3, 4, 5) + edges + (4 * block + 3,):
         grid = np.linspace(0.0, 5.0, n + 1)
         states = solvers.volterra_solve(gen, kernel, batch, grid)
         oracle = solvers._unvec_trajectories(_per_step_volterra(gen, kernel, y0, grid), dim)
         err = np.max(np.abs(states - oracle)) / np.max(np.abs(oracle))
         assert err < 1e-12, (n, err)
+
+
+def test_volterra_blocked_solve_matches_per_step_sums_at_intrinsic_shape():
+    # a qutrit batch at the 2000 steps to 10 T of the benchmark's intrinsic job
+    from ctqrw.quantum import random_density, random_kraus_map, vec
+
+    rng = np.random.default_rng(2000)
+    gen = lindblad_from_kraus(random_kraus_map(3, 2, rng))
+    batch = np.stack([random_density(3, rng).matrix for _ in range(2)])
+    y0 = np.stack([vec(b) for b in batch], axis=1)
+    grid = np.linspace(0.0, 10.0 * FRAC_HALF.time_scale, 2001)
+    states = solvers.volterra_solve(gen, FRAC_HALF, batch, grid)
+    oracle = solvers._unvec_trajectories(_per_step_volterra(gen, FRAC_HALF, y0, grid), 3)
+    assert np.max(np.abs(states - oracle)) / np.max(np.abs(oracle)) < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.9])
+def test_volterra_fractional_long_horizon_keeps_second_order_error(alpha):
+    # 4000 steps of h = 0.02 T to 80 T: 16 blocks of the Toeplitz solve, and
+    # the O(h^2) error stays flat (measured 4.5e-6 to 1.0e-5 at this step)
+    gen, basis = depol_basis()
+    kernel = FractionalKernel(amplitude=1.0, alpha=alpha)
+    grid = np.linspace(0.0, 80.0 * kernel.time_scale, 4001)
+    states = solvers.volterra_solve(gen, kernel, PLUS_X, grid)
+    exact = solvers.closed_form_solve(basis, kernel, PLUS_X, grid)
+    assert np.max(np.abs(states - exact)) < 2e-5
 
 
 def test_closed_form_rejects_custom_kernel():
