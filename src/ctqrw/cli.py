@@ -66,19 +66,17 @@ def _dependency_versions() -> dict:
     }
 
 
-def _manifest(cfg: ExperimentConfig, seeds, outputs, wall, extra=None) -> dict:
-    doc = {
+def _manifest(cfg: ExperimentConfig, outputs, wall, extra: dict) -> dict:
+    return {
         "experiment": cfg.kind,
         "config": cfg.raw,
-        "seeds": [int(s) for s in seeds],
+        "seeds": [int(cfg.seed)],
         "library_version": __version__,
         "dependency_versions": dict(_dependency_versions()),
         "wall_time_sec": float(wall),
         "outputs": list(outputs),
+        **extra,
     }
-    if extra:
-        doc.update(extra)
-    return doc
 
 
 @functools.cache
@@ -129,7 +127,7 @@ def _run_realizations(cfg, grid, out_csv):
             header.append(f"{name}_r{k}")
             columns.append(tables[name][counts[k]])
     write_csv(out_csv, header, columns)
-    return [cfg.seed], {}
+    return {}
 
 
 def _run_ensemble(cfg, grid, out_csv):
@@ -156,7 +154,7 @@ def _run_ensemble(cfg, grid, out_csv):
         stats.observable_stderrs["M_z"],
     ]
     write_csv(out_csv, header, columns)
-    return [cfg.seed], {}
+    return {}
 
 
 def _run_solve(cfg, grid, out_csv):
@@ -174,7 +172,7 @@ def _run_solve(cfg, grid, out_csv):
         states, _ = engine.series_solution(cfg.initial, emap, waiting, grid)
     header, columns = _solution_columns(states, grid)
     write_csv(out_csv, header, columns)
-    return [cfg.seed], {}
+    return {}
 
 
 def _run_classify(cfg, grid, out_csv):
@@ -189,7 +187,7 @@ def _run_classify(cfg, grid, out_csv):
     with open(out_csv, "w", newline="\n") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-    return [cfg.seed], {"verdict": doc}
+    return {"verdict": doc}
 
 
 def _run_cp_audit(cfg, grid, out_csv):
@@ -209,7 +207,7 @@ def _run_cp_audit(cfg, grid, out_csv):
         ["t", "cp_defect", "min_state_eigenvalue"],
         [grid, defects, min_eigs],
     )
-    return [cfg.seed], {}
+    return {}
 
 
 def _run_entropy(cfg, grid, out_csv):
@@ -220,7 +218,7 @@ def _run_entropy(cfg, grid, out_csv):
         header.append(f"delta_{label}")
         columns.append(linear_entropy(sol.states))
     write_csv(out_csv, header, columns)
-    return [cfg.seed], {}
+    return {}
 
 
 def _run_wigner(cfg, grid, out_csv):
@@ -234,7 +232,7 @@ def _run_wigner(cfg, grid, out_csv):
         header.append("n_estimate")
         columns.append(result.n_estimate)
     write_csv(out_csv, header, columns)
-    return [cfg.seed], {}
+    return {}
 
 
 def _run_intrinsic(cfg, grid, out_csv):
@@ -251,9 +249,10 @@ def _run_intrinsic(cfg, grid, out_csv):
             header.append(f"im_rho_{n}{m}")
             columns.append(result.states[:, n, m].imag)
     write_csv(out_csv, header, columns)
-    return [cfg.seed], {}
+    return {}
 
 
+# each runner writes its output file and returns the manifest's extra keys
 _RUNNERS = {
     "realizations": _run_realizations,
     "ensemble": _run_ensemble,
@@ -263,13 +262,6 @@ _RUNNERS = {
     "entropy": _run_entropy,
     "wigner": _run_wigner,
     "intrinsic": _run_intrinsic,
-}
-
-_FIGURE_KIND = {
-    "figure1": "realizations",
-    "figure2": "ensemble",
-    "figure3": "entropy",
-    "figure4": "entropy",
 }
 
 
@@ -285,17 +277,16 @@ def run(config_path: str, out_dir: str = ".", seed_override: int | None = None) 
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    kind = _FIGURE_KIND.get(cfg.kind, cfg.kind)
-    runner = _RUNNERS[kind]
+    runner = _RUNNERS[cfg.kind]
     os.makedirs(out_dir, exist_ok=True)
     out_csv = os.path.join(out_dir, cfg.csv_name)
     try:
-        seeds, extra = runner(cfg, grid, out_csv)
+        extra = runner(cfg, grid, out_csv)
     except CtqrwError as exc:
-        print(f"numeric failure in {kind}: {exc}", file=sys.stderr)
+        print(f"numeric failure in {cfg.kind}: {exc}", file=sys.stderr)
         return 3
     wall = time.perf_counter() - t0
-    manifest = _manifest(cfg, seeds, [os.path.basename(out_csv)], wall, extra)
+    manifest = _manifest(cfg, [os.path.basename(out_csv)], wall, extra)
     validate_manifest(manifest)
     out_manifest = os.path.join(out_dir, cfg.manifest_name)
     with open(out_manifest, "w", newline="\n") as fh:

@@ -120,6 +120,20 @@ class MemoryKernel:
     and ``short_time_law``.
     """
 
+    def __post_init__(self):
+        """Refuse parameters whose time scale T is not a finite float > 0:
+        a config grid is ``t_max_over_T * T``.  Each variant calls this after
+        checking its own parameters."""
+        try:
+            with np.errstate(over="ignore", divide="ignore", under="ignore"):
+                scale = float(self.time_scale)
+        except OverflowError:
+            scale = math.inf
+        if not (math.isfinite(scale) and scale > 0):
+            raise BadParametersError(
+                f"{type(self).__name__} time scale T = {scale:g} is not finite and > 0"
+            )
+
     def _waiting_laplace(self, u):
         k = self.laplace(u)
         return k / (u + k)
@@ -218,6 +232,7 @@ class MarkovianKernel(MemoryKernel):
 
     def __post_init__(self):
         _check_positive(rate=self.rate)
+        super().__post_init__()
 
     def laplace(self, u):
         return self.rate * np.ones_like(np.asarray(u))
@@ -255,6 +270,7 @@ class ExponentialKernel(MemoryKernel):
 
     def __post_init__(self):
         _check_positive(amplitude=self.amplitude, decay=self.decay)
+        super().__post_init__()
 
     @property
     def discriminant(self) -> float:
@@ -312,6 +328,7 @@ class FractionalKernel(MemoryKernel):
 
     def __post_init__(self):
         _check_fractional(self.amplitude, self.alpha)
+        super().__post_init__()
 
     def laplace(self, u):
         return self.amplitude * np.asarray(u) ** (1.0 - self.alpha)
@@ -359,6 +376,7 @@ class LaplaceKernel(MemoryKernel):
 
     def __post_init__(self):
         _check_positive(scale=self.scale)
+        super().__post_init__()
 
     def laplace(self, u):
         return self.transform(np.asarray(u))
@@ -578,14 +596,26 @@ class EmpiricalWaiting(WaitingTimeDistribution):
 
     times: np.ndarray
     pdf: np.ndarray
-    cdf: np.ndarray = field(default=None)
+    cdf: np.ndarray = field(init=False)
     transform: Callable | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        """`times` and `pdf`: finite 1-d arrays of one length >= 2, `times`
+        >= 0 and strictly increasing (:class:`BadParametersError`); a
+        negative `pdf` value raises :class:`NotADistributionError`."""
         t = np.asarray(self.times, dtype=float)
         p = np.asarray(self.pdf, dtype=float)
+        if t.ndim != 1 or p.shape != t.shape or t.size < 2:
+            raise BadParametersError(
+                f"times and pdf must be 1-d of one length >= 2, got shapes {t.shape}, {p.shape}"
+            )
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(p))):
             raise BadParametersError("times and pdf must be finite")
+        if not (t[0] >= 0 and np.all(np.diff(t) > 0)):
+            raise BadParametersError("times must be >= 0 and strictly increasing")
+        if p.min() < 0:
+            i = int(np.argmin(p))
+            raise NotADistributionError(float(t[i]), float(p[i]))
         cdf = np.concatenate([[0.0], np.cumsum(0.5 * (p[1:] + p[:-1]) * np.diff(t))])
         total = cdf[-1]
         if total <= 0:

@@ -19,10 +19,12 @@ The contour integral is the same on every such contour and at every t;
 ``r`` only tunes the accuracy of its discrete sum.  So the contours of one
 time also serve earlier times (Weideman and Trefethen, Math. Comp. 76,
 1341, 2007): the requested times are cut into windows spanning a ratio of
-at most ``WINDOW_RATIO``, and every time of a window is summed on the two
-contours of the window's latest time, one matrix product per window.  A windowed time whose two sums differ by more
-than ``WINDOW_TOL`` (relative to ``max(1, max|f|)``) is summed again on its
-own contours, which is the per-time rule.
+at most ``WINDOW_RATIO``, and every time of a window, its latest included,
+is summed on the two contours of the window's latest time.  A windowed
+time whose two sums differ by more than ``WINDOW_TOL`` (relative to
+``max(1, max|f|)``) is summed again on its own contours, which is the
+per-time rule.  One function forms every sum: time i on a given contour
+row, the weights ``e^{s_k t}`` times the shape factors, one einsum.
 """
 
 import numpy as np
@@ -51,28 +53,20 @@ def _contour(t: np.ndarray, m: int):
     return r, np.concatenate([r[:, None] + 0j, s], axis=1), theta + (theta * cot - 1.0) * cot
 
 
-def _talbot_sum(vals, t, r, points, sigma):
-    """Per-time sums: time i on its own contour, row i of `points`."""
-    m = points.shape[1]
-    terms = np.real(np.exp(points[:, 1:] * t[:, None]) * vals[..., 1:] * (1.0 + 1j * sigma))
-    return (r / m) * (0.5 * np.exp(r * t) * np.real(vals[..., 0]) + terms.sum(axis=-1))
-
-
-def _window_sum(vals, t, contour, w):
-    """Sums at the times t on row w of `contour`, tuned for a later time:
-    ``vals`` (..., m) to (..., n_t), one matrix product."""
+def _talbot_sum(vals, t, contour, rows):
+    """Sums at the times t, time i on row ``rows[i]`` of `contour` (an int
+    row serves every time): ``vals`` (..., 1 or n_t, m) to (..., n_t), one
+    einsum, which broadcasts a single row of values over the times."""
     r, points, sigma = contour
-    weights = np.exp(np.outer(t, points[w])) * np.concatenate([[0.5], 1.0 + 1j * sigma])
+    weights = np.exp(t[:, None] * points[rows]) * np.concatenate([[0.5], 1.0 + 1j * sigma])
     # einsum, not BLAS: threaded BLAS spends more CPU than it saves on these sizes
-    return (r[w] / points.shape[1]) * np.real(np.einsum("...k,tk->...t", vals, weights))
+    return (r[rows] / points.shape[1]) * np.real(np.einsum("...tk,tk->...t", vals, weights))
 
 
-def _per_time(fhat, t):
-    """The 32- and 40-node sums at times t, each on its own contours."""
-    main = _contour(t, NODES)
-    check = _contour(t, CHECK_NODES)
-    vals = fhat(np.concatenate([main[1], check[1]], axis=1))
-    return _talbot_sum(vals[..., :NODES], t, *main), _talbot_sum(vals[..., NODES:], t, *check)
+def _on_contours(fhat, t):
+    """The 32- and 40-node contours of the times t, and `fhat` on both."""
+    main, check = _contour(t, NODES), _contour(t, CHECK_NODES)
+    return main, check, fhat(np.concatenate([main[1], check[1]], axis=1))
 
 
 def _window_tops(times: np.ndarray) -> np.ndarray:
@@ -112,23 +106,22 @@ def invert(fhat, t):
         raise DomainError("fixed-Talbot inversion needs t > 0")
     times, back = np.unique(t_arr, return_inverse=True)
     tops = _window_tops(times)
-    main = _contour(times[tops], NODES)
-    check = _contour(times[tops], CHECK_NODES)
-    vals = fhat(np.concatenate([main[1], check[1]], axis=1))
+    main, check, vals = _on_contours(fhat, times[tops])
     out = np.empty(vals.shape[:-2] + times.shape)
     other = np.empty_like(out)
-    out[..., tops] = _talbot_sum(vals[..., :NODES], times[tops], *main)
-    other[..., tops] = _talbot_sum(vals[..., NODES:], times[tops], *check)
     for w, (start, top) in enumerate(zip(np.concatenate([[0], tops[:-1] + 1]), tops)):
-        early = times[start:top]
-        out[..., start:top] = _window_sum(vals[..., w, :NODES], early, main, w)
-        other[..., start:top] = _window_sum(vals[..., w, NODES:], early, check, w)
+        window = slice(start, top + 1)
+        out[..., window] = _talbot_sum(vals[..., w : w + 1, :NODES], times[window], main, w)
+        other[..., window] = _talbot_sum(vals[..., w : w + 1, NODES:], times[window], check, w)
     per_time = np.max(np.abs(out - other).reshape(-1, times.size), axis=0)  # NaN propagates
     redo = np.flatnonzero(~(per_time <= WINDOW_TOL * _scale(out)))
     redo = np.setdiff1d(redo, tops)  # a window's latest time is on its own contours
     for start in range(0, redo.size, tops.size):
         part = redo[start : start + tops.size]
-        out[..., part], other[..., part] = _per_time(fhat, times[part])
+        main, check, vals = _on_contours(fhat, times[part])
+        rows = np.arange(part.size)
+        out[..., part] = _talbot_sum(vals[..., :NODES], times[part], main, rows)
+        other[..., part] = _talbot_sum(vals[..., NODES:], times[part], check, rows)
     diff = np.abs(out - other)
     worst = np.max(diff, initial=0.0)
     if not worst <= CHECK_TOL * _scale(out):  # NaN and inf fail too

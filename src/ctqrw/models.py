@@ -290,12 +290,8 @@ class GaussianJumps(MarkLaw):
         """E exp(i Re(k conj(b)))."""
         k = np.asarray(k, dtype=complex)
         u, v = k.real, k.imag
-        c = self.mean_abs_sq - abs(self.mean) ** 2
-        p = self.mean_sq - self.mean**2
-        var_x = (c + p.real) / 2.0
-        var_y = (c - p.real) / 2.0
-        cov = p.imag / 2.0
-        quad = var_x * u**2 + var_y * v**2 + 2.0 * cov * u * v
+        (a, b), (c, d) = self._factor
+        quad = (a * u + c * v) ** 2 + (b * u + d * v) ** 2  # |F^T (u, v)|^2, covariance F F^T
         phase = u * self.mean.real + v * self.mean.imag
         return np.exp(1j * phase - 0.5 * quad)
 

@@ -404,6 +404,14 @@ LEVY_WIGNER = GOOD_WIGNER.replace(
     "jump = gaussian\nmean_abs_sq = 0.5", "jump = levy\nmu = 1.5\nsigma = 1"
 )
 MEAN_WIGNER = GOOD_WIGNER.replace("mean_abs_sq = 0.5", "mean_abs_sq = 0.5\nmean = 0")
+SLOW_FRACTIONAL_SOLVE = (
+    GOOD_ENSEMBLE.replace("kind = ensemble", "kind = solve")
+    .replace("[ensemble]\nn_realizations = 200", "[solve]\nroute = series")
+    .replace("alpha = 0.5", "alpha = 0.001")
+)
+MARKOVIAN_SOLVE = SLOW_FRACTIONAL_SOLVE.replace(
+    "type = fractional\namplitude = 0.70710678118654752\nalpha = 0.001", "type = markovian\nrate = 1"
+)
 
 
 @pytest.mark.parametrize(
@@ -423,6 +431,10 @@ MEAN_WIGNER = GOOD_WIGNER.replace("mean_abs_sq = 0.5", "mean_abs_sq = 0.5\nmean 
         (MEAN_WIGNER, "mean = inf", "wigner.mean"),
         (GOOD_INTRINSIC, "levels = 0,1,inf", "[intrinsic]"),
         (GOOD_INTRINSIC.replace("phase = delta", "phase = exponential"), "tau_b = -1", "[intrinsic]"),
+        # kernels with no finite time scale T > 0 (the grid is t_max_over_T * T)
+        (SLOW_FRACTIONAL_SOLVE, "amplitude = 1e-8", "[kernel]"),
+        (SLOW_FRACTIONAL_SOLVE, "amplitude = 1e300", "[kernel]"),
+        (MARKOVIAN_SOLVE, "rate = 1e-320", "[kernel]"),
     ],
 )
 def test_bad_model_kernel_jump_and_spectrum_values_are_config_errors(

@@ -58,10 +58,30 @@ def test_parameter_validation():
         # NaN fails no `total <= 0` test either: an all-NaN cdf was built
         lambda: EmpiricalWaiting(times=np.linspace(0.0, 1.0, 5), pdf=np.full(5, np.nan)),
         lambda: EmpiricalWaiting(times=np.array([0.0, 1.0, np.inf]), pdf=np.ones(3)),
+        # malformed tables: lengths that only broadcast, times out of order
+        # or negative (quantile drew negative waits), 2-d arrays
+        lambda: EmpiricalWaiting(times=np.array([0.0, 1.0, 2.0]), pdf=np.ones(2)),
+        lambda: EmpiricalWaiting(times=np.array([0.0, 2.0, 1.0]), pdf=np.ones(3)),
+        lambda: EmpiricalWaiting(times=np.array([0.0, 1.0, 1.0]), pdf=np.ones(3)),
+        lambda: EmpiricalWaiting(times=np.array([-1.0, 0.0, 1.0]), pdf=np.ones(3)),
+        lambda: EmpiricalWaiting(times=np.ones((2, 3)), pdf=np.ones((2, 3))),
+        lambda: EmpiricalWaiting(times=np.array([1.0]), pdf=np.ones(1)),
+        # no finite time scale T > 0: the config grid t_max_over_T * T was
+        # inf, 0 or an OverflowError
+        lambda: FractionalKernel(amplitude=1e-8, alpha=0.001),
+        lambda: FractionalKernel(amplitude=1e300, alpha=0.001),
+        lambda: MarkovianKernel(rate=1e-320),
+        lambda: ExponentialKernel(amplitude=1e-300, decay=1e300),
+        lambda: LaplaceKernel(transform=np.sqrt, scale=1e-320),
     ]
     for make in invalid:
         with pytest.raises(BadParametersError):
             make()
+    with pytest.raises(NotADistributionError) as exc:
+        EmpiricalWaiting(times=np.array([0.0, 1.0, 2.0]), pdf=np.array([1.0, -0.1, 1.0]))
+    assert exc.value.witness_t == 1.0 and exc.value.value == -0.1
+    with pytest.raises(TypeError):  # the cdf is computed, never given
+        EmpiricalWaiting(times=np.array([0.0, 1.0]), pdf=np.ones(2), cdf=np.zeros(2))
 
 
 def test_waiting_from_kernel_variants():

@@ -80,6 +80,17 @@ def test_windowed_inversion_matches_per_time_calls(name):
 
 
 @pytest.mark.parametrize("name", sorted(WINDOWED_CASES))
+def test_window_tops_match_scalar_calls(name):
+    # a window's latest time is summed on its own contours, as a scalar
+    # call sums it, so the two agree to rounding
+    fhat = WINDOWED_CASES[name]
+    tops = laplace._window_tops(WINDOWED_GRID)
+    windowed = laplace.invert(fhat, WINDOWED_GRID)[tops]
+    scalar = np.array([laplace.invert(fhat, float(t)) for t in WINDOWED_GRID[tops]])
+    assert np.all(np.abs(windowed - scalar) <= 1e-13 * np.maximum(1.0, np.abs(scalar)))
+
+
+@pytest.mark.parametrize("name", sorted(WINDOWED_CASES))
 def test_windowed_inversion_ignores_order_and_repeats(name):
     fhat = WINDOWED_CASES[name]
     order = np.random.default_rng(5).permutation(WINDOWED_GRID.size)

@@ -321,6 +321,16 @@ def test_fourier_mode_rates():
     assert np.allclose(fourier_mode_rate(gauss, k), fourier_mode_rate(levy2, k), atol=1e-12)
 
 
+def test_gaussian_characteristic_of_correlated_jumps():
+    # E exp(i Re(k conj b)) from the moments: Re b and Im b correlated
+    law = GaussianJumps(mean=0.3 - 0.1j, mean_sq=0.4 + 0.3j, mean_abs_sq=1.2)
+    k = np.array([0.7 + 0.4j, 1.5j, 2.0, -1.1 + 0.9j])
+    c, p = 1.2 - abs(law.mean) ** 2, law.mean_sq - law.mean**2
+    quad = (c + p.real) / 2 * k.real**2 + (c - p.real) / 2 * k.imag**2 + p.imag * k.real * k.imag
+    phase = k.real * law.mean.real + k.imag * law.mean.imag
+    assert np.allclose(law.characteristic(k), np.exp(1j * phase - 0.5 * quad), atol=1e-14)
+
+
 def test_wigner_static_walkers():
     cfg = WignerWalkConfig(jumps=PointMassJumps(beta0=0.0), kernel=MARKOV, n_walkers=50)
     res = wigner_ctrw(cfg, np.linspace(0, 10, 11), base_seed=1, n0=0.25)
