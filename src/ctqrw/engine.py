@@ -8,9 +8,9 @@ randomness is therefore the event count N(t): every Monte Carlo route
 draws counts from one vectorized renewal core and gathers from per-n
 tables of ``E^n[rho0]`` computed once.  The ensemble average converges to
 ``rho(t) = sum_n P_n(t) E^n[rho0]``, which the deterministic series route
-evaluates directly.  Each waiting law tabulates its own count law P_n(t):
-by certified fixed-Talbot inversion of the count generating function, or
-exactly for the exponential-phase laws.
+evaluates directly.  Each waiting law tabulates its own count law P_n(t)
+from the count generating function: its closed form for the
+exponential-phase laws, else its certified fixed-Talbot inversion.
 """
 
 from dataclasses import dataclass
@@ -266,7 +266,7 @@ def renewal_probabilities(
     :meth:`~ctqrw.kernels.WaitingTimeDistribution.renewal_table`.
 
     Every grid point is computed directly (a certified Laplace inversion,
-    or the exact phase chain of a rational law).  When `n_max` is None the
+    or a closed-form generating function).  When `n_max` is None the
     row count doubles from 16 until the tail at the grid end drops below
     `tail_tol` (capped at 512 rows; the end point alone is tabulated while
     it doubles), and the table is cut after the first row that gets the

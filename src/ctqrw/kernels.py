@@ -49,11 +49,12 @@ def telegraph_h(t, lam, gamma: float, a_eps: float):
     with ``Phi = sqrt(gamma^2 - 4 lam a_eps)``; h is even in Phi, so the
     complex square root branch is irrelevant, the oscillatory regime
     Phi^2 < 0 comes out through cosh(i x) = cos(x), and a sinh(z)/z series
-    guard removes the cancellation at the degeneracy Phi -> 0.  Accepts
-    complex lam.  h(0) = 1, h'(0) = 0.
+    guard removes the cancellation at the degeneracy Phi -> 0.  lam may be
+    complex, or an array that broadcasts against t.  h(0) = 1, h'(0) = 0.
     """
     t = np.asarray(t, dtype=float)
-    phi = np.sqrt(complex(gamma * gamma - 4.0 * complex(lam) * a_eps))
+    lam = np.asarray(lam, dtype=complex)
+    phi = np.sqrt(gamma * gamma - 4.0 * lam * a_eps)
     z = 0.5 * t * phi
     big = np.abs(z.real) > 30.0
     small = np.abs(z) < 1e-6
@@ -65,12 +66,13 @@ def telegraph_h(t, lam, gamma: float, a_eps: float):
     )
     if big.any():
         # log-stabilized two-exponential form: both exponents have
-        # nonpositive real part for decaying dynamics, so nothing overflows
-        ratio = gamma / phi
-        e_plus = np.exp(z - 0.5 * gamma * t)
-        e_minus = np.exp(-z - 0.5 * gamma * t)
-        stable = 0.5 * (1.0 + ratio) * e_plus + 0.5 * (1.0 - ratio) * e_minus
-        out = np.where(big, stable, out)
+        # nonpositive real part for decaying dynamics, so nothing overflows;
+        # the slow one, t (Phi - gamma)/2, is formed without cancellation
+        tb, lamb, phib = (np.broadcast_to(x, z.shape)[big] for x in (t, lam, phi))
+        ratio = gamma / phib
+        e_plus = np.exp(-2.0 * lamb * a_eps * tb / (gamma + phib))
+        e_minus = np.exp(-z[big] - 0.5 * gamma * tb)
+        out[big] = 0.5 * (1.0 + ratio) * e_plus + 0.5 * (1.0 - ratio) * e_minus
     if np.max(np.abs(out.imag)) <= 1e-12 * max(1.0, np.max(np.abs(out.real))):
         out = out.real
     return out
@@ -420,17 +422,15 @@ class WaitingTimeDistribution:
         """Renewal count law P_n(t), n < `rows`, on a grid t >= 0: shape
         (rows, n_grid), ``P_n(0) = delta_n0``.
 
-        The transform of row n is ``rho^-n`` times the FFT over ``z_k = rho
-        e^{2 pi i k/N}``, N = 4 rows, ``rho^N = 1e-12``, of the count
-        generating function ``G(z, s) = (1 - wtilde)/(s (1 - z wtilde))``
-        (Abate and Whitt, Oper. Res. Lett. 12, 245, 1992), so the certified
-        Talbot inversion checks every P_n.  Poles of :meth:`count_pole`
-        are inverted exactly, ``R e^{p t}``."""
-        n = 4 * rows
-        rho = 1e-12 ** (1.0 / n)
-        z = (rho * np.exp(2j * np.pi * np.arange(n) / n))[:, None, None]
+        The transform of row n is the z^n coefficient, on the circle of
+        :func:`_count_circle`, of the count generating function ``G(z, s) =
+        (1 - wtilde)/(s (1 - z wtilde))``, so the certified Talbot inversion
+        checks every P_n.  Poles of :meth:`count_pole` are inverted exactly:
+        their terms ``R e^{p t}`` are a closed-form generating function."""
+        z, scale = _count_circle(rows)
+        z = z[:, None, None]
         pole, residue = self.count_pole(z)
-        scale = n * rho ** np.arange(rows)
+        t = grid[grid > 0]
 
         def phat(s):
             w = self.laplace(s)
@@ -440,36 +440,31 @@ class WaitingTimeDistribution:
                 g -= residue / (s - pole)
             return np.fft.fft(g, axis=0)[:rows] / scale[:, None, None]
 
+        def pole_terms(half):
+            p, r = self.count_pole(half)
+            return r * np.exp(p * t)
+
         table = np.zeros((rows, grid.size))
         table[0, grid == 0] = 1.0
-        pos = grid > 0
-        poles = np.fft.fft(residue[..., 0] * np.exp(pole[..., 0] * grid[pos]), axis=0)[:rows].real
-        table[:, pos] = laplace.invert(phat, grid[pos]) + poles / scale[:, None]
+        table[:, grid > 0] = laplace.invert(phat, t) + _count_table(pole_terms, rows)
         return table
 
 
-_STEP_RTOL = 1e-12  # a linspace grid's steps differ in the last bits only
+def _count_circle(rows: int):
+    """``z_k = rho e^{2 pi i k/N}``, k < N = 4 rows, ``rho^N = 1e-12``, and
+    ``N rho^n``, n < rows: the FFT of ``sum_n z^n P_n`` over the z_k, over this
+    scale, is P_n plus 1e-12 P_{n+N} (Abate and Whitt, ORL 12, 245, 1992)."""
+    n = 4 * rows
+    rho = 1e-12 ** (1.0 / n)
+    return rho * np.exp(2j * np.pi * np.arange(n) / n), n * rho ** np.arange(rows)
 
 
-def _phase_chain_table(rates: tuple, grid: np.ndarray, rows: int) -> np.ndarray:
-    """Exact count law of waiting times that are chains of exponential
-    phases: state (count n, phase j) moves on at rate ``rates[j]``, one
-    matrix exponential of that bidiagonal generator per grid step, reused
-    while later steps stay within ``_STEP_RTOL`` relative of it."""
-    import scipy.linalg  # loaded on first use, off the CLI's import path
-
-    chain = np.tile(np.asarray(rates, dtype=float), rows)
-    q = np.diag(-chain) + np.diag(chain[:-1], -1)
-    state = np.zeros(chain.size)
-    state[0] = 1.0
-    built = None
-    out = np.empty((grid.size, chain.size))
-    for k, h in enumerate(np.diff(grid, prepend=0.0)):
-        if built is None or abs(h - built) > _STEP_RTOL * built:
-            built, propagator = h, scipy.linalg.expm(q * h)
-        state = propagator @ state
-        out[k] = state
-    return out.reshape(grid.size, rows, len(rates)).sum(axis=2).T
+def _count_table(gen, rows: int) -> np.ndarray:
+    """P_n(t), n < `rows`, from a count generating function ``gen(z)`` on the
+    upper half of :func:`_count_circle`, (N/2 + 1, 1) to (N/2 + 1, n_t); P_n
+    is real, so ``gen(conj z) = conj gen(z)`` is the rest: one Hermitian FFT."""
+    z, scale = _count_circle(rows)
+    return np.fft.hfft(gen(z[: z.size // 2 + 1, None]), z.size, axis=0)[:rows] / scale[:, None]
 
 
 @dataclass(frozen=True)
@@ -494,7 +489,8 @@ class ExponentialWaiting(WaitingTimeDistribution):
         return -np.log1p(-q) / self.rate
 
     def renewal_table(self, grid, rows):
-        return _phase_chain_table((self.rate,), grid, rows)
+        """Poisson counts: generating function ``exp(rate (z - 1) t)``."""
+        return _count_table(lambda z: np.exp(self.rate * (z - 1.0) * grid), rows)
 
 
 @dataclass(frozen=True)
@@ -531,7 +527,10 @@ class HypoexponentialWaiting(WaitingTimeDistribution):
         return -np.log1p(-u[..., 0]) / self.r1 + -np.log1p(-u[..., 1]) / self.r2
 
     def renewal_table(self, grid, rows):
-        return _phase_chain_table((self.r1, self.r2), grid, rows)
+        """Generating function ``h_{1-z}(t)``, the dual exponential kernel's
+        :func:`telegraph_h` at rate 1 - z."""
+        gamma, a_eps = self.r1 + self.r2, self.r1 * self.r2
+        return _count_table(lambda z: telegraph_h(grid, 1.0 - z, gamma, a_eps), rows)
 
 
 @dataclass(frozen=True)

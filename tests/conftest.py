@@ -42,3 +42,20 @@ def time_budget():
             signal.signal(signal.SIGALRM, previous)
 
     return budget
+
+
+@pytest.fixture
+def telegraph_mp():
+    """``telegraph_mp(t, lam, gamma, a_eps)``: the exponential-kernel decay
+    factor h_lam(t) in mpmath at the caller's working precision (Phi = 0 by
+    its limit); lam may be an mpmath complex."""
+    import mpmath
+
+    def h(t, lam, gamma, a_eps):
+        t, lam, gamma, a_eps = (mpmath.mpmathify(x) for x in (t, lam, gamma, a_eps))
+        phi = mpmath.sqrt(gamma * gamma - 4 * lam * a_eps)
+        half = t * phi / 2
+        shape = gamma * t / 2 if phi == 0 else gamma / phi * mpmath.sinh(half)
+        return mpmath.exp(-gamma * t / 2) * (mpmath.cosh(half) + shape)
+
+    return h

@@ -523,10 +523,6 @@ def test_cli_import_loads_no_scipy():
 # import scipy.linalg themselves, so only a fresh interpreter shows that the
 # route's own import is enough.
 _LAZY_SCIPY_ROUTES = {
-    "series-exponential-phase": (
-        "from ctqrw.kernels import ExponentialWaiting\n"
-        "out = engine.series_solution(rho, emap, ExponentialWaiting(rate=1.0), grid)[0]"
-    ),
     "volterra-markovian": (
         "from ctqrw.kernels import MarkovianKernel\n"
         "out = solvers.volterra_solve(gen, MarkovianKernel(rate=1.0), rho, grid)"
@@ -571,3 +567,21 @@ def test_lazily_importing_route_runs_in_a_fresh_interpreter(route):
         "print(sorted(m for m in ('scipy.linalg', 'scipy.special') if m in sys.modules))"
     )
     assert _fresh_python(code) != "[]"
+
+
+def test_series_route_on_exponential_phase_waiting_loads_no_scipy():
+    # the count law of these laws is their closed-form generating function
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from ctqrw import engine\n"
+        "from ctqrw.kernels import ExponentialWaiting, HypoexponentialWaiting\n"
+        "from ctqrw.models import Depolarizing, qubit_kraus\n"
+        "emap = qubit_kraus(Depolarizing())\n"
+        "rho = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)\n"
+        "grid = np.linspace(0.0, 20.0, 201)\n"
+        "for waiting in (ExponentialWaiting(rate=1.0), HypoexponentialWaiting(r1=0.5, r2=1.5)):\n"
+        "    assert np.all(np.isfinite(engine.series_solution(rho, emap, waiting, grid)[0]))\n"
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    assert _fresh_python(code) == "[]"

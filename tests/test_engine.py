@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from ctqrw import engine, seeding
@@ -13,6 +15,7 @@ from ctqrw.errors import (
 )
 from ctqrw.kernels import (
     EmpiricalWaiting,
+    ExponentialKernel,
     ExponentialWaiting,
     HypoexponentialWaiting,
     MittagLefflerWaiting,
@@ -176,6 +179,25 @@ def test_mittag_leffler_alpha_one_is_poisson_at_long_times():
     grid = np.linspace(0.0, 100.0, 201)
     probs = engine.renewal_probabilities(MittagLefflerWaiting(amplitude=1.0, alpha=1.0), 160, grid)
     assert np.max(np.abs(probs.table - poisson_table(1.0, grid, 160))) < 1e-12
+
+
+def test_renewal_unequal_rates_against_mpmath(telegraph_mp):
+    # rates r1 ~ 2e-3 and r2 ~ 5 (ExponentialKernel(0.01, 5)): the count
+    # generating function h_{1-z}(t), trapezoid on |z| = 1 at 40 digits
+    import mpmath
+
+    waiting = ExponentialKernel(amplitude=0.01, decay=5.0).waiting()
+    times = np.array([500.0, 1200.0, 2000.0])
+    table = waiting.renewal_table(times, 64)
+    n_z = 512
+    with mpmath.workdps(40):
+        roots = [mpmath.expjpi(mpmath.mpf(2 * k) / n_z) for k in range(n_z)]
+        for j, t in enumerate(times):
+            gen = [telegraph_mp(t, 1 - z, waiting.r1 + waiting.r2, waiting.r1 * waiting.r2) for z in roots]
+            for n in range(64):
+                terms = (g * mpmath.conj(roots[k * n % n_z]) for k, g in enumerate(gen))
+                ref = float(mpmath.fsum(terms).real / n_z)
+                assert abs(table[n, j] - ref) < 1e-13, (t, n)
 
 
 def count_law_reference(alpha, t, n):
@@ -570,3 +592,38 @@ def test_intrinsic_stochastic_single_stream_rebuild():
     expected = np.exp(-1j * spec.bohr_frequencies()[None] * phase[:, None, None]) * rho0
     assert len(events) > engine.DRAWS_PER_BLOCK
     assert np.max(np.abs(res.states - expected)) < 1e-14
+
+
+# Phi(z) = 0 of the telegraph generating function h_{1-z} sits at z = -rho,
+# a point of the 16-row circle (rho^64 = 1e-12), when r1 = 1 and r2 solves
+# r2^2 - (2 + 4 rho) r2 + 1 = 0
+_B = 2.0 + 4.0 * 1e-12 ** (1.0 / 64)
+DEGENERATE_R2 = (_B + np.sqrt(_B * _B - 4.0)) / 2.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(r1=1.0, r2=DEGENERATE_R2, mean_count=1.0, n_points=21, n_max=15)
+@example(r1=1e-3, r2=1e-3, mean_count=300.0, n_points=40, n_max=None)
+@example(r1=1e3, r2=None, mean_count=1e3, n_points=2, n_max=None)
+@given(
+    r1=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    r2=st.one_of(st.none(), st.just("equal"), st.floats(-3.0, 3.0).map(lambda e: 10.0**e)),
+    mean_count=st.floats(-2.0, 3.0).map(lambda e: 10.0**e),
+    n_points=st.integers(2, 40),
+    n_max=st.one_of(st.none(), st.integers(0, 63)),
+)
+def test_closed_form_count_laws_are_probabilities(time_budget, r1, r2, mean_count, n_points, n_max):
+    # exponential (r2 None) and hypoexponential laws, rates 1e-3 to 1e3,
+    # out to `mean_count` renewals on average
+    if r2 is None:
+        waiting, mean_wait = ExponentialWaiting(rate=r1), 1.0 / r1
+    else:
+        r2 = r1 if r2 == "equal" else r2
+        waiting, mean_wait = HypoexponentialWaiting(r1=r1, r2=r2), 1.0 / r1 + 1.0 / r2
+    grid = np.linspace(0.0, mean_count * mean_wait, n_points)
+    with time_budget(5.0):
+        probs = engine.renewal_probabilities(waiting, n_max, grid)
+    assert np.all(np.isfinite(probs.table))
+    assert np.all((probs.table >= 0.0) & (probs.table <= 1.0))
+    assert np.max(np.abs(probs.table.sum(axis=0) + probs.tail - 1.0)) <= 1e-12

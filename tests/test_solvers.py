@@ -91,6 +91,30 @@ def test_telegraph_h_magnitude_bound():
             assert np.max(np.abs(telegraph_h(t, lam, gamma, a_eps))) <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("lam", [2.0, 1.0, 0.5])
+def test_telegraph_h_slow_exponent_against_mpmath(telegraph_mp, lam):
+    # gamma t / 2 reaches 5e6 at 10 T: forming the slow exponent as
+    # t (Phi - gamma) / 2 cancelled to 3e-10 relative; the closed form
+    # 2 lam A / (gamma + Phi) keeps it to rounding
+    import mpmath
+
+    kernel = ExponentialKernel(amplitude=1e-6, decay=1.0)
+    grid = np.linspace(0.0, 10.0 * kernel.time_scale, 41)
+    got = kernel.decay_factor(lam, grid)
+    with mpmath.workdps(50):
+        ref = np.array([float(telegraph_mp(t, lam, 1.0, 1e-6)) for t in grid])
+    assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-13
+
+
+def test_telegraph_h_array_rate_equals_scalar_calls():
+    t = np.array([0.0, 0.3, 2.0, 40.0, 300.0])
+    lam = np.array([0.0, 0.5, 1.0 + 0.5j, 2.0 - 3.0j, 1.0 + 1e-9, 7.0])
+    got = telegraph_h(t, lam[:, None], 2.0, 1.0)
+    assert got.shape == (lam.size, t.size)
+    for row, rate in zip(got, lam):
+        assert np.array_equal(row, telegraph_h(t, rate, 2.0, 1.0).astype(complex))
+
+
 def test_mittag_leffler_h_slopes():
     # stretched-exponential onset (slope alpha) and power-law tail (-alpha)
     alpha, amp = 0.5, 1 / np.sqrt(2)
