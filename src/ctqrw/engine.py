@@ -209,30 +209,29 @@ def ensemble_average(
 ) -> EnsembleStats:
     """Monte Carlo mean and standard error over `n_realizations` realizations.
 
-    Realization k has the counts of :func:`event_counts`; its observable
-    series are gathered from :func:`count_tables` and reduced with numpy
-    summation over the gathered (n_realizations, n_grid) arrays.  The mean
-    state is ``sum_n P_n(t) E^n[rho0]`` with P_n the empirical count
-    distribution.
+    Realization k has the counts of :func:`event_counts`.  Every statistic
+    is read off their histogram, the empirical count law ``Phat_n(t)``: an
+    observable with per-count values ``table`` (:func:`count_tables`) has
+    mean ``sum_n table[n] Phat_n(t)`` and squared deviation ``n_real sum_n
+    (table[n] - mean)^2 Phat_n(t)``, and the mean state is ``sum_n Phat_n(t)
+    E^n[rho0]``.
     """
     grid = check_grid(grid)
     n = n_realizations
     counts = event_counts(waiting, grid, n, base_seed)
     powers, tables = count_tables(rho0, emap, int(counts.max()), observables)
+    histogram = np.bincount(
+        (counts * grid.size + np.arange(grid.size)).ravel(), minlength=powers.shape[0] * grid.size
+    ).reshape(powers.shape[0], grid.size)
     means, stderrs = {}, {}
     for name, table in tables.items():
-        samples = table[counts]  # (n, n_grid)
-        mean = np.sum(samples, axis=0) / n
+        mean = table @ histogram / n
         if n > 1:
-            sq = np.sum((samples - mean) ** 2, axis=0)
+            sq = ((table[:, None] - mean) ** 2 * histogram).sum(axis=0)
             stderrs[name] = np.sqrt(sq / (n - 1) / n)
         else:
             stderrs[name] = np.zeros_like(mean)
         means[name] = mean
-
-    histogram = np.bincount(
-        (counts * grid.size + np.arange(grid.size)).ravel(), minlength=powers.shape[0] * grid.size
-    ).reshape(powers.shape[0], grid.size)
     return EnsembleStats(
         n_realizations=n,
         grid=grid,

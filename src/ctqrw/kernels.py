@@ -73,7 +73,7 @@ def telegraph_h(t, lam, gamma: float, a_eps: float):
         e_plus = np.exp(-2.0 * lamb * a_eps * tb / (gamma + phib))
         e_minus = np.exp(-z[big] - 0.5 * gamma * tb)
         out[big] = 0.5 * (1.0 + ratio) * e_plus + 0.5 * (1.0 - ratio) * e_minus
-    if np.max(np.abs(out.imag)) <= 1e-12 * max(1.0, np.max(np.abs(out.real))):
+    if np.max(np.abs(out.imag), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(out.real), initial=0.0)):
         out = out.real
     return out
 
@@ -93,13 +93,10 @@ def _check_fractional(amplitude: float, alpha: float):
         raise BadParametersError(f"alpha must be in (0, 1], got {alpha}")
 
 
-def _real_rate(lam) -> float:
-    lam_c = complex(lam)
-    if abs(lam_c.imag) > 1e-10 * max(1.0, abs(lam_c.real)):
-        raise UnsupportedKernelError(
-            f"complex damping rate {lam_c} unsupported by this decay function"
-        )
-    return float(lam_c.real)
+def _by_rate(lam, t: np.ndarray) -> np.ndarray:
+    """`lam` as an array shaped to broadcast against `t` into rates x times."""
+    lam = np.asarray(lam)
+    return lam.reshape(lam.shape + (1,) * t.ndim)
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +117,10 @@ class MemoryKernel:
     :class:`LaplaceKernel` is served; the built-in variants override them
     with closed forms.  Only built-ins have a closed-form ``decay_factor``
     and ``short_time_law``.
+
+    Both decay-factor methods take one rate or an array of rates, real or
+    complex, and return h_lam(t) shaped rates x times: a solve evaluates
+    its whole rate family in one call.
     """
 
     def __post_init__(self):
@@ -202,22 +203,30 @@ class MemoryKernel:
         raise UnsupportedKernelError("closed-form decay functions exist for built-in kernels only")
 
     def talbot_decay_factor(self, lam, t) -> np.ndarray:
-        """h_lam(t) by fixed-Talbot inversion of ``1/(u + lam Ktilde(u))``.
+        """h_lam(t) by fixed-Talbot inversion of ``1/(u + lam Ktilde(u))``,
+        every rate of `lam` in one :func:`laplace.invert` call.
 
         The rule keeps real parts only, so Re h and Im h are inverted from the
         transforms ``(h(lam) + h(conj lam))/2`` and ``(h(lam) - h(conj lam))/2i``
-        of real functions; for real lam the second vanishes.  h(0) = 1.
+        of real functions; for real lam the second vanishes.  A conjugate or
+        repeated rate is inverted once: ``h(conj lam) = conj h(lam)``.
+        h(0) = 1; no rates give an empty array.
         """
-        rates = np.array([complex(lam), complex(lam).conjugate()])[:, None, None]
+        lam = np.asarray(lam, dtype=complex)
+        t = np.asarray(t, dtype=float)
+        out = np.ones(lam.shape + t.shape, dtype=complex)
+        reps, back = np.unique(lam.real + 1j * np.abs(lam.imag), return_inverse=True)
+        if reps.size == 0 or not np.any(t > 0):
+            return out
+        rates = np.stack([reps, reps.conj()])[:, :, None, None]
 
         def hhat(u):
             up, down = 1.0 / (u + rates * self.laplace(u))
             return np.stack([(up + down) / 2, (up - down) / 2j])
 
-        t = np.asarray(t, dtype=float)
-        out = np.ones(t.shape, dtype=complex)
         re_h, im_h = laplace.invert(hhat, t[t > 0])
-        out[t > 0] = re_h + 1j * im_h
+        h = (re_h + 1j * im_h)[back.ravel()].reshape(lam.shape + (-1,))
+        out[..., t > 0] = np.where((lam.imag < 0)[..., None], h.conj(), h)
         return out
 
     def short_time_law(self) -> tuple[float, float]:
@@ -257,7 +266,8 @@ class MarkovianKernel(MemoryKernel):
 
     def decay_factor(self, lam, t):
         """exp(-lam A1 t); complex lam gives a complex factor."""
-        return np.exp(-lam * self.rate * np.asarray(t, dtype=float))
+        t = np.asarray(t, dtype=float)
+        return np.exp(-_by_rate(lam, t) * self.rate * t)
 
     def short_time_law(self):
         return 1.0, 2.0 * self.rate
@@ -315,7 +325,8 @@ class ExponentialKernel(MemoryKernel):
 
     def decay_factor(self, lam, t):
         """The telegraph factor :func:`telegraph_h`; accepts complex lam."""
-        return telegraph_h(t, lam, self.decay, self.amplitude)
+        t = np.asarray(t, dtype=float)
+        return telegraph_h(t, _by_rate(lam, t), self.decay, self.amplitude)
 
     def short_time_law(self):
         return 2.0, self.amplitude
@@ -355,10 +366,21 @@ class FractionalKernel(MemoryKernel):
         return self.amplitude * t**self.alpha / math.gamma(1.0 + self.alpha)
 
     def decay_factor(self, lam, t):
-        """E_alpha(-lam A_alpha t^alpha) for real lam; complex lam raises
-        :class:`UnsupportedKernelError` (no complex-argument Mittag-Leffler)."""
-        rate = _real_rate(lam) * self.amplitude
-        return special.mittag_leffler(self.alpha, rate * np.asarray(t, dtype=float) ** self.alpha)
+        """E_alpha(-lam A_alpha t^alpha): :func:`special.mittag_leffler` at
+        the real rates (imaginary part within 1e-10 of the real one, or of 1),
+        one :meth:`talbot_decay_factor` call for the others."""
+        lam = np.asarray(lam)
+        t = np.asarray(t, dtype=float)
+        rates = lam.ravel()
+        real = np.abs(rates.imag) <= 1e-10 * np.maximum(1.0, np.abs(rates.real))
+        x = _by_rate(rates.real[real] * self.amplitude, t) * t**self.alpha
+        ml = special.mittag_leffler(self.alpha, x)
+        if real.all():
+            return ml.reshape(lam.shape + t.shape)
+        out = np.empty(rates.shape + t.shape, dtype=complex)
+        out[real] = ml
+        out[~real] = self.talbot_decay_factor(rates[~real], t)
+        return out.reshape(lam.shape + t.shape)
 
     def short_time_law(self):
         return self.alpha, 2.0 * self.amplitude / math.gamma(1.0 + self.alpha)

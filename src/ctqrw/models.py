@@ -18,7 +18,7 @@ from .errors import (
     DangerousKernelError,
     UnsupportedKernelError,
 )
-from .kernels import FractionalKernel, MemoryKernel, classify_kernel, waiting_from_kernel
+from .kernels import MemoryKernel, classify_kernel, waiting_from_kernel
 from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, GeneratorMatrix, KrausMap, as_matrix, dissipator
 
 # ---------------------------------------------------------------------------
@@ -585,10 +585,11 @@ def intrinsic_decoherence(
 ) -> IntrinsicResult:
     """Matrix-element relaxation ``drho_nm/dt = -gamma_nm int K rho_nm``.
 
-    Routes: "closed" evaluates h_{gamma_nm}(t) element-wise (Markovian and
-    exponential kernels; the fractional kernel needs a complex-argument
-    Mittag-Leffler function and is delegated to the Volterra quadrature),
-    "volterra" always uses the quadrature, and "stochastic" samples renewal
+    Routes: "closed" evaluates h_{gamma_nm}(t) for every element in one
+    ``kernel.decay_factor`` call (the fractional kernel's complex rates are
+    Talbot-inverted; a kernel without closed forms raises
+    :class:`UnsupportedKernelError`), "volterra" solves the same equation by
+    quadrature as a cross-check, and "stochastic" samples renewal
     events with random phases (safe kernels): realization k has row k of
     :func:`ctqrw.engine.event_counts` and one phase per event from the mark
     lane (see :func:`_event_sums`).  Populations are conserved exactly
@@ -616,13 +617,11 @@ def intrinsic_decoherence(
         factors = np.empty((grid.size, spectrum.dim, spectrum.dim), dtype=complex)
         for (n, mm), omega in np.ndenumerate(spectrum.bohr_frequencies()):
             factors[:, n, mm] = np.sum(np.exp(-1j * omega * phases), axis=0) / n_realizations
-    elif route == "volterra" or (route == "closed" and isinstance(kernel, FractionalKernel)):
+    elif route == "volterra":
         states = solvers.volterra_solve(intrinsic_generator(spectrum), kernel, m, grid)
         return IntrinsicResult(grid=grid, states=states, rates=g)
     elif route == "closed":
-        factors = np.empty((grid.size, spectrum.dim, spectrum.dim), dtype=complex)
-        for (n, mm), rate in np.ndenumerate(g):
-            factors[:, n, mm] = kernel.decay_factor(rate, grid)
+        factors = np.moveaxis(kernel.decay_factor(g, grid), -1, 0)
     else:
         raise BadParametersError(f"unknown route {route!r}")
     return IntrinsicResult(grid=grid, states=factors * m[None, :, :], rates=g)

@@ -367,20 +367,3 @@ def damping_basis(gen: GeneratorMatrix) -> DampingBasis:
     return DampingBasis(
         rates=rates, right_ops=tuple(right_ops), dual_ops=tuple(dual_ops), dim=gen.dim
     )
-
-
-def random_kraus_map(dim: int, n_ops: int, rng: np.random.Generator) -> KrausMap:
-    """Haar-ish random channel: QR of a stacked Ginibre matrix."""
-    g = rng.normal(size=(dim * n_ops, dim)) + 1j * rng.normal(size=(dim * n_ops, dim))
-    q, _ = np.linalg.qr(g)
-    ops = tuple(q[i * dim : (i + 1) * dim, :] for i in range(n_ops))
-    return KrausMap(operators=ops)
-
-
-def random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
-    """Random full-rank density matrix (normalized Wishart)."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = g @ g.conj().T
-    m = m / np.trace(m).real
-    m = (m + m.conj().T) / 2
-    return make_density(m)

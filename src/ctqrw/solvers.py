@@ -3,7 +3,8 @@
 Four independent paths to ``drho/dt = int_0^t K(t-s) L[rho(s)] ds``:
 
 * ``closed_form_solve``: damping-basis expansion with per-eigenvalue decay
-  functions h_lam(t) (exponential / telegraph / Mittag-Leffler);
+  functions h_lam(t) (exponential / telegraph / Mittag-Leffler, Talbot at
+  complex fractional rates), one kernel call for the whole rate family;
 * ``volterra_solve``: product-integration quadrature of the integrated
   equation (second-order quadratic panels for regular kernels,
   singular-prefix corrected weights for the fractional kernel), solved as
@@ -75,15 +76,15 @@ def _unvec_trajectories(y: np.ndarray, dim: int) -> np.ndarray:
 def closed_form_solve(basis: DampingBasis, kernel: MemoryKernel, rho0, grid):
     """``rho(t) = sum_lam c_lam h_lam(t) P_lam`` on the grid.
 
-    `rho0` may be one matrix or a batch (n, d, d); returns (n_grid, d, d)
-    or (n, n_grid, d, d) accordingly.  Raises
+    Every h_lam comes from one ``kernel.decay_factor`` call over the whole
+    rate family; complex rates are supported (on the fractional kernel they
+    are Talbot-inverted).  `rho0` may be one matrix or a batch (n, d, d);
+    returns (n_grid, d, d) or (n, n_grid, d, d) accordingly.  Raises
     :class:`UnsupportedKernelError` for kernels without closed-form decay
-    functions (use :func:`volterra_solve`) and for the fractional kernel
-    with complex damping rates.
+    functions (use :func:`volterra_solve`).
     """
     grid = check_grid(grid)
-    hs = np.array([np.asarray(kernel.decay_factor(lam, grid), dtype=complex) for lam in basis.rates])
-    return basis.evolve(rho0, hs)
+    return basis.evolve(rho0, kernel.decay_factor(basis.rates, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -459,18 +460,17 @@ def subordination_solve(kernel: MemoryKernel, basis: DampingBasis, rho0, grid):
     Over t, P(t, tau) has the transform ``exp(-tau u/Ktilde(u))/Ktilde(u)``,
     so each decaying sector ``h_lam(t) = int P(t,tau) e^{-lam tau} dtau``
     is the certified Talbot inversion of ``1/(u + lam Ktilde(u))``
-    (:meth:`~ctqrw.kernels.MemoryKernel.talbot_decay_factor`), one path for
-    every safe kernel; the lam = 0 sector is one by normalization of P.
-    Complex damping rates are supported.  Dangerous kernels raise
-    :class:`DangerousKernelError`, and an uncertified inversion raises
-    :class:`InversionError`.
+    (:meth:`~ctqrw.kernels.MemoryKernel.talbot_decay_factor`, one call for
+    all decaying sectors), one path for every safe kernel; the lam = 0
+    sector is one by normalization of P.  Complex damping rates are
+    supported.  Dangerous kernels raise :class:`DangerousKernelError`, and
+    an uncertified inversion raises :class:`InversionError`.
     """
     _subordination_mode(kernel)  # refuses dangerous kernels
     grid = check_grid(grid)
-    lams = basis.rates
-    hs = np.ones((lams.size, grid.size), dtype=complex)
-    for i in np.flatnonzero(np.abs(lams) >= 1e-12):
-        hs[i] = kernel.talbot_decay_factor(lams[i], grid)
+    decaying = np.abs(basis.rates) >= 1e-12
+    hs = np.ones((basis.rates.size, grid.size), dtype=complex)
+    hs[decaying] = kernel.talbot_decay_factor(basis.rates[decaying], grid)
     return basis.evolve(rho0, hs)
 
 

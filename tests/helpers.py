@@ -1,0 +1,23 @@
+"""Random channels and states for the tests; the caller passes the numpy
+generator, so every draw is reproducible from the test's seed."""
+
+import numpy as np
+
+from ctqrw.quantum import DensityMatrix, KrausMap, make_density
+
+
+def random_kraus_map(dim: int, n_ops: int, rng: np.random.Generator) -> KrausMap:
+    """Haar-ish random channel: QR of a stacked Ginibre matrix."""
+    g = rng.normal(size=(dim * n_ops, dim)) + 1j * rng.normal(size=(dim * n_ops, dim))
+    q, _ = np.linalg.qr(g)
+    ops = tuple(q[i * dim : (i + 1) * dim, :] for i in range(n_ops))
+    return KrausMap(operators=ops)
+
+
+def random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
+    """Random full-rank density matrix (normalized Wishart)."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    m = g @ g.conj().T
+    m = m / np.trace(m).real
+    m = (m + m.conj().T) / 2
+    return make_density(m)

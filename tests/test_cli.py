@@ -394,6 +394,23 @@ def test_intrinsic_run(tmp_path):
     assert "re_rho_00" in header and "im_rho_22" in header
 
 
+@pytest.mark.parametrize(
+    "kernel",
+    ["type = markovian\nrate = 1.0", "type = exponential\namplitude = 1.0\ngamma = 2.0",
+     "type = fractional\namplitude = 0.7\nalpha = 0.5"],
+    ids=["markov", "exp", "frac"],
+)
+def test_intrinsic_one_level_run(tmp_path, kernel):
+    # one level: no Bohr frequency, no decaying element, a constant state
+    text = GOOD_INTRINSIC.replace("type = markovian\nrate = 1.0", kernel)
+    text = text.replace("levels = 0, 1, 2.5", "levels = 1.5")
+    out = tmp_path / "o"
+    assert cli.run(write(tmp_path, text), str(out)) == 0
+    rows = (out / "output.csv").read_text().splitlines()
+    assert rows[0] == "t,re_rho_00,im_rho_00"
+    values = np.array([row.split(",")[1:] for row in rows[1:]], dtype=float)
+    assert np.max(np.abs(values - [1.0, 0.0])) < 1e-12
+
 DEPOLARIZING_P = GOOD_ENSEMBLE.replace(
     "type = depolarizing", "type = depolarizing\np_x = 0.5\np_y = 0.5"
 )

@@ -402,7 +402,7 @@ def test_ensemble_agrees_with_series_on_random_qutrit_channels(seed):
     # observable, judged by the exact standard error of the count law: the
     # sample error collapses where few realizations have scattered
     from ctqrw.kernels import ExponentialKernel, FractionalKernel, waiting_from_kernel
-    from ctqrw.quantum import random_density, random_kraus_map
+    from helpers import random_density, random_kraus_map
 
     rng = np.random.default_rng(seed)
     emap = random_kraus_map(3, 2, rng)

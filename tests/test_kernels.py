@@ -276,6 +276,62 @@ def test_renewal_mean_matches_quadrature_of_kernel():
     assert renewal_mean_count(kern, t_end) == pytest.approx(val, rel=1e-10)
 
 
+def test_talbot_decay_factor_batches_rates_in_one_inversion(monkeypatch):
+    # conjugate and repeated rates are inverted once, h(conj lam) = conj
+    # h(lam); the family agrees with one-rate calls, which windowing and
+    # redo decisions shared by the family move by rounding only
+    from ctqrw import laplace
+
+    kernel = FractionalKernel(amplitude=1.0, alpha=0.6)
+    t = np.linspace(0.0, 8.0, 81)
+    lams = np.array([0.7, 1.0 + 2.0j, 1.0 - 2.0j, 0.3 + 0.1j, 1.0 + 2.0j, 0.7])
+    singles = np.array([kernel.talbot_decay_factor(lam, t) for lam in lams])
+    families = []
+    invert = laplace.invert
+
+    def counted(fhat, times):
+        out = invert(fhat, times)
+        families.append(out.shape[:-1])
+        return out
+
+    monkeypatch.setattr(laplace, "invert", counted)
+    batch = kernel.talbot_decay_factor(lams, t)
+    # Re h and Im h of the three distinct rates up to conjugation
+    assert families == [(2, 3)]
+    assert batch.shape == (lams.size, t.size)
+    assert np.max(np.abs(batch - singles)) < 1e-10
+    assert np.array_equal(batch[2], np.conj(batch[1])) and np.array_equal(batch[4], batch[1])
+    assert np.all(batch[:, 0] == 1.0)
+    assert np.array_equal(kernel.talbot_decay_factor(lams.reshape(2, 3), t), batch.reshape(2, 3, -1))
+
+
+def test_talbot_decay_factor_of_no_rates_skips_the_inversion(monkeypatch):
+    from ctqrw import laplace
+
+    def refuse(fhat, t):
+        raise AssertionError("laplace.invert called for an empty rate family")
+
+    monkeypatch.setattr(laplace, "invert", refuse)
+    h = FractionalKernel(1.0, 0.5).talbot_decay_factor(np.array([]), np.linspace(0, 1, 5))
+    assert h.shape == (0, 5)
+
+
+def test_fractional_decay_factor_splits_real_and_complex_rates():
+    # real rates keep the Mittag-Leffler values bit for bit; complex rates
+    # go to the Talbot factors
+    kernel = FractionalKernel(amplitude=1 / np.sqrt(2), alpha=0.5)
+    t = np.linspace(0.0, 20.0, 101)
+    lams = np.array([0.0, 1.0, 1.0 + 0.5j, 2.0 + 1e-14j])
+    got = kernel.decay_factor(lams, t)
+    for row, lam in zip(got, lams):
+        if lam.imag == 0.5:
+            assert np.array_equal(row, kernel.talbot_decay_factor(lam, t))
+        else:
+            ml = mittag_leffler(0.5, lam.real * kernel.amplitude * t**0.5)
+            assert np.array_equal(row, ml)
+    assert kernel.decay_factor(np.array([0.5, 2.0]), t).dtype == float
+
+
 def test_kernel_time_scale_convention():
     assert MarkovianKernel(rate=0.5).time_scale == pytest.approx(2.0)
     assert ExponentialKernel(amplitude=1.0, decay=2.0).time_scale == pytest.approx(2.0)

@@ -461,6 +461,52 @@ def test_intrinsic_volterra_matches_closed_exponential_kernel():
     assert np.max(np.abs(closed.states - volt.states)) < 1e-5
 
 
+def test_intrinsic_closed_fractional_matches_mpmath():
+    # rho_nm(t) = E_alpha(-gamma_nm A t^alpha) rho_nm(0) at the complex
+    # rates of the delta phase; alpha = 1/2 has E(-x) = exp(x^2) erfc(x),
+    # summed at 40 digits
+    import mpmath
+
+    spec = SpectrumModel(levels=np.array([0.0, 1.3, 2.9]), phase=DeltaPhase(tau_b=0.5))
+    rho0 = np.full((3, 3), 1 / 3, dtype=complex)
+    grid = np.linspace(0.0, 10.0 * FRAC_HALF.time_scale, 2001)
+    res = intrinsic_decoherence(spec, FRAC_HALF, rho0, grid, route="closed")
+    rates = spec.rates()
+    with mpmath.workdps(40):
+        amp = mpmath.sqrt(mpmath.mpf(1) / 2)
+        for n, m in ((0, 1), (0, 2), (1, 2)):
+            gamma = mpmath.mpc(rates[n, m])
+            exact = np.array(
+                [complex(mpmath.exp(x * x) * mpmath.erfc(x))
+                 for x in (gamma * amp * mpmath.sqrt(mpmath.mpf(t)) for t in grid)]
+            )
+            assert np.max(np.abs(res.states[:, n, m] - exact / 3)) < 1e-10, (n, m)
+    # gamma_mn = conj gamma_nm: each conjugate pair is inverted once
+    assert np.array_equal(res.states, np.conj(np.swapaxes(res.states, 1, 2)))
+    assert np.array_equal(np.einsum("kii->ki", res.states), np.full((grid.size, 3), 1 / 3))
+
+
+@pytest.mark.parametrize("kernel", [MARKOV, EXP_SAFE, FRAC_HALF], ids=["markov", "exp", "frac"])
+def test_intrinsic_closed_route_is_one_decay_factor_call(monkeypatch, kernel):
+    # the closed route evaluates every matrix element in one decay-factor
+    # call and never falls back to the Volterra quadrature
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closed route called volterra_solve")
+
+    calls = []
+    original = type(kernel).decay_factor
+
+    def counted(self, lam, t):
+        calls.append(np.shape(lam))
+        return original(self, lam, t)
+
+    monkeypatch.setattr(solvers, "volterra_solve", refuse)
+    monkeypatch.setattr(type(kernel), "decay_factor", counted)
+    rho0 = np.full((3, 3), 1 / 3, dtype=complex)
+    intrinsic_decoherence(SPECTRUM3, kernel, rho0, np.linspace(0.0, 10.0, 101))
+    assert calls == [(3, 3)]
+
+
 def test_realization_my_mx_normalized_equality():
     # per-seed check: the normalized M_y realization equals the M_x one for
     # the equal-weight depolarizing walk (both collapse to zero at the

@@ -32,11 +32,10 @@ from ctqrw.quantum import (
     make_density,
     mixture_generator,
     pure_state,
-    random_density,
-    random_kraus_map,
     unvec,
     vec,
 )
+from helpers import random_density, random_kraus_map
 
 I2 = np.eye(2, dtype=complex)
 

@@ -362,7 +362,8 @@ def test_volterra_blocked_history_matches_per_step_sums(kernel, dim):
     # edges: the fractional rule solves steps 1 .. n, B per block; the
     # regular rule solves steps 2 .. n in (even, odd) pairs, B pairs per
     # block, with a padded last pair when n is even
-    from ctqrw.quantum import random_density, random_kraus_map, vec
+    from ctqrw.quantum import vec
+    from helpers import random_density, random_kraus_map
 
     rng = np.random.default_rng(dim)
     gen = lindblad_from_kraus(random_kraus_map(dim, 2, rng))
@@ -380,7 +381,8 @@ def test_volterra_blocked_history_matches_per_step_sums(kernel, dim):
 
 def test_volterra_blocked_solve_matches_per_step_sums_at_intrinsic_shape():
     # a qutrit batch at the 2000 steps to 10 T of the benchmark's intrinsic job
-    from ctqrw.quantum import random_density, random_kraus_map, vec
+    from ctqrw.quantum import vec
+    from helpers import random_density, random_kraus_map
 
     rng = np.random.default_rng(2000)
     gen = lindblad_from_kraus(random_kraus_map(3, 2, rng))
@@ -427,7 +429,7 @@ def test_fractional_talbot_decay_matches_series_at_complex_rates(alpha):
     # channel, against the power series summed at 60 digits
     import mpmath
 
-    from ctqrw.quantum import random_kraus_map
+    from helpers import random_kraus_map
 
     gen = lindblad_from_kraus(random_kraus_map(3, 2, np.random.default_rng(3)))
     rates = damping_basis(gen).rates
@@ -536,6 +538,40 @@ def test_subordination_stationary_state_constant():
     grid = np.linspace(0.0, 20.0, 21)
     states = solvers.subordination_solve(FRAC_HALF, basis, eq, grid)
     assert np.max(np.abs(states - eq.matrix[None])) < 1e-9
+
+
+def test_subordination_solve_is_one_inversion(monkeypatch):
+    # the eight complex decaying rates of a random qutrit channel share one
+    # laplace.invert call
+    from ctqrw import laplace
+
+    calls = []
+    invert = laplace.invert
+
+    def counted(fhat, t):
+        calls.append(np.size(t))
+        return invert(fhat, t)
+
+    monkeypatch.setattr(laplace, "invert", counted)
+    _, _, basis, rho, grid = qutrit_problem()
+    solvers.subordination_solve(FRAC_HALF, basis, rho, grid)
+    assert calls == [grid.size - 1]
+
+
+@pytest.mark.parametrize("kernel", [MARKOV, EXP_SAFE, FRAC_HALF], ids=["markov", "exp", "frac"])
+def test_identity_map_gives_constant_states(kernel):
+    # every damping rate is zero: the closed route's family is all lam = 0,
+    # the subordination route's decaying family is empty
+    from ctqrw.quantum import KrausMap
+
+    basis = damping_basis(lindblad_from_kraus(KrausMap(operators=(np.eye(3, dtype=complex),))))
+    assert np.all(basis.rates == 0)
+    rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    rho[0, 2], rho[2, 0] = 0.1j, -0.1j
+    grid = np.linspace(0.0, 10.0, 21)
+    for solve in (solvers.closed_form_solve, lambda b, k, r, g: solvers.subordination_solve(k, b, r, g)):
+        states = solve(basis, kernel, rho, grid)
+        assert np.max(np.abs(states - rho[None])) < 1e-12
 
 
 # -- short-time entropy -------------------------------------------------------
@@ -653,7 +689,7 @@ def test_cp_defect_matches_g_coefficients():
 
 def qutrit_problem():
     """A random d = 3 channel whose damping rates are complex."""
-    from ctqrw.quantum import random_density, random_kraus_map
+    from helpers import random_density, random_kraus_map
 
     rng = np.random.default_rng(3)
     emap = random_kraus_map(3, 2, rng)
@@ -689,5 +725,6 @@ def test_qutrit_routes_agree_fractional_kernel():
     assert np.max(np.abs(subordination - series)) < 1e-5
     volterra = solvers.volterra_solve(gen, FRAC_HALF, rho, grid)
     assert np.max(np.abs(volterra - series)) < 1e-4
-    with pytest.raises(UnsupportedKernelError):
-        solvers.closed_form_solve(basis, FRAC_HALF, rho, grid)
+    # the complex rates take the Talbot decay factors of the closed route
+    closed = solvers.closed_form_solve(basis, FRAC_HALF, rho, grid)
+    assert np.max(np.abs(closed - series)) < 1e-5
