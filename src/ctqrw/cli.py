@@ -10,7 +10,9 @@ runs one vectorized pass over all realizations, so a run has no worker
 count to set.
 
 CSV files carry one header row naming columns (times in seconds, other
-columns dimensionless), 17-significant-digit values, LF line endings.
+columns dimensionless), 17-significant-digit values, LF line endings.  Each
+value is the bytes of ``'%.17g' % value``, formatted in numpy blocks
+(``_csvformat``) with CPython as the per-value fallback.
 The JSON manifest echoes the configuration, seeds, library version, the
 python/numpy/scipy versions and wall time, and validates against
 ``manifest_schema.json``.
@@ -28,6 +30,7 @@ import time
 import numpy as np
 
 from . import __version__, engine, models, solvers
+from ._csvformat import format_rows
 from .config import ExperimentConfig, parse_config
 from .errors import ConfigError, CtqrwError
 from .kernels import classify_kernel, waiting_from_kernel
@@ -35,22 +38,23 @@ from .models import qubit_closed_solution, qubit_kraus, wigner_ctrw, WignerWalkC
 from .quantum import damping_basis, linear_entropy, lindblad_from_kraus
 
 
-_CSV_BLOCK_ROWS = 1024
+_CSV_BLOCK_VALUES = 8192
 
 
 def write_csv(path: str, header: list, columns: list):
     """Columns are equal-length 1-d arrays; 17 significant digits, LF.
 
-    Rows are formatted and written in blocks of ``_CSV_BLOCK_ROWS``, one
-    format call per block, so no whole-table list of Python floats exists.
+    Every value is written exactly as ``'%.17g' % value``.  Rows are
+    formatted in numpy (``_csvformat.format_rows``) and written in blocks of
+    whole rows holding about ``_CSV_BLOCK_VALUES`` values (one row, if a row
+    holds more), so the work memory does not grow with the table's length.
     """
     table = np.column_stack(columns)
-    line = ",".join(["%.17g"] * len(header)) + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(table), _CSV_BLOCK_ROWS):
-            block = table[start : start + _CSV_BLOCK_ROWS]
-            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+    rows = max(1, _CSV_BLOCK_VALUES // table.shape[1])
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, len(table), rows):
+            fh.write(format_rows(table[start : start + rows]))
 
 
 @functools.cache

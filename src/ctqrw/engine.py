@@ -22,7 +22,7 @@ from .errors import BadParametersError, TruncationError
 from .kernels import WaitingTimeDistribution
 from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, KrausMap, apply_kraus, as_matrix, linear_entropy
 
-DRAWS_PER_BLOCK = 16  # waiting times drawn per live realization and round
+DRAWS_PER_BLOCK = 8  # waiting times drawn per live realization and round
 
 
 def default_observables(dim: int) -> dict:

@@ -50,7 +50,8 @@ def telegraph_h(t, lam, gamma: float, a_eps: float):
     complex square root branch is irrelevant, the oscillatory regime
     Phi^2 < 0 comes out through cosh(i x) = cos(x), and a sinh(z)/z series
     guard removes the cancellation at the degeneracy Phi -> 0.  lam may be
-    complex, or an array that broadcasts against t.  h(0) = 1, h'(0) = 0.
+    complex, or an array that broadcasts against t.  h(0) = 1, h'(0) = 0,
+    and h is exactly 1 at lam = 0 (the stationary sector of every kernel).
     """
     t = np.asarray(t, dtype=float)
     lam = np.asarray(lam, dtype=complex)
@@ -73,6 +74,7 @@ def telegraph_h(t, lam, gamma: float, a_eps: float):
         e_plus = np.exp(-2.0 * lamb * a_eps * tb / (gamma + phib))
         e_minus = np.exp(-z[big] - 0.5 * gamma * tb)
         out[big] = 0.5 * (1.0 + ratio) * e_plus + 0.5 * (1.0 - ratio) * e_minus
+    out[np.broadcast_to(lam == 0, out.shape)] = 1.0
     if np.max(np.abs(out.imag), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(out.real), initial=0.0)):
         out = out.real
     return out

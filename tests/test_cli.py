@@ -411,6 +411,19 @@ def test_intrinsic_one_level_run(tmp_path, kernel):
     values = np.array([row.split(",")[1:] for row in rows[1:]], dtype=float)
     assert np.max(np.abs(values - [1.0, 0.0])) < 1e-12
 
+
+def test_intrinsic_one_level_exponential_population_is_exactly_one(tmp_path):
+    # the stationary sector's decay factor is 1 for every kernel, not 1 to rounding
+    text = GOOD_INTRINSIC.replace(
+        "type = markovian\nrate = 1.0", "type = exponential\namplitude = 1.0\ngamma = 2.0"
+    )
+    text = text.replace("levels = 0, 1, 2.5", "levels = 1.5")
+    text = text.replace("n_points = 15", "n_points = 400")
+    out = tmp_path / "o"
+    assert cli.run(write(tmp_path, text), str(out)) == 0
+    rows = (out / "output.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["1"] * 400
+
 DEPOLARIZING_P = GOOD_ENSEMBLE.replace(
     "type = depolarizing", "type = depolarizing\np_x = 0.5\np_y = 0.5"
 )

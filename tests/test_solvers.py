@@ -41,6 +41,12 @@ def test_telegraph_h_stationary_eigenvalue_is_one():
     assert np.max(np.abs(telegraph_h(t, 0.0, 2.0, 0.75) - 1.0)) < 1e-12
 
 
+def test_telegraph_h_is_exactly_one_at_rate_zero():
+    t = np.linspace(0.0, 300.0, 400)
+    h = telegraph_h(t, np.array([0.0, 0.5, 0.0 + 0.0j])[:, None], 2.0, 0.75)
+    assert np.all(h[[0, 2]] == 1.0) and np.all(h[1, 1:] < 1.0)
+
+
 def test_telegraph_h_closed_value():
     # gamma=2, A=0.75, lam=1: Phi=1, h(1) = e^-1 (cosh 0.5 + 2 sinh 0.5);
     # the characteristic-root oracle gives 1.5 e^{-1/2} - 0.5 e^{-3/2}
