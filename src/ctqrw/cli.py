@@ -4,8 +4,10 @@ Usage::
 
     ctqrw --config run.ini [--out-dir DIR] [--seed-override N]
 
-Exit codes: 0 success, 2 malformed configuration (message names the key),
-3 numeric failure (message names the operation).  Every Monte Carlo route
+Exit codes: 0 success, 2 malformed configuration (message names the key,
+or the file and line the INI grammar stops at) or an output directory that
+cannot be used (message names ``--out-dir``), 3 numeric failure (message
+names the operation).  Every Monte Carlo route
 runs one vectorized pass over all realizations, so a run has no worker
 count to set.
 
@@ -282,20 +284,21 @@ def run(config_path: str, out_dir: str = ".", seed_override: int | None = None) 
         return 2
 
     runner = _RUNNERS[cfg.kind]
-    os.makedirs(out_dir, exist_ok=True)
-    out_csv = os.path.join(out_dir, cfg.csv_name)
     try:
-        extra = runner(cfg, grid, out_csv)
+        os.makedirs(out_dir, exist_ok=True)
+        extra = runner(cfg, grid, os.path.join(out_dir, cfg.csv_name))
+        wall = time.perf_counter() - t0
+        manifest = _manifest(cfg, [cfg.csv_name], wall, extra)
+        validate_manifest(manifest)
+        with open(os.path.join(out_dir, cfg.manifest_name), "w", newline="\n") as fh:
+            json.dump(manifest, fh, indent=2, default=str)
+            fh.write("\n")
     except CtqrwError as exc:
         print(f"numeric failure in {cfg.kind}: {exc}", file=sys.stderr)
         return 3
-    wall = time.perf_counter() - t0
-    manifest = _manifest(cfg, [os.path.basename(out_csv)], wall, extra)
-    validate_manifest(manifest)
-    out_manifest = os.path.join(out_dir, cfg.manifest_name)
-    with open(out_manifest, "w", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, default=str)
-        fh.write("\n")
+    except OSError as exc:
+        print(f"output error: --out-dir {out_dir!r} cannot be used: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -1,7 +1,8 @@
 """Declarative experiment configuration.
 
 Config files are INI-style (``[section]`` headers, ``key = value`` lines,
-``#`` comments).  Sections and keys:
+``#`` comments; values are read literally, ``%`` included).  Sections and
+keys:
 
 ``[experiment]``
     kind   one of realizations | ensemble | solve | classify | cp-audit |
@@ -28,10 +29,12 @@ Config files are INI-style (``[section]`` headers, ``key = value`` lines,
 ``[solve]`` route = closed | volterra | subordination | series;
 ``[wigner]`` n_walkers, jump = gaussian | point | levy with moments;
 ``[intrinsic]`` levels = comma list, phase = delta | exponential | log,
-tau_b; ``[output]`` csv, manifest (file names inside the output directory).
+tau_b; ``[output]`` csv, manifest (two different plain file names, written
+inside the output directory).
 """
 
 import configparser
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -240,11 +243,29 @@ def _parse_spectrum(section) -> SpectrumModel:
     return SpectrumModel(levels=levels, phase=phase)
 
 
+def _parse_output(parser, cfg: ExperimentConfig):
+    """``[output] csv`` and ``manifest``: two different plain file names,
+    which the run writes inside the output directory."""
+    if "output" not in parser:
+        return
+    section = parser["output"]
+    cfg.csv_name = section.get("csv", cfg.csv_name)
+    cfg.manifest_name = section.get("manifest", cfg.manifest_name)
+    for key, name in (("csv", cfg.csv_name), ("manifest", cfg.manifest_name)):
+        if name in ("", ".", "..") or os.path.basename(name) != name or "\0" in name:
+            raise ConfigError(f"output.{key} must be a plain file name, got {name!r}")
+    if cfg.csv_name == cfg.manifest_name:
+        raise ConfigError(f"output.manifest must differ from output.csv, both are {cfg.csv_name!r}")
+
+
 def parse_config(path: str) -> ExperimentConfig:
     """Parse and validate an experiment file; raises :class:`ConfigError`
     naming the offending key."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = parser.read(path)
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:  # its message names the file and the line
+        raise ConfigError(" ".join(str(exc).split())) from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     if "experiment" not in parser:
@@ -262,9 +283,7 @@ def parse_config(path: str) -> ExperimentConfig:
     if kind.startswith("figure"):
         preset = figure_presets(int(kind[-1]))
         preset.seed = cfg.seed
-        if "output" in parser:
-            preset.csv_name = parser["output"].get("csv", preset.csv_name)
-            preset.manifest_name = parser["output"].get("manifest", preset.manifest_name)
+        _parse_output(parser, preset)
         preset.raw = {s: dict(parser[s]) for s in parser.sections()}
         return preset
 
@@ -305,9 +324,7 @@ def parse_config(path: str) -> ExperimentConfig:
     if "intrinsic" in parser:
         with _section("intrinsic"):
             cfg.spectrum = _parse_spectrum(parser["intrinsic"])
-    if "output" in parser:
-        cfg.csv_name = parser["output"].get("csv", cfg.csv_name)
-        cfg.manifest_name = parser["output"].get("manifest", cfg.manifest_name)
+    _parse_output(parser, cfg)
 
     _validate(cfg)
     cfg.raw = {s: dict(parser[s]) for s in parser.sections()}

@@ -21,6 +21,11 @@ Built-in variants (units in seconds):
 
 Each variant is a frozen dataclass carrying its own formulas; the module
 functions add only what all variants share.
+
+The decay factors h_lam and the renewal count law (its member at lam =
+1 - z) invert one family of transforms, ``1/(u + lam Ktilde(u))``, through
+:func:`_invert_poles`; the poles a kernel names in :meth:`MemoryKernel.poles`
+are inverted exactly, and a waiting law takes its poles from its dual kernel.
 """
 
 import math
@@ -99,6 +104,23 @@ def _by_rate(lam, t: np.ndarray) -> np.ndarray:
     """`lam` as an array shaped to broadcast against `t` into rates x times."""
     lam = np.asarray(lam)
     return lam.reshape(lam.shape + (1,) * t.ndim)
+
+
+def _invert_poles(fhat, pole, residue, combine, t: np.ndarray) -> np.ndarray:
+    """``combine(fhat(u))`` inverted at the times t > 0 in one
+    :func:`laplace.invert` call, with the named poles inverted exactly.
+
+    `fhat` maps the (n, m) contour points to a family of transforms shaped
+    F + (n, m); the linear map `combine` reduces the family axes F before the
+    inversion checks the result.  `pole` and `residue`, shaped F, name the
+    poles that may sit above the contour: ``R/(u - p)`` is taken out of each
+    transform and ``R e^{p t}`` added back.  When every residue is 0 nothing
+    is taken out."""
+    if not np.any(residue):
+        return laplace.invert(lambda u: combine(fhat(u)), t)
+    p, r = pole[..., None, None], residue[..., None, None]
+    out = laplace.invert(lambda u: combine(fhat(u) - r / (u - p)), t)
+    return out + combine(r * np.exp(p * t))[..., 0, :].real
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +226,13 @@ class MemoryKernel:
         """Closed-form h_lam(t), the solution of h' = -lam K * h, h(0) = 1."""
         raise UnsupportedKernelError("closed-form decay functions exist for built-in kernels only")
 
+    def poles(self, lam):
+        """Poles p of ``1/(u + lam Ktilde(u))`` that may leave the Talbot
+        contour, and their residues R, both shaped like `lam`; R = 0 (with
+        p = 0) names none, which is the default."""
+        zero = np.zeros(np.shape(lam), dtype=complex)
+        return zero, zero
+
     def talbot_decay_factor(self, lam, t) -> np.ndarray:
         """h_lam(t) by fixed-Talbot inversion of ``1/(u + lam Ktilde(u))``,
         every rate of `lam` in one :func:`laplace.invert` call.
@@ -211,7 +240,11 @@ class MemoryKernel:
         The rule keeps real parts only, so Re h and Im h are inverted from the
         transforms ``(h(lam) + h(conj lam))/2`` and ``(h(lam) - h(conj lam))/2i``
         of real functions; for real lam the second vanishes.  A conjugate or
-        repeated rate is inverted once: ``h(conj lam) = conj h(lam)``.
+        repeated rate is inverted once: ``h(conj lam) = conj h(lam)``.  The
+        kernel's :meth:`poles` are inverted exactly (:func:`_invert_poles`).
+        The exponential kernel names none, though at complex rates its two
+        poles, the roots of ``u^2 + gamma u + lam A_eps``, can leave the
+        contour too (its :meth:`decay_factor` is closed-form).
         h(0) = 1; no rates give an empty array.
         """
         lam = np.asarray(lam, dtype=complex)
@@ -220,13 +253,13 @@ class MemoryKernel:
         reps, back = np.unique(lam.real + 1j * np.abs(lam.imag), return_inverse=True)
         if reps.size == 0 or not np.any(t > 0):
             return out
-        rates = np.stack([reps, reps.conj()])[:, :, None, None]
-
-        def hhat(u):
-            up, down = 1.0 / (u + rates * self.laplace(u))
-            return np.stack([(up + down) / 2, (up - down) / 2j])
-
-        re_h, im_h = laplace.invert(hhat, t[t > 0])
+        rates = np.stack([reps, reps.conj()])
+        re_h, im_h = _invert_poles(
+            lambda u: 1.0 / (u + rates[:, :, None, None] * self.laplace(u)),
+            *self.poles(rates),
+            lambda h: np.stack([(h[0] + h[1]) / 2, (h[0] - h[1]) / 2j]),
+            t[t > 0],
+        )
         h = (re_h + 1j * im_h)[back.ravel()].reshape(lam.shape + (-1,))
         out[..., t > 0] = np.where((lam.imag < 0)[..., None], h.conj(), h)
         return out
@@ -265,6 +298,13 @@ class MarkovianKernel(MemoryKernel):
 
     def mean_count(self, t):
         return self.rate * t
+
+    def poles(self, lam):
+        """``u = -lam A1``, residue 1, at complex lam only: a real rate keeps
+        the plain Talbot sum."""
+        lam = np.asarray(lam, dtype=complex)
+        off_axis = lam.imag != 0
+        return np.where(off_axis, -lam * self.rate, 0.0), np.where(off_axis, 1.0, 0.0)
 
     def decay_factor(self, lam, t):
         """exp(-lam A1 t); complex lam gives a complex factor."""
@@ -367,6 +407,14 @@ class FractionalKernel(MemoryKernel):
     def mean_count(self, t):
         return self.amplitude * t**self.alpha / math.gamma(1.0 + self.alpha)
 
+    def poles(self, lam):
+        """The root of ``u^alpha = -lam A_alpha`` on the principal sheet,
+        ``|arg(-lam A_alpha)| < alpha pi`` (alpha > 1/2 only at Re lam >= 0),
+        residue 1/alpha; none at lam = 0."""
+        c = -self.amplitude * np.asarray(lam, dtype=complex)
+        on_sheet = (c != 0) & (np.abs(np.angle(c)) < self.alpha * np.pi)
+        return np.where(on_sheet, c ** (1.0 / self.alpha), 0.0), np.where(on_sheet, 1.0 / self.alpha, 0.0)
+
     def decay_factor(self, lam, t):
         """E_alpha(-lam A_alpha t^alpha): :func:`special.mittag_leffler` at
         the real rates (imaginary part within 1e-10 of the real one, or of 1),
@@ -439,8 +487,10 @@ class WaitingTimeDistribution:
 
     def count_pole(self, z):
         """Poles p(z) in s of G(z, s) that may leave the Talbot contour, and
-        their residues R(z) (R = 0: none, the default)."""
-        return np.zeros_like(z), np.zeros_like(z)
+        their residues R(z) (R = 0: none, the default): the dual kernel's
+        :meth:`MemoryKernel.poles` at rate 1 - z."""
+        zero = np.zeros(np.shape(z), dtype=complex)
+        return zero, zero
 
     def renewal_table(self, grid: np.ndarray, rows: int) -> np.ndarray:
         """Renewal count law P_n(t), n < `rows`, on a grid t >= 0: shape
@@ -448,29 +498,26 @@ class WaitingTimeDistribution:
 
         The transform of row n is the z^n coefficient, on the circle of
         :func:`_count_circle`, of the count generating function ``G(z, s) =
-        (1 - wtilde)/(s (1 - z wtilde))``, so the certified Talbot inversion
-        checks every P_n.  Poles of :meth:`count_pole` are inverted exactly:
-        their terms ``R e^{p t}`` are a closed-form generating function."""
+        (1 - wtilde)/(s (1 - z wtilde))``: one FFT over the circle before the
+        certified Talbot inversion checks every P_n (:func:`_invert_poles`,
+        which inverts the poles of :meth:`count_pole` exactly)."""
         z, scale = _count_circle(rows)
-        z = z[:, None, None]
-        pole, residue = self.count_pole(z)
-        t = grid[grid > 0]
+        on_circle = z[:, None, None]
 
-        def phat(s):
+        def ghat(s):
             w = self.laplace(s)
-            g = np.subtract(1.0, z * w)
+            g = np.subtract(1.0, on_circle * w)
             np.divide((1.0 - w) / s, g, out=g)
-            if residue.any():
-                g -= residue / (s - pole)
-            return np.fft.fft(g, axis=0)[:rows] / scale[:, None, None]
-
-        def pole_terms(half):
-            p, r = self.count_pole(half)
-            return r * np.exp(p * t)
+            return g
 
         table = np.zeros((rows, grid.size))
         table[0, grid == 0] = 1.0
-        table[:, grid > 0] = laplace.invert(phat, t) + _count_table(pole_terms, rows)
+        table[:, grid > 0] = _invert_poles(
+            ghat,
+            *self.count_pole(z),
+            lambda g: np.fft.fft(g, axis=0)[:rows] / scale[:, None, None],
+            grid[grid > 0],
+        )
         return table
 
 
@@ -586,11 +633,8 @@ class MittagLefflerWaiting(WaitingTimeDistribution):
         return self.amplitude / (self.amplitude + np.asarray(u) ** self.alpha)
 
     def count_pole(self, z):
-        """``s^alpha = A (z - 1)``, residue 1/alpha, where ``|arg(z - 1)| <
-        alpha pi`` puts it on the principal sheet (alpha > 1/2 only)."""
-        c = self.amplitude * (z - 1.0)
-        on_sheet = np.abs(np.angle(c)) < self.alpha * np.pi
-        return np.where(on_sheet, c ** (1.0 / self.alpha), 0.0), np.where(on_sheet, 1.0 / self.alpha, 0.0)
+        """The dual fractional kernel's pole at rate 1 - z."""
+        return FractionalKernel(self.amplitude, self.alpha).poles(1.0 - z)
 
     def renewal_table(self, grid, rows):
         if self.alpha == 1.0:  # the exponential law, exactly

@@ -18,7 +18,7 @@ from .errors import (
     DangerousKernelError,
     UnsupportedKernelError,
 )
-from .kernels import MemoryKernel, classify_kernel, waiting_from_kernel
+from .kernels import MemoryKernel, _check_positive, classify_kernel, waiting_from_kernel
 from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, GeneratorMatrix, KrausMap, as_matrix, dissipator
 
 # ---------------------------------------------------------------------------
@@ -335,8 +335,7 @@ class LevyJumps(MarkLaw):
     def __post_init__(self):
         if not (0.0 < self.mu <= 2.0):
             raise BadParametersError(f"mu must be in (0, 2], got {self.mu}")
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise BadParametersError(f"sigma must be finite and > 0, got {self.sigma}")
+        _check_positive(sigma=self.sigma)
 
     uniforms = 4
 
@@ -467,13 +466,6 @@ def _event_sums(base_seed: int, totals: np.ndarray, law: MarkLaw) -> np.ndarray:
 # generalized intrinsic decoherence
 
 
-def _check_tau_b(tau_b: float):
-    """The exponential and logarithmic presets need a finite tau_b > 0;
-    the comparison fails for NaN."""
-    if not (np.isfinite(tau_b) and tau_b > 0):
-        raise BadParametersError(f"tau_b must be finite and > 0, got {tau_b}")
-
-
 @dataclass(frozen=True)
 class DeltaPhase(MarkLaw):
     """P(tau) = delta(tau - tau_b): every event applies exp(-i H tau_b)."""
@@ -498,7 +490,7 @@ class ExponentialPhase(MarkLaw):
     tau_b: float
 
     def __post_init__(self):
-        _check_tau_b(self.tau_b)
+        _check_positive(tau_b=self.tau_b)
 
     def fourier(self, omega):
         return 1.0 / (1.0 + 1j * np.asarray(omega) * self.tau_b)
@@ -521,7 +513,7 @@ class LogFormalPhase(MarkLaw):
     tau_b: float
 
     def __post_init__(self):
-        _check_tau_b(self.tau_b)
+        _check_positive(tau_b=self.tau_b)
 
     def fourier(self, omega):
         return 1.0 - np.log(1.0 + 1j * np.asarray(omega) * self.tau_b)

@@ -17,7 +17,8 @@ Four independent paths to ``drho/dt = int_0^t K(t-s) L[rho(s)] ds``:
 * ``subordination_solve``: the internal-time integral
   ``rho(t) = int_0^inf P(t,tau) rho^M(tau) dtau``, evaluated in the
   Laplace domain for every kernel: each damping sector is the fixed-Talbot
-  inversion of ``h_lam(u) = 1/(u + lam Ktilde(u))``.  The density
+  inversion of ``h_lam(u) = 1/(u + lam Ktilde(u))``, with the poles the
+  kernel names inverted exactly.  The density
   P(t, tau) itself (``subordination_pdf``) exists pointwise for Markovian
   and fractional kernels only: hypoexponential renewal counting is
   under-dispersed, so no positive Poisson mixture reproduces the
@@ -463,7 +464,12 @@ def subordination_solve(kernel: MemoryKernel, basis: DampingBasis, rho0, grid):
     (:meth:`~ctqrw.kernels.MemoryKernel.talbot_decay_factor`, one call for
     all decaying sectors), one path for every safe kernel; the lam = 0
     sector is one by normalization of P.  Complex damping rates are
-    supported.  Dangerous kernels raise :class:`DangerousKernelError`, and
+    supported: the poles the kernel names (fractional and Markovian) are
+    inverted exactly.  The exponential kernel names none, though at
+    complex rates the roots of ``u^2 + gamma u + lam A_eps`` can leave the
+    contour too: its factors there can be wrong at long times without an
+    :class:`InversionError`.
+    Dangerous kernels raise :class:`DangerousKernelError`, and
     an uncertified inversion raises :class:`InversionError`.
     """
     _subordination_mode(kernel)  # refuses dangerous kernels

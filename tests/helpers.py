@@ -1,5 +1,6 @@
-"""Random channels and states for the tests; the caller passes the numpy
-generator, so every draw is reproducible from the test's seed."""
+"""Random channels and states for the tests, and a Mittag-Leffler oracle;
+the caller passes the numpy generator, so every draw is reproducible from
+the test's seed."""
 
 import numpy as np
 
@@ -21,3 +22,18 @@ def random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
     m = m / np.trace(m).real
     m = (m + m.conj().T) / 2
     return make_density(m)
+
+
+def mittag_leffler_series(alpha, x):
+    """E_alpha(-x) at complex x, its power series carried with enough digits
+    for the largest term, about e^(|x|^(1/alpha)), to leave 40."""
+    import mpmath
+
+    with mpmath.workdps(40 + int(abs(x) ** (1.0 / alpha) / 2.3)):
+        x, a = mpmath.mpc(x), mpmath.mpf(alpha)
+        total, k, term = mpmath.mpc(0), 0, mpmath.mpc(1)
+        while k < 10 or abs(term) > mpmath.mpf(10) ** -45:
+            total += term
+            k += 1
+            term = (-x) ** k / mpmath.gamma(a * k + 1)
+        return complex(total)

@@ -171,6 +171,47 @@ def test_missing_file_is_config_error(tmp_path):
     assert cli.run(str(tmp_path / "absent.ini"), str(tmp_path)) == 2
 
 
+FIGURE1 = "[experiment]\nkind = figure1\n"
+
+
+@pytest.mark.parametrize(
+    "text, words",
+    [
+        ("kind = figure1\n", ["no section headers", "run.ini", "line: 1"]),
+        (FIGURE1 + "[experiment]\nkind = figure2\n", ["run.ini", "[line 3]", "'experiment'"]),
+        (FIGURE1 + "kind = figure2\n", ["run.ini", "[line 3]", "'kind'"]),
+        ("[experiment]\nkind = figure%1\n", ["experiment.kind", "'figure%1'"]),
+        (FIGURE1 + "[output]\ncsv =\n", ["output.csv", "''"]),
+        (FIGURE1 + "[output]\ncsv = sub/x.csv\n", ["output.csv", "'sub/x.csv'"]),
+        (FIGURE1 + "[output]\nmanifest = ..\n", ["output.manifest", "'..'"]),
+        (FIGURE1 + "[output]\ncsv = a.csv\nmanifest = a.csv\n", ["output.manifest", "output.csv"]),
+    ],
+    ids=["no-header", "duplicate-section", "duplicate-key", "percent", "empty-csv", "csv-path",
+         "manifest-dots", "same-names"],
+)
+def test_malformed_input_is_config_error_naming_the_place(tmp_path, capsys, text, words):
+    assert cli.run(write(tmp_path, text), str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert all(word in err for word in words), err
+    assert not (tmp_path / "o").exists()
+
+
+def test_percent_in_a_value_is_read_literally(tmp_path):
+    out = tmp_path / "o"
+    assert cli.run(write(tmp_path, FIGURE1 + "[output]\ncsv = a%b.csv\n"), str(out)) == 0
+    assert sorted(os.listdir(out)) == ["a%b.csv", "manifest.json"]
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == ["a%b.csv"]
+
+
+def test_out_dir_naming_a_file_is_an_output_error(tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    assert cli.run(write(tmp_path, FIGURE1), str(blocker)) == 2
+    assert "--out-dir" in capsys.readouterr().err
+    assert blocker.read_text() == ""
+
+
 def test_classify_preset_dangerous(tmp_path):
     text = """
 [experiment]
@@ -410,6 +451,26 @@ def test_intrinsic_one_level_run(tmp_path, kernel):
     assert rows[0] == "t,re_rho_00,im_rho_00"
     values = np.array([row.split(",")[1:] for row in rows[1:]], dtype=float)
     assert np.max(np.abs(values - [1.0, 0.0])) < 1e-12
+
+
+@pytest.mark.parametrize("n_points", [2, 5])
+def test_intrinsic_fractional_run_at_long_times_keeps_the_pole(tmp_path, n_points):
+    # gamma_01 = 1 - e^{0.1 i}: at alpha = 0.97 the root of u^alpha =
+    # -gamma_01 sits above the Talbot contours of t = 300 and 400
+    from helpers import mittag_leffler_series
+
+    text = (
+        GOOD_INTRINSIC.replace("markovian\nrate = 1.0", "fractional\namplitude = 1\nalpha = 0.97")
+        .replace("levels = 0, 1, 2.5", "levels = 0, 0.2")
+        .replace("tau_b = 0.7", "tau_b = 0.5")
+        .replace("n_points = 15", f"n_points = {n_points}\nt_max_over_T = 400")
+    )
+    out = tmp_path / "o"
+    assert cli.run(write(tmp_path, text), str(out)) == 0
+    row = (out / "output.csv").read_text().splitlines()[-1].split(",")
+    assert row[0] == "400"
+    expected = mittag_leffler_series(0.97, (1.0 - np.exp(0.1j)) * 400.0**0.97) / 2
+    assert abs(complex(float(row[3]), float(row[4])) - expected) < 1e-10
 
 
 def test_intrinsic_one_level_exponential_population_is_exactly_one(tmp_path):

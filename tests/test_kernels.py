@@ -332,6 +332,29 @@ def test_fractional_decay_factor_splits_real_and_complex_rates():
     assert kernel.decay_factor(np.array([0.5, 2.0]), t).dtype == float
 
 
+@pytest.mark.parametrize(
+    "kernel",
+    [FractionalKernel(amplitude=1.0, alpha=a) for a in (0.8, 0.9, 0.97, 0.99)]
+    + [MarkovianKernel(rate=1.0)],
+    ids=["a0.8", "a0.9", "a0.97", "a0.99", "markovian"],
+)
+def test_decay_factors_keep_their_poles_at_complex_rates(kernel):
+    # at lam = 1 - e^{-i phi} the root of u^alpha = -lam A (alpha = 1 for the
+    # Markovian kernel) sits above the Talbot contours of long times; the
+    # pole is inverted exactly, against E_alpha(-lam A t^alpha) at 40 digits
+    from helpers import mittag_leffler_series
+
+    alpha = getattr(kernel, "alpha", 1.0)
+    t = np.array([10.0, 100.0, 400.0])
+    for phi in (0.05, 0.1, 0.3):
+        lam = 1.0 - np.exp(-1j * phi)
+        expected = [mittag_leffler_series(alpha, lam * s**alpha) for s in t]
+        for got in (kernel.talbot_decay_factor(lam, t), kernel.decay_factor(np.array([lam]), t)[0]):
+            assert np.max(np.abs(got - expected)) < 1e-10, phi
+    # real rates name no pole: they keep the plain Talbot sum
+    assert not np.any(kernel.poles(np.array([0.5, 2.0]))[1])
+
+
 def test_kernel_time_scale_convention():
     assert MarkovianKernel(rate=0.5).time_scale == pytest.approx(2.0)
     assert ExponentialKernel(amplitude=1.0, decay=2.0).time_scale == pytest.approx(2.0)
