@@ -8,9 +8,9 @@ randomness is therefore the event count N(t): every Monte Carlo route
 draws counts from one vectorized renewal core and gathers from per-n
 tables of ``E^n[rho0]`` computed once.  The ensemble average converges to
 ``rho(t) = sum_n P_n(t) E^n[rho0]``, which the deterministic series route
-evaluates directly.  Each waiting law tabulates its own count law P_n(t)
-from the count generating function: its closed form for the
-exponential-phase laws, else its certified fixed-Talbot inversion.
+evaluates directly.  A waiting law's count law P_n(t) is its dual
+kernel's decay factor at rate 1 - z, expanded in z: closed-form for the
+Markovian and exponential kernels, else a certified fixed-Talbot inversion.
 """
 
 from dataclasses import dataclass
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeding
-from .errors import BadParametersError, TruncationError
+from .errors import BadParametersError, DomainError, TruncationError
 from .kernels import WaitingTimeDistribution
 from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, KrausMap, apply_kraus, as_matrix, linear_entropy
 
@@ -254,6 +254,7 @@ class RenewalProbabilities:
         return self.table.shape[0] - 1
 
 
+@np.errstate(all="ignore")  # a table that overflows is not finite, and refused
 def renewal_probabilities(
     waiting: WaitingTimeDistribution,
     n_max: int | None,
@@ -262,16 +263,18 @@ def renewal_probabilities(
     tail_tol: float = 1e-6,
 ) -> RenewalProbabilities:
     """P_n(t) for n = 0..n_max from the waiting law's
-    :meth:`~ctqrw.kernels.WaitingTimeDistribution.renewal_table`.
+    :meth:`~ctqrw.kernels.WaitingTimeDistribution.renewal_table`, its dual
+    kernel's count law.
 
     Every grid point is computed directly (a certified Laplace inversion,
     or a closed-form generating function).  When `n_max` is None the
     row count doubles from 16 until the tail at the grid end drops below
     `tail_tol` (capped at 512 rows; the end point alone is tabulated while
     it doubles), and the table is cut after the first row that gets the
-    tail there.  `min_points` is ignored: it sized the fine grid of an
-    earlier convolution quadrature, and is accepted only because
-    ``benchmarks/gate.py`` still passes it.
+    tail there.  A table that is not finite (times at the ends of the
+    float range) raises :class:`DomainError`.  `min_points` is ignored: it
+    sized the fine grid of an earlier convolution quadrature, and is
+    accepted only because ``benchmarks/gate.py`` still passes it.
     """
     grid = check_grid(grid)
     if grid[-1] <= 0:
@@ -287,6 +290,8 @@ def renewal_probabilities(
         table = waiting.renewal_table(grid, rows)
         reached = np.flatnonzero(1.0 - np.cumsum(table[:, -1]) < tail_tol)
         table = table[: reached[0] + 1] if reached.size else table
+    if not np.all(np.isfinite(table)):
+        raise DomainError(f"the renewal count law is not finite on this grid (t up to {grid[-1]:g})")
     table = np.clip(table, 0.0, None)  # rounding negatives
     return RenewalProbabilities(grid=grid, table=table, tail=1.0 - table.sum(axis=0))
 

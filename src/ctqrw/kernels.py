@@ -22,10 +22,11 @@ Built-in variants (units in seconds):
 Each variant is a frozen dataclass carrying its own formulas; the module
 functions add only what all variants share.
 
-The decay factors h_lam and the renewal count law (its member at lam =
-1 - z) invert one family of transforms, ``1/(u + lam Ktilde(u))``, through
-:func:`_invert_poles`; the poles a kernel names in :meth:`MemoryKernel.poles`
-are inverted exactly, and a waiting law takes its poles from its dual kernel.
+The decay factors h_lam and the renewal count law invert one family of
+transforms, ``1/(u + lam Ktilde(u))``: the count law of the dual waiting
+law is ``P_n(t) = [z^n] h_{1-z}(t)`` (:meth:`MemoryKernel.count_table`).
+Every waiting law names its dual kernel and tabulates its count law there;
+the poles a kernel names in :meth:`MemoryKernel.poles` are inverted exactly.
 """
 
 import math
@@ -106,21 +107,22 @@ def _by_rate(lam, t: np.ndarray) -> np.ndarray:
     return lam.reshape(lam.shape + (1,) * t.ndim)
 
 
-def _invert_poles(fhat, pole, residue, combine, t: np.ndarray) -> np.ndarray:
-    """``combine(fhat(u))`` inverted at the times t > 0 in one
-    :func:`laplace.invert` call, with the named poles inverted exactly.
+def _count_circle(rows: int):
+    """``z_k = rho e^{2 pi i k/N}``, k < N = 4 rows, ``rho^N = 1e-12``, and
+    ``N rho^n``, n < rows: the FFT of ``sum_n z^n P_n`` over the z_k, over this
+    scale, is P_n plus 1e-12 P_{n+N} (Abate and Whitt, ORL 12, 245, 1992)."""
+    n = 4 * rows
+    rho = 1e-12 ** (1.0 / n)
+    return rho * np.exp(2j * np.pi * np.arange(n) / n), n * rho ** np.arange(rows)
 
-    `fhat` maps the (n, m) contour points to a family of transforms shaped
-    F + (n, m); the linear map `combine` reduces the family axes F before the
-    inversion checks the result.  `pole` and `residue`, shaped F, name the
-    poles that may sit above the contour: ``R/(u - p)`` is taken out of each
-    transform and ``R e^{p t}`` added back.  When every residue is 0 nothing
-    is taken out."""
-    if not np.any(residue):
-        return laplace.invert(lambda u: combine(fhat(u)), t)
-    p, r = pole[..., None, None], residue[..., None, None]
-    out = laplace.invert(lambda u: combine(fhat(u) - r / (u - p)), t)
-    return out + combine(r * np.exp(p * t))[..., 0, :].real
+
+def _count_table(kernel, grid: np.ndarray, rows: int) -> np.ndarray:
+    """:meth:`MemoryKernel.count_table` from a closed ``decay_factor`` at
+    rates 1 - z, z on the upper half of :func:`_count_circle`; P_n is real,
+    so ``h_{1-conj z} = conj h_{1-z}`` is the rest: one Hermitian FFT."""
+    z, scale = _count_circle(rows)
+    h = kernel.decay_factor(1.0 - z[: z.size // 2 + 1], grid)
+    return np.fft.hfft(h, z.size, axis=0)[:rows] / scale[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -167,29 +169,33 @@ class MemoryKernel:
 
     def waiting(self):
         """The dual waiting-time distribution, tabulated on 4000 points up to
-        20 T and carrying the exact transform ``wtilde = Ktilde/(u +
-        Ktilde)``.  Raises :class:`NotADistributionError` with a witness time
-        when the inverted density goes negative."""
+        20 T and naming this kernel as its dual.  Raises
+        :class:`NotADistributionError` with a witness time when the inverted
+        density goes negative."""
         t_max = 20.0 * self.time_scale
         grid = np.linspace(t_max / 4000.0, t_max, 4000)
         pdf = laplace.invert(self._waiting_laplace, grid)
         if pdf.min() < -1e-9 * max(pdf.max(), 1e-30):
             i = int(np.argmin(pdf))
             raise NotADistributionError(float(grid[i]), float(pdf[i]))
-        return EmpiricalWaiting(
-            times=grid, pdf=np.clip(pdf, 0.0, None), transform=self._waiting_laplace
-        )
+        return EmpiricalWaiting(times=grid, pdf=np.clip(pdf, 0.0, None), kernel=self)
 
     def verdict(self) -> "KernelVerdict":
         """Numeric probe: wtilde(u) = 1/(u/Ktilde(u) + 1) must be positive
         with alternating derivative signs up to ``PROBE_ORDER`` on a log grid
         spanning [1e-3, 1e3] times the kernel rate, and the inverted density
-        must be nonnegative."""
+        must be nonnegative.  A derivative below the rounding floor of its
+        probe circle has no sign to check; the certificate names the orders
+        left undecided that way."""
         rate = 1.0 / self.time_scale
+        orders = np.arange(PROBE_ORDER + 1)
+        undecided = np.zeros(orders.shape, dtype=bool)
         for u0 in np.geomspace(1e-3 * rate, 1e3 * rate, 25):
-            coeffs = _circle_derivatives(self._waiting_laplace, float(u0), 0.5 * float(u0), PROBE_ORDER)
-            signs = coeffs * (-1.0) ** np.arange(PROBE_ORDER + 1)
-            bad = np.where(signs < -1e-9 * np.max(np.abs(coeffs)))[0]
+            coeffs, floor = _circle_derivatives(self._waiting_laplace, float(u0), 0.5 * float(u0), PROBE_ORDER)
+            decided = np.abs(coeffs) > floor
+            undecided |= ~decided
+            signs = coeffs * (-1.0) ** orders
+            bad = np.flatnonzero(decided & (signs < -1e-9 * np.max(np.abs(coeffs[decided]), initial=0.0)))
             if bad.size:
                 return KernelVerdict(
                     verdict="dangerous",
@@ -207,19 +213,20 @@ class MemoryKernel:
                 certificate=f"inverted waiting density negative at t={exc.witness_t:g}",
                 witness={"t": exc.witness_t, "w_value": exc.value},
             )
+        skipped = orders[undecided].tolist()
+        note = f" (orders {skipped} below rounding at some u, undecided)" if skipped else ""
         return KernelVerdict(
             verdict="safe-conditional",
-            certificate=(
-                f"numeric probe only: wtilde sign-alternating through order {PROBE_ORDER} "
-                "on the log grid and inverted density nonnegative"
-            ),
-            witness={"order": PROBE_ORDER},
+            certificate=f"numeric probe only: wtilde sign-alternating through order {PROBE_ORDER} "
+            f"on the log grid{note} and inverted density nonnegative",
+            witness={"order": PROBE_ORDER, "undecided": skipped},
         )
 
     def mean_count(self, t: np.ndarray) -> np.ndarray:
         """<N(t)> = int_0^t K(t-s) s ds, by inversion of Ktilde(u)/u^2 (0 at t = 0)."""
         out = np.zeros(t.shape)
-        out[t > 0] = laplace.invert(lambda u: self.laplace(u) / u**2, t[t > 0])
+        if np.any(t > 0):  # laplace.invert takes no empty time array
+            out[t > 0] = laplace.invert(lambda u: self.laplace(u) / u**2, t[t > 0])
         return out
 
     def decay_factor(self, lam, t):
@@ -233,6 +240,27 @@ class MemoryKernel:
         zero = np.zeros(np.shape(lam), dtype=complex)
         return zero, zero
 
+    def _invert_rates(self, rates: np.ndarray, combine, t: np.ndarray) -> np.ndarray:
+        """``combine(1/(u + rates Ktilde(u)))`` inverted at the times t > 0 in
+        one :func:`laplace.invert` call; the linear map `combine` reduces the
+        axes of `rates` before the inversion checks the result.  The
+        :meth:`poles` at `rates` are inverted exactly: ``R/(u - p)`` is taken
+        out of each transform and ``R e^{p t}`` added back."""
+        lam = rates[..., None, None]
+        pole, residue = self.poles(rates)
+        p, r = pole[..., None, None], residue[..., None, None]
+        named = np.any(residue)
+
+        def fhat(u):
+            h = u + lam * self.laplace(u)
+            np.divide(1.0, h, out=h)
+            if named:
+                h -= r / (u - p)
+            return combine(h)
+
+        out = laplace.invert(fhat, t)
+        return out + combine(r * np.exp(p * t))[..., 0, :].real if named else out
+
     def talbot_decay_factor(self, lam, t) -> np.ndarray:
         """h_lam(t) by fixed-Talbot inversion of ``1/(u + lam Ktilde(u))``,
         every rate of `lam` in one :func:`laplace.invert` call.
@@ -241,11 +269,11 @@ class MemoryKernel:
         transforms ``(h(lam) + h(conj lam))/2`` and ``(h(lam) - h(conj lam))/2i``
         of real functions; for real lam the second vanishes.  A conjugate or
         repeated rate is inverted once: ``h(conj lam) = conj h(lam)``.  The
-        kernel's :meth:`poles` are inverted exactly (:func:`_invert_poles`).
-        The exponential kernel names none, though at complex rates its two
-        poles, the roots of ``u^2 + gamma u + lam A_eps``, can leave the
-        contour too (its :meth:`decay_factor` is closed-form).
-        h(0) = 1; no rates give an empty array.
+        kernel's :meth:`poles` are inverted exactly.  The exponential kernel
+        names none, though at complex rates its two poles, the roots of
+        ``u^2 + gamma u + lam A_eps``, can leave the contour too (its
+        :meth:`decay_factor` is closed-form).  h(0) = 1; no rates give an
+        empty array.
         """
         lam = np.asarray(lam, dtype=complex)
         t = np.asarray(t, dtype=float)
@@ -253,16 +281,31 @@ class MemoryKernel:
         reps, back = np.unique(lam.real + 1j * np.abs(lam.imag), return_inverse=True)
         if reps.size == 0 or not np.any(t > 0):
             return out
-        rates = np.stack([reps, reps.conj()])
-        re_h, im_h = _invert_poles(
-            lambda u: 1.0 / (u + rates[:, :, None, None] * self.laplace(u)),
-            *self.poles(rates),
+        re_h, im_h = self._invert_rates(
+            np.stack([reps, reps.conj()]),
             lambda h: np.stack([(h[0] + h[1]) / 2, (h[0] - h[1]) / 2j]),
             t[t > 0],
         )
         h = (re_h + 1j * im_h)[back.ravel()].reshape(lam.shape + (-1,))
         out[..., t > 0] = np.where((lam.imag < 0)[..., None], h.conj(), h)
         return out
+
+    def count_table(self, grid: np.ndarray, rows: int) -> np.ndarray:
+        """Renewal count law P_n(t) of the dual waiting law, n < `rows`, on a
+        grid t >= 0: shape (rows, n_grid), ``P_n(0) = delta_n0``.
+
+        Row n is ``[z^n] h_{1-z}(t)`` on the circle of :func:`_count_circle`:
+        one FFT over it before the certified Talbot inversion checks every P_n."""
+        z, scale = _count_circle(rows)
+        table = np.zeros((rows, grid.size))
+        table[0, grid == 0] = 1.0
+        if np.any(grid > 0):  # laplace.invert takes no empty time array
+            table[:, grid > 0] = self._invert_rates(
+                1.0 - z,
+                lambda h: np.fft.fft(h, axis=0)[:rows] / scale[:, None, None],
+                grid[grid > 0],
+            )
+        return table
 
     def short_time_law(self) -> tuple[float, float]:
         """(exponent, prefactor) of the leading linear-entropy law
@@ -310,6 +353,8 @@ class MarkovianKernel(MemoryKernel):
         """exp(-lam A1 t); complex lam gives a complex factor."""
         t = np.asarray(t, dtype=float)
         return np.exp(-_by_rate(lam, t) * self.rate * t)
+
+    count_table = _count_table  # Poisson: exp(rate (z - 1) t)
 
     def short_time_law(self):
         return 1.0, 2.0 * self.rate
@@ -369,6 +414,8 @@ class ExponentialKernel(MemoryKernel):
         """The telegraph factor :func:`telegraph_h`; accepts complex lam."""
         t = np.asarray(t, dtype=float)
         return telegraph_h(t, _by_rate(lam, t), self.decay, self.amplitude)
+
+    count_table = _count_table  # hypoexponential: telegraph_h at 1 - z
 
     def short_time_law(self):
         return 2.0, self.amplitude
@@ -473,69 +520,30 @@ class WaitingTimeDistribution:
     t >= 0, and ``from_uniforms(u)``, which turns ``u[..., j]``, j <
     ``uniforms``, into one waiting time per draw (elementwise, so any batch
     layout gives the same values).  The default draw is the inverse CDF
-    ``quantile`` of a single uniform.  ``laplace`` is wtilde(u) where it is
-    known; the default ``renewal_table`` needs it.
+    ``quantile`` of a single uniform.  ``kernel`` names the dual memory
+    kernel (None when unknown); the transform wtilde(u) (``laplace``) and
+    the renewal count law (``renewal_table``) come from it.
     """
 
     uniforms = 1
+    kernel = None
 
     def from_uniforms(self, u: np.ndarray) -> np.ndarray:
         return self.quantile(u[..., 0])
 
-    def laplace(self, u):
-        raise UnsupportedKernelError("no closed-form transform for this variant")
+    def _dual(self) -> MemoryKernel:
+        if self.kernel is None:
+            raise UnsupportedKernelError("no dual kernel, so no transform or series route")
+        return self.kernel
 
-    def count_pole(self, z):
-        """Poles p(z) in s of G(z, s) that may leave the Talbot contour, and
-        their residues R(z) (R = 0: none, the default): the dual kernel's
-        :meth:`MemoryKernel.poles` at rate 1 - z."""
-        zero = np.zeros(np.shape(z), dtype=complex)
-        return zero, zero
+    def laplace(self, u):
+        """wtilde(u) = Ktilde/(u + Ktilde) of the dual kernel."""
+        return self._dual()._waiting_laplace(np.asarray(u))
 
     def renewal_table(self, grid: np.ndarray, rows: int) -> np.ndarray:
-        """Renewal count law P_n(t), n < `rows`, on a grid t >= 0: shape
-        (rows, n_grid), ``P_n(0) = delta_n0``.
-
-        The transform of row n is the z^n coefficient, on the circle of
-        :func:`_count_circle`, of the count generating function ``G(z, s) =
-        (1 - wtilde)/(s (1 - z wtilde))``: one FFT over the circle before the
-        certified Talbot inversion checks every P_n (:func:`_invert_poles`,
-        which inverts the poles of :meth:`count_pole` exactly)."""
-        z, scale = _count_circle(rows)
-        on_circle = z[:, None, None]
-
-        def ghat(s):
-            w = self.laplace(s)
-            g = np.subtract(1.0, on_circle * w)
-            np.divide((1.0 - w) / s, g, out=g)
-            return g
-
-        table = np.zeros((rows, grid.size))
-        table[0, grid == 0] = 1.0
-        table[:, grid > 0] = _invert_poles(
-            ghat,
-            *self.count_pole(z),
-            lambda g: np.fft.fft(g, axis=0)[:rows] / scale[:, None, None],
-            grid[grid > 0],
-        )
-        return table
-
-
-def _count_circle(rows: int):
-    """``z_k = rho e^{2 pi i k/N}``, k < N = 4 rows, ``rho^N = 1e-12``, and
-    ``N rho^n``, n < rows: the FFT of ``sum_n z^n P_n`` over the z_k, over this
-    scale, is P_n plus 1e-12 P_{n+N} (Abate and Whitt, ORL 12, 245, 1992)."""
-    n = 4 * rows
-    rho = 1e-12 ** (1.0 / n)
-    return rho * np.exp(2j * np.pi * np.arange(n) / n), n * rho ** np.arange(rows)
-
-
-def _count_table(gen, rows: int) -> np.ndarray:
-    """P_n(t), n < `rows`, from a count generating function ``gen(z)`` on the
-    upper half of :func:`_count_circle`, (N/2 + 1, 1) to (N/2 + 1, n_t); P_n
-    is real, so ``gen(conj z) = conj gen(z)`` is the rest: one Hermitian FFT."""
-    z, scale = _count_circle(rows)
-    return np.fft.hfft(gen(z[: z.size // 2 + 1, None]), z.size, axis=0)[:rows] / scale[:, None]
+        """Renewal count law P_n(t), n < `rows`, on a grid t >= 0, shape
+        (rows, n_grid): the dual kernel's :meth:`MemoryKernel.count_table`."""
+        return self._dual().count_table(grid, rows)
 
 
 @dataclass(frozen=True)
@@ -553,15 +561,12 @@ class ExponentialWaiting(WaitingTimeDistribution):
     def survival(self, t):
         return np.exp(-self.rate * t)
 
-    def laplace(self, u):
-        return self.rate / (self.rate + u)
-
     def quantile(self, q):
         return -np.log1p(-q) / self.rate
 
-    def renewal_table(self, grid, rows):
-        """Poisson counts: generating function ``exp(rate (z - 1) t)``."""
-        return _count_table(lambda z: np.exp(self.rate * (z - 1.0) * grid), rows)
+    @property
+    def kernel(self):
+        return MarkovianKernel(self.rate)
 
 
 @dataclass(frozen=True)
@@ -591,17 +596,12 @@ class HypoexponentialWaiting(WaitingTimeDistribution):
             return (1.0 + r1 * t) * np.exp(-r1 * t)
         return (r2 * np.exp(-r1 * t) - r1 * np.exp(-r2 * t)) / (r2 - r1)
 
-    def laplace(self, u):
-        return (self.r1 / (self.r1 + u)) * (self.r2 / (self.r2 + u))
-
     def from_uniforms(self, u):
         return -np.log1p(-u[..., 0]) / self.r1 + -np.log1p(-u[..., 1]) / self.r2
 
-    def renewal_table(self, grid, rows):
-        """Generating function ``h_{1-z}(t)``, the dual exponential kernel's
-        :func:`telegraph_h` at rate 1 - z."""
-        gamma, a_eps = self.r1 + self.r2, self.r1 * self.r2
-        return _count_table(lambda z: telegraph_h(grid, 1.0 - z, gamma, a_eps), rows)
+    @property
+    def kernel(self):
+        return ExponentialKernel(self.r1 * self.r2, self.r1 + self.r2)
 
 
 @dataclass(frozen=True)
@@ -629,17 +629,11 @@ class MittagLefflerWaiting(WaitingTimeDistribution):
     def survival(self, t):
         return special.mittag_leffler(self.alpha, self.amplitude * t**self.alpha)
 
-    def laplace(self, u):
-        return self.amplitude / (self.amplitude + np.asarray(u) ** self.alpha)
-
-    def count_pole(self, z):
-        """The dual fractional kernel's pole at rate 1 - z."""
-        return FractionalKernel(self.amplitude, self.alpha).poles(1.0 - z)
-
-    def renewal_table(self, grid, rows):
-        if self.alpha == 1.0:  # the exponential law, exactly
-            return ExponentialWaiting(rate=self.amplitude).renewal_table(grid, rows)
-        return super().renewal_table(grid, rows)
+    @property
+    def kernel(self):
+        if self.alpha == 1.0:  # exponential waiting: exactly Poisson counts
+            return MarkovianKernel(self.amplitude)
+        return FractionalKernel(self.amplitude, self.alpha)
 
     def from_uniforms(self, u):
         """The exponential-times-stable product formula (Fulger, Scalas and
@@ -658,13 +652,13 @@ class MittagLefflerWaiting(WaitingTimeDistribution):
 
 @dataclass(frozen=True)
 class EmpiricalWaiting(WaitingTimeDistribution):
-    """Tabulated density on a grid (from numeric kernel inversion), with
-    the exact `transform` wtilde(u) when known (no series route without)."""
+    """Tabulated density on a grid, naming the `kernel` it was inverted
+    from (none for a table built by hand: no transform or series route)."""
 
     times: np.ndarray
     pdf: np.ndarray
     cdf: np.ndarray = field(init=False)
-    transform: Callable | None = field(default=None, repr=False)
+    kernel: MemoryKernel | None = field(default=None, repr=False)
 
     def __post_init__(self):
         """`times` and `pdf`: finite 1-d arrays of one length >= 2, `times`
@@ -699,9 +693,6 @@ class EmpiricalWaiting(WaitingTimeDistribution):
 
     def quantile(self, q):
         return np.interp(q, self.cdf, self.times)
-
-    def laplace(self, u):
-        return super().laplace(u) if self.transform is None else self.transform(np.asarray(u))
 
 
 def waiting_from_kernel(kernel: MemoryKernel):
@@ -786,7 +777,9 @@ class KernelVerdict:
 
 
 def _circle_derivatives(f, center: float, radius: float, n_max: int):
-    """Taylor coefficients a_n = f^(n)(center)/n! by FFT on a circle.
+    """Taylor coefficients a_n = f^(n)(center)/n! by FFT on a circle, and
+    their rounding floor ``1e-16 max|f| / radius^n`` there: the sign of a
+    smaller a_n is rounding.
 
     Needs f analytic and evaluable at complex points; this is how the CM
     probe reaches order 8 without finite-difference noise.
@@ -795,7 +788,8 @@ def _circle_derivatives(f, center: float, radius: float, n_max: int):
     z = center + radius * np.exp(2j * np.pi * np.arange(m) / m)
     vals = np.asarray(f(z), dtype=complex)
     coeffs = np.fft.fft(vals) / m
-    return np.real(coeffs[: n_max + 1]) / radius ** np.arange(n_max + 1)
+    powers = radius ** np.arange(n_max + 1)
+    return np.real(coeffs[: n_max + 1]) / powers, 1e-16 * np.max(np.abs(vals)) / powers
 
 
 def classify_kernel(kernel: MemoryKernel) -> KernelVerdict:

@@ -9,6 +9,7 @@ from scipy.special import gammaln
 from ctqrw import engine, seeding
 from ctqrw.errors import (
     BadParametersError,
+    CtqrwError,
     InversionError,
     TruncationError,
     UnsupportedKernelError,
@@ -18,8 +19,9 @@ from ctqrw.kernels import (
     ExponentialKernel,
     ExponentialWaiting,
     HypoexponentialWaiting,
+    LaplaceKernel,
+    MemoryKernel,
     MittagLefflerWaiting,
-    WaitingTimeDistribution,
     waiting_survival,
 )
 from ctqrw.models import Depolarizing, qubit_kraus
@@ -227,28 +229,31 @@ def test_mittag_leffler_near_one_at_long_times(alpha):
             assert abs(probs.table[n, k] - count_law_reference(alpha, grid[k], n)) < 1e-10, (k, n)
 
 
+# the Markovian kernel K = 1 as a LaplaceKernel, which names no poles: its
+# generating function 1/(s + 1 - z) has poles that leave the Talbot contour
+# at long times, so the generic table must catch them by its check
+_UNNAMED_POLES = LaplaceKernel(transform=lambda u: 1.0 + 0.0 * u)
+
+
 def test_renewal_table_certifies_every_row():
-    # the generic table on exponential waiting, whose generating-function
-    # poles leave the Talbot contour at long times: at t = 42 the top rows
-    # are off by 4.7e-6 while G(z, s) itself inverts within the check, so
-    # the check must compare the rows (each carries a factor rho^-n ~ 1e3)
-    waiting = ExponentialWaiting(rate=1.0)
-    exact = waiting.renewal_table(np.array([0.0, 22.0]), 64)
-    generic = WaitingTimeDistribution.renewal_table(waiting, np.array([0.0, 22.0]), 64)
+    # at t = 42 the top rows are off by 4.7e-6 while each transform on the
+    # circle inverts within the check, so the check must compare the rows
+    # (each carries a factor rho^-n ~ 1e3)
+    exact = ExponentialWaiting(rate=1.0).renewal_table(np.array([0.0, 22.0]), 64)
+    generic = MemoryKernel.count_table(_UNNAMED_POLES, np.array([0.0, 22.0]), 64)
     assert np.max(np.abs(generic - exact)) < 1e-9
     with pytest.raises(InversionError, match="t = 42"):
-        WaitingTimeDistribution.renewal_table(waiting, np.array([0.0, 42.0]), 64)
+        MemoryKernel.count_table(_UNNAMED_POLES, np.array([0.0, 42.0]), 64)
 
 
 def test_windowed_renewal_table_certifies_like_per_time():
     # a window of times shares the contours of its latest time; a grid must
     # be as accurate as its points one by one, and fail where they fail
-    waiting = ExponentialWaiting(rate=1.0)
     grid = np.linspace(0.0, 25.0, 200)
-    generic = WaitingTimeDistribution.renewal_table(waiting, grid, 64)
-    assert np.max(np.abs(generic - waiting.renewal_table(grid, 64))) < 1e-9
+    generic = MemoryKernel.count_table(_UNNAMED_POLES, grid, 64)
+    assert np.max(np.abs(generic - ExponentialWaiting(rate=1.0).renewal_table(grid, 64))) < 1e-9
     with pytest.raises(InversionError):
-        WaitingTimeDistribution.renewal_table(waiting, np.linspace(0.0, 42.0, 200), 64)
+        MemoryKernel.count_table(_UNNAMED_POLES, np.linspace(0.0, 42.0, 200), 64)
 
 
 def test_renewal_table_many_rows_on_few_points():
@@ -263,10 +268,11 @@ def test_renewal_table_many_rows_on_few_points():
 
 
 def test_series_route_on_a_laplace_kernel_waiting_law(plus_x_state):
-    # the tabulated dual law carries the kernel's exact transform, which
-    # the series route inverts; the same kernel in closed form is the oracle
+    # the tabulated dual law names the kernel it was inverted from, whose
+    # count law the series route inverts; the same kernel in closed form is
+    # the oracle
     from ctqrw import solvers
-    from ctqrw.kernels import ExponentialKernel, LaplaceKernel
+    from ctqrw.kernels import ExponentialKernel
     from ctqrw.quantum import damping_basis, lindblad_from_kraus
 
     emap = qubit_kraus(Depolarizing())
@@ -440,7 +446,7 @@ def _scalar_event_times(waiting, t_end, base_seed, k):
 
 
 def _empirical_waiting():
-    from ctqrw.kernels import LaplaceKernel, waiting_from_kernel
+    from ctqrw.kernels import waiting_from_kernel
 
     return waiting_from_kernel(LaplaceKernel(transform=lambda u: 0.75 / (u + 2.0)))
 
@@ -627,3 +633,47 @@ def test_closed_form_count_laws_are_probabilities(time_budget, r1, r2, mean_coun
     assert np.all(np.isfinite(probs.table))
     assert np.all((probs.table >= 0.0) & (probs.table <= 1.0))
     assert np.max(np.abs(probs.table.sum(axis=0) + probs.tail - 1.0)) <= 1e-12
+
+
+# every waiting law the series route takes: the built-ins, a LaplaceKernel's
+# dual law and a table built by hand (which names no dual kernel)
+_LAW_TIMES = np.linspace(0.0, 20.0, 401)
+COUNT_LAWS = {
+    "exponential": ExponentialWaiting(rate=1.0),
+    "hypoexponential": HypoexponentialWaiting(r1=0.5, r2=1.5),
+    "hypoexponential-equal": HypoexponentialWaiting(r1=1.0, r2=1.0),
+    "mittag-leffler-0.5": MittagLefflerWaiting(amplitude=1.0, alpha=0.5),
+    "mittag-leffler-0.9": MittagLefflerWaiting(amplitude=1.0, alpha=0.9),
+    "mittag-leffler-1": MittagLefflerWaiting(amplitude=1.0, alpha=1.0),
+    "laplace-kernel": LaplaceKernel(transform=lambda u: 0.75 / (u + 2.0)).waiting(),
+    "hand-built": EmpiricalWaiting(times=_LAW_TIMES, pdf=np.exp(-_LAW_TIMES)),
+}
+# one point, t = 0 alone, NaN, repeats, huge, subnormal and float-limit times
+EDGE_GRIDS = [
+    [3.0], [0.0], [0.0, np.nan], [0.0, 1.0, 1.0], [0.0, 0.5, 50.0], [0.0, 1e6],
+    [1e300], [0.0, 1e-310], [0.0, 1.7e308],
+]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    law=st.sampled_from(sorted(COUNT_LAWS)),
+    grid=st.sampled_from(EDGE_GRIDS),
+    n_max=st.sampled_from([0, None, 1, 20]),
+    series=st.booleans(),
+)
+def test_count_law_is_probabilities_or_typed_error(plus_x_state, time_budget, law, grid, n_max, series):
+    waiting, grid = COUNT_LAWS[law], np.array(grid)
+    emap = qubit_kraus(Depolarizing())
+    with time_budget(10.0):
+        try:
+            if series:
+                states, bound = engine.series_solution(plus_x_state, emap, waiting, grid, n_max=n_max)
+                assert np.all(np.isfinite(states)) and np.all(np.isfinite(bound))
+            else:
+                table = engine.renewal_probabilities(waiting, n_max, grid).table
+                assert np.all(np.isfinite(table))
+                assert np.max(table.sum(axis=0)) <= 1.0 + 1e-9
+        except CtqrwError:
+            pass
