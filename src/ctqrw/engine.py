@@ -254,7 +254,6 @@ class RenewalProbabilities:
         return self.table.shape[0] - 1
 
 
-@np.errstate(all="ignore")  # a table that overflows is not finite, and refused
 def renewal_probabilities(
     waiting: WaitingTimeDistribution,
     n_max: int | None,
@@ -271,10 +270,11 @@ def renewal_probabilities(
     row count doubles from 16 until the tail at the grid end drops below
     `tail_tol` (capped at 512 rows; the end point alone is tabulated while
     it doubles), and the table is cut after the first row that gets the
-    tail there.  A table that is not finite (times at the ends of the
-    float range) raises :class:`DomainError`.  `min_points` is ignored: it
-    sized the fine grid of an earlier convolution quadrature, and is
-    accepted only because ``benchmarks/gate.py`` still passes it.
+    tail there.  A table that is not finite, or a floating-point fault
+    while tabulating it (times at the ends of the float range), raises
+    :class:`DomainError`.  `min_points` is ignored: it sized the fine grid
+    of an earlier convolution quadrature, and is accepted only because
+    ``benchmarks/gate.py`` still passes it.
     """
     grid = check_grid(grid)
     if grid[-1] <= 0:

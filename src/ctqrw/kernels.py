@@ -66,7 +66,8 @@ def telegraph_h(t, lam, gamma: float, a_eps: float):
     big = np.abs(z.real) > 30.0
     small = np.abs(z) < 1e-6
     z_safe = np.where(small | big, 1.0, z)
-    sinhc = np.where(small, 1.0 + z * z / 6.0, np.sinh(z_safe) / z_safe)
+    z_small = np.where(small, z, 0.0)  # z * z overflows where |z| is huge
+    sinhc = np.where(small, 1.0 + z_small * z_small / 6.0, np.sinh(z_safe) / z_safe)
     z_mod = np.where(big, 0.0, z)  # the big branch is overwritten below
     out = np.asarray(
         np.exp(-0.5 * gamma * t) * (np.cosh(z_mod) + 0.5 * gamma * t * sinhc), dtype=complex
@@ -521,8 +522,9 @@ class WaitingTimeDistribution:
     ``uniforms``, into one waiting time per draw (elementwise, so any batch
     layout gives the same values).  The default draw is the inverse CDF
     ``quantile`` of a single uniform.  ``kernel`` names the dual memory
-    kernel (None when unknown); the transform wtilde(u) (``laplace``) and
-    the renewal count law (``renewal_table``) come from it.
+    kernel (None when unknown); the renewal count law (``renewal_table``)
+    comes from it, and so does the transform wtilde(u) (``laplace``) of a
+    law that has no closed one.
     """
 
     uniforms = 1
@@ -542,8 +544,14 @@ class WaitingTimeDistribution:
 
     def renewal_table(self, grid: np.ndarray, rows: int) -> np.ndarray:
         """Renewal count law P_n(t), n < `rows`, on a grid t >= 0, shape
-        (rows, n_grid): the dual kernel's :meth:`MemoryKernel.count_table`."""
-        return self._dual().count_table(grid, rows)
+        (rows, n_grid): the dual kernel's :meth:`MemoryKernel.count_table`.
+        Overflow, division by zero or an invalid operation on the way raises
+        :class:`DomainError`."""
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return self._dual().count_table(grid, rows)
+        except FloatingPointError as exc:
+            raise DomainError(f"the renewal count law leaves the float range: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -560,6 +568,9 @@ class ExponentialWaiting(WaitingTimeDistribution):
 
     def survival(self, t):
         return np.exp(-self.rate * t)
+
+    def laplace(self, u):
+        return self.rate / (self.rate + u)
 
     def quantile(self, q):
         return -np.log1p(-q) / self.rate
@@ -596,6 +607,9 @@ class HypoexponentialWaiting(WaitingTimeDistribution):
             return (1.0 + r1 * t) * np.exp(-r1 * t)
         return (r2 * np.exp(-r1 * t) - r1 * np.exp(-r2 * t)) / (r2 - r1)
 
+    def laplace(self, u):
+        return (self.r1 / (self.r1 + u)) * (self.r2 / (self.r2 + u))
+
     def from_uniforms(self, u):
         return -np.log1p(-u[..., 0]) / self.r1 + -np.log1p(-u[..., 1]) / self.r2
 
@@ -628,6 +642,9 @@ class MittagLefflerWaiting(WaitingTimeDistribution):
 
     def survival(self, t):
         return special.mittag_leffler(self.alpha, self.amplitude * t**self.alpha)
+
+    def laplace(self, u):
+        return self.amplitude / (self.amplitude + np.asarray(u) ** self.alpha)
 
     @property
     def kernel(self):

@@ -206,6 +206,17 @@ def test_waiting_laws_name_their_dual_kernels():
     custom = LaplaceKernel(transform=lambda u: 0.75 / (u + 2.0))
     assert custom.waiting().kernel is custom
     assert EmpiricalWaiting(times=np.array([0.0, 1.0]), pdf=np.ones(2)).kernel is None
+    # each law's closed wtilde gives back the transform of the kernel it names
+    u = np.geomspace(1e-3, 1e3, 50)
+    for law in (
+        ExponentialWaiting(rate=0.7),
+        HypoexponentialWaiting(r1=0.5, r2=1.5),
+        MittagLefflerWaiting(amplitude=1.3, alpha=0.5),
+        MittagLefflerWaiting(amplitude=1.3, alpha=1.0),
+    ):
+        expected = law.kernel.laplace(u)
+        assert np.max(np.abs(kernel_from_waiting(law)(u) - expected)) < 1e-9 * np.max(np.abs(expected))
+    assert MittagLefflerWaiting(amplitude=1.3, alpha=0.5).laplace(0.0) == 1.0
 
 
 EXP_SAFE = ExponentialKernel(amplitude=0.75, decay=2.0)

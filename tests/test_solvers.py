@@ -47,6 +47,14 @@ def test_telegraph_h_is_exactly_one_at_rate_zero():
     assert np.all(h[[0, 2]] == 1.0) and np.all(h[1, 1:] < 1.0)
 
 
+def test_telegraph_h_at_huge_times_is_finite_without_warnings():
+    # the small-argument series is formed only where it is used: z * z of a
+    # huge oscillatory z would overflow (an error under the warning filter)
+    t = np.geomspace(1e150, 1e305, 6)
+    h = telegraph_h(t, np.array([1.0 - 0.5j, 0.3, 1.0 + 2.0j])[:, None], 2.0, 0.75)
+    assert np.all(np.isfinite(h)) and np.max(np.abs(h)) < 1e-300
+
+
 def test_telegraph_h_closed_value():
     # gamma=2, A=0.75, lam=1: Phi=1, h(1) = e^-1 (cosh 0.5 + 2 sinh 0.5);
     # the characteristic-root oracle gives 1.5 e^{-1/2} - 0.5 e^{-3/2}
