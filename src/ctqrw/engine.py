@@ -269,9 +269,11 @@ def renewal_probabilities(
     or a closed-form generating function).  When `n_max` is None the
     row count doubles from 16 until the tail at the grid end drops below
     `tail_tol` (capped at 512 rows; the end point alone is tabulated while
-    it doubles), and the table is cut after the first row that gets the
-    tail there.  A table that is not finite, or a floating-point fault
-    while tabulating it (times at the ends of the float range), raises
+    it doubles).  The table is built once, up to the first row of the
+    last end-point table that gets the tail there, and cut after the first
+    row of its own end point that does (at the cap, or by rounding).  A
+    table that is not finite, or a floating-point fault while tabulating
+    it (times at the ends of the float range), raises
     :class:`DomainError`.  `min_points` is ignored: it sized the fine grid
     of an earlier convolution quadrature, and is accepted only because
     ``benchmarks/gate.py`` still passes it.
@@ -285,7 +287,12 @@ def renewal_probabilities(
         table = waiting.renewal_table(grid, int(n_max) + 1)
     else:
         rows = 16
-        while rows < 512 and 1.0 - waiting.renewal_table(grid[-1:], rows).sum() >= tail_tol:
+        while rows < 512:
+            end = waiting.renewal_table(grid[-1:], rows)[:, 0]
+            reached = np.flatnonzero(1.0 - np.cumsum(end) < tail_tol)
+            if reached.size:
+                rows = int(reached[0]) + 1
+                break
             rows *= 2
         table = waiting.renewal_table(grid, rows)
         reached = np.flatnonzero(1.0 - np.cumsum(table[:, -1]) < tail_tol)

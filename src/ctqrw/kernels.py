@@ -22,11 +22,15 @@ Built-in variants (units in seconds):
 Each variant is a frozen dataclass carrying its own formulas; the module
 functions add only what all variants share.
 
-The decay factors h_lam and the renewal count law invert one family of
+The decay factors h_lam and the renewal count law come from one family of
 transforms, ``1/(u + lam Ktilde(u))``: the count law of the dual waiting
 law is ``P_n(t) = [z^n] h_{1-z}(t)`` (:meth:`MemoryKernel.count_table`).
-Every waiting law names its dual kernel and tabulates its count law there;
-the poles a kernel names in :meth:`MemoryKernel.poles` are inverted exactly.
+On the circle of z that extracts the coefficients, the FFT of those
+transforms is closed-form, ``wtilde^n / ((u + Ktilde) (1 - rho^N
+wtilde^N))`` for row n, so only the poles a kernel names in
+:meth:`MemoryKernel.poles`, which are inverted exactly, keep a sum over
+the circle.  Every waiting law names its dual kernel and tabulates its
+count law there.
 """
 
 import math
@@ -108,12 +112,18 @@ def _by_rate(lam, t: np.ndarray) -> np.ndarray:
     return lam.reshape(lam.shape + (1,) * t.ndim)
 
 
+COUNT_RHO_N = 1e-12  # rho^N of the count circle
+
+
 def _count_circle(rows: int):
     """``z_k = rho e^{2 pi i k/N}``, k < N = 4 rows, ``rho^N = 1e-12``, and
     ``N rho^n``, n < rows: the FFT of ``sum_n z^n P_n`` over the z_k, over this
-    scale, is P_n plus 1e-12 P_{n+N} (Abate and Whitt, ORL 12, 245, 1992)."""
+    scale, is P_n plus 1e-12 P_{n+N} (Abate and Whitt, ORL 12, 245, 1992).
+    Raises :class:`BadParametersError` unless `rows` is an integer >= 1."""
+    if isinstance(rows, bool) or not isinstance(rows, (int, np.integer)) or rows < 1:
+        raise BadParametersError(f"rows must be an integer >= 1, got {rows!r}")
     n = 4 * rows
-    rho = 1e-12 ** (1.0 / n)
+    rho = COUNT_RHO_N ** (1.0 / n)
     return rho * np.exp(2j * np.pi * np.arange(n) / n), n * rho ** np.arange(rows)
 
 
@@ -241,27 +251,6 @@ class MemoryKernel:
         zero = np.zeros(np.shape(lam), dtype=complex)
         return zero, zero
 
-    def _invert_rates(self, rates: np.ndarray, combine, t: np.ndarray) -> np.ndarray:
-        """``combine(1/(u + rates Ktilde(u)))`` inverted at the times t > 0 in
-        one :func:`laplace.invert` call; the linear map `combine` reduces the
-        axes of `rates` before the inversion checks the result.  The
-        :meth:`poles` at `rates` are inverted exactly: ``R/(u - p)`` is taken
-        out of each transform and ``R e^{p t}`` added back."""
-        lam = rates[..., None, None]
-        pole, residue = self.poles(rates)
-        p, r = pole[..., None, None], residue[..., None, None]
-        named = np.any(residue)
-
-        def fhat(u):
-            h = u + lam * self.laplace(u)
-            np.divide(1.0, h, out=h)
-            if named:
-                h -= r / (u - p)
-            return combine(h)
-
-        out = laplace.invert(fhat, t)
-        return out + combine(r * np.exp(p * t))[..., 0, :].real if named else out
-
     def talbot_decay_factor(self, lam, t) -> np.ndarray:
         """h_lam(t) by fixed-Talbot inversion of ``1/(u + lam Ktilde(u))``,
         every rate of `lam` in one :func:`laplace.invert` call.
@@ -270,9 +259,10 @@ class MemoryKernel:
         transforms ``(h(lam) + h(conj lam))/2`` and ``(h(lam) - h(conj lam))/2i``
         of real functions; for real lam the second vanishes.  A conjugate or
         repeated rate is inverted once: ``h(conj lam) = conj h(lam)``.  The
-        kernel's :meth:`poles` are inverted exactly.  The exponential kernel
-        names none, though at complex rates its two poles, the roots of
-        ``u^2 + gamma u + lam A_eps``, can leave the contour too (its
+        kernel's :meth:`poles` are inverted exactly: ``R/(u - p)`` is taken
+        out of each transform and ``R e^{p t}`` added back.  The exponential
+        kernel names none, though at complex rates its two poles, the roots
+        of ``u^2 + gamma u + lam A_eps``, can leave the contour too (its
         :meth:`decay_factor` is closed-form).  h(0) = 1; no rates give an
         empty array.
         """
@@ -282,30 +272,93 @@ class MemoryKernel:
         reps, back = np.unique(lam.real + 1j * np.abs(lam.imag), return_inverse=True)
         if reps.size == 0 or not np.any(t > 0):
             return out
-        re_h, im_h = self._invert_rates(
-            np.stack([reps, reps.conj()]),
-            lambda h: np.stack([(h[0] + h[1]) / 2, (h[0] - h[1]) / 2j]),
-            t[t > 0],
-        )
-        h = (re_h + 1j * im_h)[back.ravel()].reshape(lam.shape + (-1,))
+        rates = np.stack([reps, reps.conj()])
+        pole, residue = self.poles(rates)
+        named = np.any(residue)
+
+        def even_odd(h):
+            return np.stack([(h[0] + h[1]) / 2, (h[0] - h[1]) / 2j])
+
+        def fhat(u):
+            h = u + rates[..., None, None] * self.laplace(u)
+            np.divide(1.0, h, out=h)
+            if named:
+                h -= residue[..., None, None] / (u - pole[..., None, None])
+            return even_odd(h)
+
+        times = t[t > 0]
+        parts = laplace.invert(fhat, times)
+        if named:
+            parts += even_odd(residue[..., None] * np.exp(pole[..., None] * times)).real
+        h = (parts[0] + 1j * parts[1])[back.ravel()].reshape(lam.shape + (-1,))
         out[..., t > 0] = np.where((lam.imag < 0)[..., None], h.conj(), h)
         return out
+
+    def _count_laplace(self, u, rows: int) -> np.ndarray:
+        """Transforms of P_n, n < `rows`, at the points u, shape (rows,) +
+        u.shape: the FFT of ``1/(u + (1 - z_k) Ktilde(u))`` over the
+        :func:`_count_circle` over its scale, in closed form.
+
+        With ``w = Ktilde/(u + Ktilde)`` that transform is ``1/((u + Ktilde)
+        (1 - z_k w))``, a geometric series in ``z_k w``, and the DFT of a
+        geometric series is geometric: row n is ``w^n / ((u + Ktilde) (1 -
+        rho^N w^N))``, N = 4 rows.  Where |w| > 1 it is formed as ``v^(N-n) /
+        ((u + Ktilde) (v^N - rho^N))``, v = 1/w, so no power exceeds 1.  The
+        poles of the denominator in u are those of the transforms on the
+        circle."""
+        k = self.laplace(u)
+        s = u + k
+        w = k / s
+        inside = np.abs(w) <= 1.0
+        q = np.divide(1.0, w, out=w.copy(), where=~inside)  # |q| <= 1
+        powers = np.empty((rows,) + q.shape, dtype=complex)
+        powers[0] = 1.0
+        powers[1:] = q
+        np.cumprod(powers, axis=0, out=powers)
+        q_rows = powers[-1] * q
+        q_half = q_rows * q_rows
+        q_n = q_half * q_half
+        head = np.empty_like(q)
+        np.divide(1.0, s * (1.0 - COUNT_RHO_N * q_n), out=head, where=inside)
+        np.divide(q_half * q_rows * q, s * (q_n - COUNT_RHO_N), out=head, where=~inside)
+        return np.where(inside, powers, powers[::-1]) * head
 
     def count_table(self, grid: np.ndarray, rows: int) -> np.ndarray:
         """Renewal count law P_n(t) of the dual waiting law, n < `rows`, on a
         grid t >= 0: shape (rows, n_grid), ``P_n(0) = delta_n0``.
 
-        Row n is ``[z^n] h_{1-z}(t)`` on the circle of :func:`_count_circle`:
-        one FFT over it before the certified Talbot inversion checks every P_n."""
+        Row n is ``[z^n] h_{1-z}(t)`` on the circle of :func:`_count_circle`,
+        whose transforms :meth:`_count_laplace` gives in closed form; the
+        certified Talbot inversion checks every P_n.  The :meth:`poles` at
+        the rates 1 - z_k are inverted exactly: the FFT of ``R/(u - p)`` over
+        the circle is taken out of the transforms and that of ``R e^{p t}``
+        added back, both formed at the points that name a pole only."""
         z, scale = _count_circle(rows)
         table = np.zeros((rows, grid.size))
         table[0, grid == 0] = 1.0
-        if np.any(grid > 0):  # laplace.invert takes no empty time array
-            table[:, grid > 0] = self._invert_rates(
-                1.0 - z,
-                lambda h: np.fft.fft(h, axis=0)[:rows] / scale[:, None, None],
-                grid[grid > 0],
-            )
+        times = grid[grid > 0]
+        if times.size == 0:  # laplace.invert takes no empty time array
+            return table
+        pole, residue = self.poles(1.0 - z)
+        named = np.flatnonzero(residue)
+        pole, residue = pole[named], residue[named]
+
+        def circle_sum(terms):
+            """Rows of the FFT over the circle of `terms`, given at the named
+            points (zero elsewhere), over the scale."""
+            full = np.zeros((z.size,) + terms.shape[1:], dtype=complex)
+            full[named] = terms
+            return (np.fft.fft(full, axis=0)[:rows].T / scale).T
+
+        def fhat(u):
+            out = self._count_laplace(u, rows)
+            if named.size:
+                out -= circle_sum(residue[:, None, None] / (u - pole[:, None, None]))
+            return out
+
+        table[:, grid > 0] = laplace.invert(fhat, times)
+        if named.size:
+            table[:, grid > 0] += circle_sum(residue[:, None] * np.exp(pole[:, None] * times)).real
         return table
 
     def short_time_law(self) -> tuple[float, float]:

@@ -95,11 +95,13 @@ def invert(fhat, t):
     disagree follow in calls of at most that many rows, on their own
     contours.  Returns the 32-node values, shaped like t (or a float for
     scalar t); equal times give equal values in any order.  Raises
-    :class:`DomainError` for t <= 0 or non-finite t and
+    :class:`DomainError` for no times, t <= 0 or non-finite t and
     :class:`InversionError` when the two sums differ by more than
     ``CHECK_TOL * max(1, max|f|)`` or are not finite.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    if t_arr.size == 0:
+        raise DomainError("fixed-Talbot inversion needs at least one time")
     if not np.all(np.isfinite(t_arr)):
         raise DomainError("fixed-Talbot inversion needs finite t")
     if np.any(t_arr <= 0):

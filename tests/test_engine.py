@@ -267,6 +267,39 @@ def test_renewal_table_many_rows_on_few_points():
     assert np.max(np.abs(many.tail)) < 1e-8
 
 
+# the right-sized table against a 64-row one: no named pole keeps every row
+# to rounding; named poles (alpha > 1/2) put a factor rho^-n on the pole sums,
+# about 740 in row 44 of the 46-row table against 116 of the 64-row one
+_RIGHT_SIZED_CASES = {
+    "alpha0.5": (MittagLefflerWaiting(amplitude=0.70710678118654752, alpha=0.5), 1e-10),
+    "hypoexponential": (HypoexponentialWaiting(r1=0.5, r2=1.5), 1e-10),
+    "alpha0.9": (MittagLefflerWaiting(amplitude=1.0, alpha=0.9), 1e-9),
+}
+
+
+@pytest.mark.parametrize("waiting, tol", _RIGHT_SIZED_CASES.values(), ids=_RIGHT_SIZED_CASES.keys())
+def test_renewal_probabilities_table_is_right_sized(monkeypatch, waiting, tol):
+    # end-point probes at 16, 32, ... rows, then one table at the first row
+    # of the last probe that gets the tail
+    grid = np.linspace(0.0, 20.0, 101)
+    asked = []
+    table = type(waiting).renewal_table
+
+    def recorded(self, times, rows):
+        asked.append((times.size, rows))
+        return table(self, times, rows)
+
+    monkeypatch.setattr(type(waiting), "renewal_table", recorded)
+    probs = engine.renewal_probabilities(waiting, None, grid)
+    probes = [16 * 2**k for k in range(len(asked) - 1)]
+    assert asked == [(1, rows) for rows in probes] + [(grid.size, probs.n_max + 1)]
+    wide = waiting.renewal_table(grid, 64)
+    reached = np.flatnonzero(1.0 - np.cumsum(wide[:, -1]) < 1e-6)
+    assert probs.n_max == reached[0] < 63
+    assert probs.tail[-1] < 1e-6
+    assert np.max(np.abs(probs.table - wide[: probs.n_max + 1])) < tol
+
+
 def test_series_route_on_a_laplace_kernel_waiting_law(plus_x_state):
     # the tabulated dual law names the kernel it was inverted from, whose
     # count law the series route inverts; the same kernel in closed form is

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ctqrw import laplace
 from ctqrw.errors import (
     BadParametersError,
     DangerousKernelError,
@@ -21,6 +22,7 @@ from ctqrw.kernels import (
     MarkovianKernel,
     MemoryKernel,
     MittagLefflerWaiting,
+    _count_circle,
     classify_kernel,
     kernel_from_waiting,
     renewal_mean_count,
@@ -255,6 +257,52 @@ def test_laplace_kernel_waiting_count_law_is_the_exponential_one():
     grid = np.linspace(0.0, 20.0, 201)
     got = _LAPLACE_WAITING.renewal_table(grid, 64)
     assert np.max(np.abs(got - EXP_SAFE.count_table(grid, 64))) < 1e-9
+
+
+# kernel, and whether its contours reach |wtilde| > 1 (the v = 1/w branch)
+_COUNT_TRANSFORM_CASES = {
+    "alpha0.3": (FractionalKernel(1.0, 0.3), False),
+    "alpha0.5": (FractionalKernel(1.0, 0.5), False),
+    "alpha0.9": (FractionalKernel(1.0, 0.9), True),
+    "alpha0.99": (FractionalKernel(1.0, 0.99), True),
+    "laplace": (_LAPLACE_WAITING.kernel, True),
+}
+
+
+@pytest.mark.parametrize(
+    "kernel, outside", _COUNT_TRANSFORM_CASES.values(), ids=_COUNT_TRANSFORM_CASES.keys()
+)
+@pytest.mark.parametrize("rows", [1, 33, 64])
+def test_closed_count_transforms_are_the_fft_over_the_circle(kernel, outside, rows):
+    # on the 32- and 40-node contours of short and long times, row n is the
+    # FFT of 1/(u + (1 - z_k) Ktilde(u)) over the count circle, over its
+    # scale, to 1e-12 of that FFT's size max_k |f_k| / rho^n
+    t = np.array([0.05, 1.0, 10.0, 50.0]) * kernel.time_scale
+    u = np.concatenate([laplace._contour(t, m)[1] for m in (laplace.NODES, laplace.CHECK_NODES)], axis=1)
+    z, scale = _count_circle(rows)
+    ktilde = kernel.laplace(u)
+    on_circle = 1.0 / (u + (1.0 - z)[:, None, None] * ktilde)
+    fft = np.fft.fft(on_circle, axis=0)[:rows] / scale[:, None, None]
+    size = np.max(np.abs(on_circle), axis=0) * z.size / scale[:, None, None]
+    assert np.max(np.abs(kernel._count_laplace(u, rows) - fft) / size) < 1e-12
+    assert np.any(np.abs(ktilde / (u + ktilde)) > 1.0) == outside
+
+
+_RENEWAL_LAWS = {
+    "talbot": MittagLefflerWaiting(amplitude=1.0, alpha=0.5),
+    "poisson": ExponentialWaiting(rate=1.0),
+    "hypoexponential": HypoexponentialWaiting(r1=0.5, r2=1.5),
+}
+
+
+@pytest.mark.parametrize("rows", [0, -1, 2.5, True, np.float64(3.0)])
+@pytest.mark.parametrize("law", _RENEWAL_LAWS.values(), ids=_RENEWAL_LAWS.keys())
+def test_bad_row_counts_are_bad_parameters(law, rows):
+    grid = np.linspace(0.0, 2.0, 5)
+    for table in (law.renewal_table, law.kernel.count_table):
+        with pytest.raises(BadParametersError, match="rows"):
+            table(grid, rows)
+    assert law.renewal_table(grid, np.int64(3)).shape == (3, 5)
 
 
 def test_waiting_pdf_and_survival_consistency():

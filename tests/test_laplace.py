@@ -49,6 +49,12 @@ def test_rejects_nonpositive_times():
         laplace.invert(lambda u: 1 / u, np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("t", [np.array([]), []])
+def test_rejects_no_times(t):
+    with pytest.raises(DomainError, match="at least one time"):
+        laplace.invert(lambda u: 1 / (u + 1), t)
+
+
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, [1.0, np.nan], [np.inf, 2.0]])
 def test_rejects_nonfinite_times(t):
     with pytest.raises(DomainError, match="finite"):
