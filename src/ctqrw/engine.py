@@ -5,12 +5,17 @@ after the n-th event the state is ``E^n[rho0]`` (the unitary part commutes
 with the scattering map, so states are piecewise constant between events
 and observable sampling on a grid is exact).  The only per-realization
 randomness is therefore the event count N(t): every Monte Carlo route
-draws counts from one vectorized renewal core and gathers from per-n
+draws events from one vectorized renewal core and gathers from per-n
 tables of ``E^n[rho0]`` computed once.  The ensemble average converges to
 ``rho(t) = sum_n P_n(t) E^n[rho0]``, which the deterministic series route
-evaluates directly.  A waiting law's count law P_n(t) is its dual
-kernel's decay factor at rate 1 - z, expanded in z: closed-form for the
-Markovian and exponential kernels, else a certified fixed-Talbot inversion.
+evaluates directly.  Ensemble statistics are read from the flat event list
+(each event's realization, number and first grid cell) through the
+empirical count law, with no (realizations x grid) count matrix; only
+:func:`event_counts` forms per-realization count rows, for per-realization
+output and the walkers' positions.  A waiting law's count law P_n(t) is its
+dual kernel's decay factor at rate 1 - z, expanded in z: closed-form for
+the Markovian and exponential kernels, else a certified fixed-Talbot
+inversion.
 """
 
 from dataclasses import dataclass
@@ -19,7 +24,7 @@ import numpy as np
 
 from . import seeding
 from .errors import BadParametersError, DomainError, TruncationError
-from .kernels import WaitingTimeDistribution
+from .kernels import WaitingTimeDistribution, _check_count
 from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, KrausMap, apply_kraus, as_matrix, linear_entropy
 
 DRAWS_PER_BLOCK = 8  # waiting times drawn per live realization and round
@@ -86,14 +91,17 @@ def _renewal_events(waiting: WaitingTimeDistribution, t_end: float, base_seed: i
     and each clock is accumulated by a cumsum that starts from its running
     value, so event times round exactly as ``clock += tau``.  A realization
     stays live until its clock passes `t_end`.  Returns flat (position in
-    `realizations`, event time) arrays.
+    `realizations`, event number, event time) arrays; the number of an
+    event is its draw index + 1, as every wait drawn before `t_end` ends in
+    an event.
     """
     if not np.isfinite(t_end):
         raise BadParametersError(f"the renewal horizon must be finite, got {t_end}")
     realizations = np.asarray(realizations)
     clock = np.zeros(realizations.size)
     live = np.arange(realizations.size)
-    owners, times = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    owners, numbers = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    times = [np.empty(0)]
     first = 0
     while live.size:
         draws = np.arange(first, first + DRAWS_PER_BLOCK)
@@ -104,11 +112,21 @@ def _renewal_events(waiting: WaitingTimeDistribution, t_end: float, base_seed: i
         clocks = np.cumsum(np.concatenate([clock[live, None], taus], axis=1), axis=1)[:, 1:]
         hit = clocks <= t_end
         owners.append(np.broadcast_to(live[:, None], hit.shape)[hit])
+        numbers.append(np.broadcast_to(draws + 1, hit.shape)[hit])
         times.append(clocks[hit])
         clock[live] = clocks[:, -1]
         live = live[clocks[:, -1] <= t_end]
         first += DRAWS_PER_BLOCK
-    return np.concatenate(owners), np.concatenate(times)
+    return np.concatenate(owners), np.concatenate(numbers), np.concatenate(times)
+
+
+def _grid_events(waiting: WaitingTimeDistribution, grid: np.ndarray, n: int, base_seed: int):
+    """Every event of realizations 0..n-1 of the run seeded `base_seed` up
+    to the end of the checked `grid`, as flat (realization, event number,
+    first grid cell) arrays: an event at time s counts at every grid point
+    t >= s, from cell ``searchsorted(grid, s, side="left")`` on."""
+    owners, numbers, times = _renewal_events(waiting, float(grid[-1]), base_seed, np.arange(n))
+    return owners, numbers, np.searchsorted(grid, times, side="left")
 
 
 def event_counts(waiting: WaitingTimeDistribution, grid, n: int, base_seed: int) -> np.ndarray:
@@ -119,14 +137,24 @@ def event_counts(waiting: WaitingTimeDistribution, grid, n: int, base_seed: int)
     ``searchsorted(draw_event_times(waiting, grid[-1], base_seed, k), grid,
     side="right")`` for any n > k.
     """
-    if n < 1:
-        raise BadParametersError(f"need at least one realization, got n = {n}")
+    _check_count("n", n)
     grid = check_grid(grid)
-    owners, times = _renewal_events(waiting, float(grid[-1]), base_seed, np.arange(n))
-    # an event at time s counts at every grid point t >= s
-    first = np.searchsorted(grid, times, side="left")
+    owners, _, first = _grid_events(waiting, grid, n, base_seed)
     starts = np.bincount(owners * grid.size + first, minlength=n * grid.size)
     return np.cumsum(starts.reshape(n, grid.size), axis=1)
+
+
+def _count_histogram(waiting: WaitingTimeDistribution, grid: np.ndarray, n: int, base_seed: int):
+    """Entry [c, i]: how many of realizations 0..n-1 have N(grid[i]) = c,
+    c = 0..max count, read from the event list.  N(t) >= c once event
+    number c has happened, so the realizations with N(grid[i]) >= c are
+    the events numbered c in cells up to i."""
+    _, numbers, first = _grid_events(waiting, grid, n, base_seed)
+    rows = int(numbers.max(initial=0)) + 1
+    starts = np.bincount(numbers * grid.size + first, minlength=rows * grid.size)
+    at_least = np.cumsum(starts.reshape(rows, grid.size), axis=1)
+    at_least[0] = n  # numbers start at 1
+    return -np.diff(at_least, axis=0, append=0)  # at_least[c] - at_least[c + 1]
 
 
 def draw_event_times(
@@ -136,7 +164,7 @@ def draw_event_times(
     seeded `seed`; empty if the first interval overshoots."""
     if index < 0:
         raise BadParametersError(f"realization index must be >= 0, got {index}")
-    return _renewal_events(waiting, float(t_end), seed, [index])[1]
+    return _renewal_events(waiting, float(t_end), seed, [index])[2]
 
 
 def _kraus_powers(emap: KrausMap, rho: np.ndarray, n_max: int) -> np.ndarray:
@@ -214,15 +242,14 @@ def ensemble_average(
     observable with per-count values ``table`` (:func:`count_tables`) has
     mean ``sum_n table[n] Phat_n(t)`` and squared deviation ``n_real sum_n
     (table[n] - mean)^2 Phat_n(t)``, and the mean state is ``sum_n Phat_n(t)
-    E^n[rho0]``.
+    E^n[rho0]``.  The histogram is read from the event list
+    (:func:`_count_histogram`), with no count matrix.
     """
+    _check_count("n_realizations", n_realizations)
     grid = check_grid(grid)
     n = n_realizations
-    counts = event_counts(waiting, grid, n, base_seed)
-    powers, tables = count_tables(rho0, emap, int(counts.max()), observables)
-    histogram = np.bincount(
-        (counts * grid.size + np.arange(grid.size)).ravel(), minlength=powers.shape[0] * grid.size
-    ).reshape(powers.shape[0], grid.size)
+    histogram = _count_histogram(waiting, grid, n, base_seed)
+    powers, tables = count_tables(rho0, emap, histogram.shape[0] - 1, observables)
     means, stderrs = {}, {}
     for name, table in tables.items():
         mean = table @ histogram / n

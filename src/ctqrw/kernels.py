@@ -99,6 +99,13 @@ def _check_positive(**values):
             raise BadParametersError(f"{name} must be finite and > 0, got {value}")
 
 
+def _check_count(name: str, value):
+    """Raise :class:`BadParametersError` unless `value` is an integer >= 1:
+    a Python or numpy integer, not a bool or a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise BadParametersError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def _check_fractional(amplitude: float, alpha: float):
     """The Mittag-Leffler parameters: finite amplitude > 0, 0 < alpha <= 1."""
     _check_positive(amplitude=amplitude)
@@ -120,8 +127,7 @@ def _count_circle(rows: int):
     ``N rho^n``, n < rows: the FFT of ``sum_n z^n P_n`` over the z_k, over this
     scale, is P_n plus 1e-12 P_{n+N} (Abate and Whitt, ORL 12, 245, 1992).
     Raises :class:`BadParametersError` unless `rows` is an integer >= 1."""
-    if isinstance(rows, bool) or not isinstance(rows, (int, np.integer)) or rows < 1:
-        raise BadParametersError(f"rows must be an integer >= 1, got {rows!r}")
+    _check_count("rows", rows)
     n = 4 * rows
     rho = COUNT_RHO_N ** (1.0 / n)
     return rho * np.exp(2j * np.pi * np.arange(n) / n), n * rho ** np.arange(rows)

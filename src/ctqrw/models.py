@@ -8,6 +8,7 @@ random Hamiltonian phases.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .errors import (
     DangerousKernelError,
     UnsupportedKernelError,
 )
-from .kernels import MemoryKernel, _check_positive, classify_kernel, waiting_from_kernel
+from .kernels import MemoryKernel, _check_count, _check_positive, classify_kernel, waiting_from_kernel
 from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, GeneratorMatrix, KrausMap, as_matrix, dissipator
 
 # ---------------------------------------------------------------------------
@@ -400,12 +401,39 @@ class WignerWalkConfig:
 
 @dataclass(frozen=True)
 class WignerWalkResult:
+    """Mean event count and excitation estimate of a walk; the walkers'
+    positions and radial histogram are built on first access, from the
+    same seed, draws and marks."""
+
     grid: np.ndarray
-    positions: np.ndarray  # (n_grid, n_walkers) complex
     mean_counts: np.ndarray
     n_estimate: np.ndarray | None  # n(0) + <|b|^2> <N(t)>, finite-moment laws
-    radial_bins: np.ndarray
-    radial_counts: np.ndarray
+    config: WignerWalkConfig
+    base_seed: int
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """Walker positions, shape (n_grid, n_walkers), complex."""
+        cfg = self.config
+        waiting = waiting_from_kernel(cfg.kernel)
+        counts = engine.event_counts(waiting, self.grid, cfg.n_walkers, self.base_seed)
+        paths = _mark_paths(self.base_seed, counts, cfg.jumps)
+        paths += complex(cfg.initial)
+        return paths.T
+
+    @cached_property
+    def _radial_histogram(self):
+        return np.histogram(np.abs(self.positions[-1]), bins=64)
+
+    @property
+    def radial_bins(self) -> np.ndarray:
+        """Edges of the 64 equal bins of |position| at the grid end."""
+        return self._radial_histogram[1]
+
+    @property
+    def radial_counts(self) -> np.ndarray:
+        """Walkers in each of the :attr:`radial_bins`."""
+        return self._radial_histogram[0]
 
 
 def wigner_ctrw(cfg: WignerWalkConfig, grid, base_seed: int, n0: float = 0.0) -> WignerWalkResult:
@@ -413,45 +441,36 @@ def wigner_ctrw(cfg: WignerWalkConfig, grid, base_seed: int, n0: float = 0.0) ->
 
     Walker k is realization k of the run seeded `base_seed`: its events are
     row k of :func:`ctqrw.engine.event_counts`, and jump j comes from draw
-    j of the mark lane (see :func:`_event_sums`).  The mean excitation
-    estimate is ``n(t) = n(0) + <|b|^2> x (empirical mean event count)``;
-    it is None for jump laws without second moments.  Raises
-    :class:`DangerousKernelError` for kernels without a waiting density and
-    :class:`BadParametersError` for fewer than one walker.
+    j of the mark lane (see :func:`_mark_paths`).  The mean event count is
+    read from the event list alone.  The mean excitation estimate is ``n(t)
+    = n(0) + <|b|^2> x (empirical mean event count)``; it is None for jump
+    laws without second moments.  Raises :class:`DangerousKernelError` for
+    kernels without a waiting density and :class:`BadParametersError`
+    unless `cfg.n_walkers` is an integer >= 1.
     """
-    n_w = int(cfg.n_walkers)
-    if n_w < 1:
-        raise BadParametersError(f"n_walkers must be >= 1, got {n_w}")
+    _check_count("n_walkers", cfg.n_walkers)
     verdict = classify_kernel(cfg.kernel)
     if not verdict.is_safe:
         raise DangerousKernelError(verdict.certificate)
     waiting = waiting_from_kernel(cfg.kernel)
     grid = engine.check_grid(grid)
-    counts = engine.event_counts(waiting, grid, n_w, base_seed)  # (n_walkers, n_grid)
-    paths = complex(cfg.initial) + _event_sums(base_seed, counts[:, -1], cfg.jumps)
-    positions = np.take_along_axis(paths, counts, axis=1).T
-    mean_counts = counts.mean(axis=0)
+    _, _, first = engine._grid_events(waiting, grid, cfg.n_walkers, base_seed)
+    mean_counts = np.cumsum(np.bincount(first, minlength=grid.size)) / cfg.n_walkers
     n_est = None
     if not isinstance(cfg.jumps, LevyJumps):
         n_est = n0 + cfg.jumps.mean_abs_sq * mean_counts
-    radii = np.abs(positions[-1])
-    hist, edges = np.histogram(radii, bins=64)
     return WignerWalkResult(
-        grid=grid,
-        positions=positions,
-        mean_counts=mean_counts,
-        n_estimate=n_est,
-        radial_bins=edges,
-        radial_counts=hist,
+        grid=grid, mean_counts=mean_counts, n_estimate=n_est, config=cfg, base_seed=base_seed
     )
 
 
-def _event_sums(base_seed: int, totals: np.ndarray, law: MarkLaw) -> np.ndarray:
-    """Row k: 0, then the running sum of the marks of the totals[k] events
-    of realization k, zero padded to a common length, so ``row[n]`` is the
-    sum of the first n marks.  Mark j of realization k is ``law`` applied to
-    ``seeding.uniforms(base_seed, k, j, MARK_LANE, law.uniforms)``; every
-    mark of every realization is one call."""
+def _mark_paths(base_seed: int, counts: np.ndarray, law: MarkLaw) -> np.ndarray:
+    """Entry [k, i]: the sum of the first ``counts[k, i]`` marks of
+    realization k, for counts shaped as :func:`ctqrw.engine.event_counts`.
+    Mark j of realization k is ``law`` applied to ``seeding.uniforms(
+    base_seed, k, j, MARK_LANE, law.uniforms)``; every mark of every
+    realization is one call."""
+    totals = counts[:, -1]
     taken = np.arange(int(totals.max())) < totals[:, None]
     owners, draws = np.nonzero(taken)
     marks = law.from_uniforms(
@@ -459,7 +478,7 @@ def _event_sums(base_seed: int, totals: np.ndarray, law: MarkLaw) -> np.ndarray:
     )
     steps = np.zeros((len(totals), taken.shape[1] + 1), dtype=marks.dtype)
     steps[:, 1:][taken] = marks
-    return np.cumsum(steps, axis=1)
+    return np.take_along_axis(np.cumsum(steps, axis=1), counts, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +603,7 @@ def intrinsic_decoherence(
     quadrature as a cross-check, and "stochastic" samples renewal
     events with random phases (safe kernels): realization k has row k of
     :func:`ctqrw.engine.event_counts` and one phase per event from the mark
-    lane (see :func:`_event_sums`).  Populations are conserved exactly
+    lane (see :func:`_mark_paths`).  Populations are conserved exactly
     (gamma_nn = 0).
     """
     grid = engine.check_grid(grid)
@@ -594,17 +613,14 @@ def intrinsic_decoherence(
     g = spectrum.rates()
 
     if route == "stochastic":
-        if n_realizations < 1:
-            raise BadParametersError(f"n_realizations must be >= 1, got {n_realizations}")
+        _check_count("n_realizations", n_realizations)
         verdict = classify_kernel(kernel)
         if not verdict.is_safe:
             raise DangerousKernelError(verdict.certificate)
         waiting = waiting_from_kernel(kernel)
         counts = engine.event_counts(waiting, grid, n_realizations, base_seed)
         # total extra Hamiltonian time per realization and grid point
-        phases = np.take_along_axis(
-            _event_sums(base_seed, counts[:, -1], spectrum.phase), counts, axis=1
-        )
+        phases = _mark_paths(base_seed, counts, spectrum.phase)
         # element factors: mean phase factor (stochastic) or h_gamma (closed)
         factors = np.empty((grid.size, spectrum.dim, spectrum.dim), dtype=complex)
         for (n, mm), omega in np.ndenumerate(spectrum.bohr_frequencies()):

@@ -594,6 +594,82 @@ def test_ensemble_mean_state_is_count_histogram_assembly(plus_x_state):
     assert np.max(np.abs(stats.mean_state - manual)) < 1e-14
 
 
+_HISTOGRAM_LAWS = {
+    "poisson": ExponentialWaiting(rate=0.5),
+    "hypoexponential": HypoexponentialWaiting(r1=0.5, r2=1.5),
+    "ml-0.5": MittagLefflerWaiting(amplitude=1 / np.sqrt(2), alpha=0.5),
+    "ml-0.9": MittagLefflerWaiting(amplitude=1.0, alpha=0.9),
+}
+
+
+@pytest.mark.parametrize("grid", [GRID, np.linspace(2.5, 20.0, 50)], ids=["from-0", "from-2.5"])
+@pytest.mark.parametrize("n", [1, 10_000])
+@pytest.mark.parametrize("waiting", _HISTOGRAM_LAWS.values(), ids=_HISTOGRAM_LAWS.keys())
+def test_event_list_histogram_is_the_dense_count_histogram(waiting, n, grid):
+    # the count law read from the event list counts the same integers as a
+    # bincount of the dense (realizations x grid) count matrix
+    counts = engine.event_counts(waiting, grid, n, base_seed=6)
+    rows = int(counts.max()) + 1
+    dense = np.bincount(
+        (counts * grid.size + np.arange(grid.size)).ravel(), minlength=rows * grid.size
+    ).reshape(rows, grid.size)
+    assert np.array_equal(engine._count_histogram(waiting, grid, n, base_seed=6), dense)
+
+
+def test_wigner_mean_counts_are_the_dense_mean():
+    from ctqrw.kernels import FractionalKernel, waiting_from_kernel
+    from ctqrw.models import GaussianJumps, WignerWalkConfig, wigner_ctrw
+
+    kern = FractionalKernel(amplitude=1.0, alpha=0.7)
+    cfg = WignerWalkConfig(jumps=GaussianJumps(), kernel=kern, n_walkers=3000)
+    grid = np.linspace(0.0, 10.0, 200)
+    res = wigner_ctrw(cfg, grid, base_seed=4)
+    counts = engine.event_counts(waiting_from_kernel(kern), grid, cfg.n_walkers, base_seed=4)
+    assert np.array_equal(res.mean_counts, counts.mean(axis=0))
+
+
+def _peak_bytes(call) -> int:
+    """Peak traced allocation of `call()`, after one untraced warm-up call
+    (lazy imports stay out of the count)."""
+    import tracemalloc
+
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ensemble_average_holds_no_count_matrix(plus_x_state):
+    # 10^4 realizations x 200 points: the dense int64 count matrix alone
+    # would be 16 MB
+    waiting = MittagLefflerWaiting(amplitude=1 / np.sqrt(2), alpha=0.5)
+    emap = qubit_kraus(Depolarizing())
+    grid = np.linspace(0.0, 20.0, 200)
+    peak = _peak_bytes(lambda: engine.ensemble_average(plus_x_state, emap, waiting, grid, 10_000, 41))
+    assert peak < 8 * 2**20
+
+
+def test_wigner_walk_builds_positions_on_first_access():
+    from ctqrw.kernels import FractionalKernel
+    from ctqrw.models import GaussianJumps, WignerWalkConfig, wigner_ctrw
+
+    cfg = WignerWalkConfig(
+        jumps=GaussianJumps(), kernel=FractionalKernel(amplitude=1.0, alpha=0.7), n_walkers=10_000
+    )
+    grid = np.linspace(0.0, 10.0, 200)
+    peak = _peak_bytes(lambda: wigner_ctrw(cfg, grid, base_seed=41))
+    assert peak < 8 * 2**20
+    res = wigner_ctrw(cfg, grid, base_seed=41)
+    assert "positions" not in vars(res)
+    assert res.positions.shape == (grid.size, cfg.n_walkers)
+    assert res.positions is res.positions
+    assert res.radial_counts.sum() == cfg.n_walkers
+    assert res.radial_bins.size == 65
+
+
 def test_wigner_positions_rebuild_per_walker():
     from ctqrw.kernels import FractionalKernel, waiting_from_kernel
     from ctqrw.models import GaussianJumps, WignerWalkConfig, wigner_ctrw

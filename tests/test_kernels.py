@@ -298,11 +298,43 @@ _RENEWAL_LAWS = {
 @pytest.mark.parametrize("rows", [0, -1, 2.5, True, np.float64(3.0)])
 @pytest.mark.parametrize("law", _RENEWAL_LAWS.values(), ids=_RENEWAL_LAWS.keys())
 def test_bad_row_counts_are_bad_parameters(law, rows):
+    from ctqrw import engine
+    from ctqrw.models import (
+        Depolarizing,
+        DeltaPhase,
+        GaussianJumps,
+        SpectrumModel,
+        WignerWalkConfig,
+        intrinsic_decoherence,
+        qubit_kraus,
+        wigner_ctrw,
+    )
+
     grid = np.linspace(0.0, 2.0, 5)
     for table in (law.renewal_table, law.kernel.count_table):
         with pytest.raises(BadParametersError, match="rows"):
             table(grid, rows)
     assert law.renewal_table(grid, np.int64(3)).shape == (3, 5)
+    # realization and walker counts follow the same rule; a float reached
+    # bincount's bare TypeError, and wigner_ctrw truncated it
+    rho0 = np.full((2, 2), 0.5, dtype=complex)
+    spectrum = SpectrumModel(levels=np.array([0.0, 1.0]), phase=DeltaPhase(tau_b=0.5))
+    monte_carlo = [
+        ("n", lambda count: engine.event_counts(law, grid, count, 1)),
+        ("n_realizations", lambda count: engine.ensemble_average(
+            rho0, qubit_kraus(Depolarizing()), law, grid, count, 1
+        )),
+        ("n_walkers", lambda count: wigner_ctrw(
+            WignerWalkConfig(jumps=GaussianJumps(), kernel=law.kernel, n_walkers=count), grid, 1
+        )),
+        ("n_realizations", lambda count: intrinsic_decoherence(
+            spectrum, law.kernel, rho0, grid, route="stochastic", n_realizations=count
+        )),
+    ]
+    for name, call in monte_carlo:
+        with pytest.raises(BadParametersError, match=f"^{name} must be an integer"):
+            call(rows)
+        call(np.int64(3))
 
 
 def test_waiting_pdf_and_survival_consistency():
