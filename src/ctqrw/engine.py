@@ -24,7 +24,7 @@ import numpy as np
 
 from . import seeding
 from .errors import BadParametersError, DomainError, TruncationError
-from .kernels import WaitingTimeDistribution, _check_count
+from .kernels import WaitingTimeDistribution, _check_count, _check_positive
 from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, KrausMap, apply_kraus, as_matrix, linear_entropy
 
 DRAWS_PER_BLOCK = 8  # waiting times drawn per live realization and round
@@ -303,8 +303,10 @@ def renewal_probabilities(
     it (times at the ends of the float range), raises
     :class:`DomainError`.  `min_points` is ignored: it sized the fine grid
     of an earlier convolution quadrature, and is accepted only because
-    ``benchmarks/gate.py`` still passes it.
+    ``benchmarks/gate.py`` still passes it.  Raises
+    :class:`BadParametersError` unless `tail_tol` is finite and > 0.
     """
+    _check_positive(tail_tol=tail_tol)
     grid = check_grid(grid)
     if grid[-1] <= 0:
         raise BadParametersError("renewal_probabilities needs a grid that reaches past t = 0")
@@ -344,8 +346,10 @@ def series_solution(
     the bound is ``tail(t) * max_n ||E^n rho0 - rho_inf||``-style crude
     envelope (the renewal tail times the largest operator spread).
     Raises :class:`TruncationError` when the tail at the grid end exceeds
-    `tol` at the allowed truncation.
+    `tol` at the allowed truncation, and :class:`BadParametersError` unless
+    `tol` is finite and > 0.
     """
+    _check_positive(tol=tol)
     grid = check_grid(grid)
     rho = as_matrix(rho0)
     probs = renewal_probabilities(waiting, n_max, grid, tail_tol=tol / 10)

@@ -63,17 +63,23 @@ class DefectiveGeneratorError(CtqrwError):
     """Generator is not diagonalizable (Jordan block detected)."""
 
 
-class NotADistributionError(CtqrwError):
-    """Inverted waiting-time density goes negative; carries a witness time."""
+class DangerousKernelError(CtqrwError):
+    """The kernel has no waiting law: its dual waiting-time density is not a
+    distribution, so no renewal process drives it.  Carries the `witness`
+    of the failed check."""
+
+    def __init__(self, message: str, witness: dict):
+        self.witness = witness
+        super().__init__(message)
+
+
+class NotADistributionError(DangerousKernelError):
+    """Waiting-time density goes negative; carries a witness time."""
 
     def __init__(self, witness_t: float, value: float):
-        self.witness_t = witness_t
-        self.value = value
-        super().__init__(f"w(t) = {value:.3e} < 0 at t = {witness_t:.6g}")
-
-
-class DangerousKernelError(CtqrwError):
-    """Operation requires a stochastically interpretable (safe) kernel."""
+        self.witness_t, self.value = witness_t, value
+        message = f"the waiting density is negative: w(t) = {value:.3e} < 0 at t = {witness_t:.6g}"
+        super().__init__(message, {"t": witness_t, "w_value": value})
 
 
 class SubordinationUnavailableError(CtqrwError):

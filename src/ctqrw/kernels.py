@@ -6,6 +6,9 @@ and its inverse ``wtilde(u) = 1 / (u / Ktilde(u) + 1)``.  A kernel is *safe*
 when the induced w is a genuine probability density (completely monotone
 wtilde); safe kernels admit a renewal-process interpretation and therefore
 yield completely positive dynamics regardless of the scattering map.
+Every renewal route has one gate, ``kernel.waiting()``: the dual waiting
+law, or :class:`DangerousKernelError` with a witness (a negative density is
+a :class:`NotADistributionError`); ``verdict()`` reports the same checks.
 
 Built-in variants (units in seconds):
 
@@ -184,26 +187,16 @@ class MemoryKernel:
         k = self.laplace(u)
         return k / (u + k)
 
-    def waiting(self):
-        """The dual waiting-time distribution, tabulated on 4000 points up to
-        20 T and naming this kernel as its dual.  Raises
-        :class:`NotADistributionError` with a witness time when the inverted
-        density goes negative."""
-        t_max = 20.0 * self.time_scale
-        grid = np.linspace(t_max / 4000.0, t_max, 4000)
-        pdf = laplace.invert(self._waiting_laplace, grid)
-        if pdf.min() < -1e-9 * max(pdf.max(), 1e-30):
-            i = int(np.argmin(pdf))
-            raise NotADistributionError(float(grid[i]), float(pdf[i]))
-        return EmpiricalWaiting(times=grid, pdf=np.clip(pdf, 0.0, None), kernel=self)
-
-    def verdict(self) -> "KernelVerdict":
-        """Numeric probe: wtilde(u) = 1/(u/Ktilde(u) + 1) must be positive
-        with alternating derivative signs up to ``PROBE_ORDER`` on a log grid
-        spanning [1e-3, 1e3] times the kernel rate, and the inverted density
-        must be nonnegative.  A derivative below the rounding floor of its
-        probe circle has no sign to check; the certificate names the orders
-        left undecided that way."""
+    def _checked_waiting(self):
+        """(waiting law, probe orders left undecided) after the two checks of
+        a kernel without closed forms, each run once.  First the numeric
+        complete-monotonicity probe: wtilde(u) = 1/(u/Ktilde(u) + 1) must be
+        positive with alternating derivative signs up to ``PROBE_ORDER`` on a
+        log grid spanning [1e-3, 1e3] times the kernel rate (a derivative
+        below the rounding floor of its probe circle has no sign to check),
+        or :class:`DangerousKernelError` is raised with its witness.  Then
+        the density, inverted on 4000 points up to 20 T, must be
+        nonnegative, or :class:`NotADistributionError` is raised."""
         rate = 1.0 / self.time_scale
         orders = np.arange(PROBE_ORDER + 1)
         undecided = np.zeros(orders.shape, dtype=bool)
@@ -214,23 +207,37 @@ class MemoryKernel:
             signs = coeffs * (-1.0) ** orders
             bad = np.flatnonzero(decided & (signs < -1e-9 * np.max(np.abs(coeffs[decided]), initial=0.0)))
             if bad.size:
-                return KernelVerdict(
-                    verdict="dangerous",
-                    certificate=(
-                        f"CM probe failed at u={u0:.3g}: derivative order {bad[0]} has the "
-                        "wrong sign"
-                    ),
-                    witness={"u": float(u0), "order": int(bad[0])},
+                raise DangerousKernelError(
+                    f"CM probe failed at u={u0:.3g}: derivative order {bad[0]} has the wrong sign",
+                    {"u": float(u0), "order": int(bad[0])},
                 )
+        t_max = 20.0 * self.time_scale
+        grid = np.linspace(t_max / 4000.0, t_max, 4000)
+        pdf = laplace.invert(self._waiting_laplace, grid)
+        if pdf.min() < -1e-9 * max(pdf.max(), 1e-30):
+            i = int(np.argmin(pdf))
+            raise NotADistributionError(float(grid[i]), float(pdf[i]))
+        law = EmpiricalWaiting(times=grid, pdf=np.clip(pdf, 0.0, None), kernel=self)
+        return law, orders[undecided].tolist()
+
+    def waiting(self):
+        """The dual waiting-time distribution, naming this kernel as its
+        dual: the one gate of every renewal route.  Raises
+        :class:`DangerousKernelError` (:class:`NotADistributionError` for a
+        negative density) with the witness of the failed check."""
+        return self._checked_waiting()[0]
+
+    def verdict(self) -> "KernelVerdict":
+        """The checks of :meth:`waiting` as a verdict: "dangerous" with the
+        witness of the failed one, else "safe-conditional", whose
+        certificate names the probe orders left undecided."""
         try:
-            self.waiting()
-        except NotADistributionError as exc:
-            return KernelVerdict(
-                verdict="dangerous",
-                certificate=f"inverted waiting density negative at t={exc.witness_t:g}",
-                witness={"t": exc.witness_t, "w_value": exc.value},
-            )
-        skipped = orders[undecided].tolist()
+            _, skipped = self._checked_waiting()
+        except DangerousKernelError as exc:
+            certificate = str(exc)
+            if isinstance(exc, NotADistributionError):
+                certificate = f"inverted waiting density negative at t={exc.witness_t:g}"
+            return KernelVerdict(verdict="dangerous", certificate=certificate, witness=exc.witness)
         note = f" (orders {skipped} below rounding at some u, undecided)" if skipped else ""
         return KernelVerdict(
             verdict="safe-conditional",
@@ -443,21 +450,22 @@ class ExponentialKernel(MemoryKernel):
         return self.decay / self.amplitude
 
     def waiting(self):
-        verdict = self.verdict()
-        if not verdict.is_safe:
-            raise NotADistributionError(verdict.witness["t"], verdict.witness["w_value"])
-        return HypoexponentialWaiting(**verdict.witness)
+        """Hypoexponential waiting for gamma^2 >= 4 A_eps; otherwise raises
+        :class:`NotADistributionError` at the first negative lobe."""
+        if self.discriminant < 0:
+            raise NotADistributionError(*_exponential_negative_witness(self)[:2])
+        # rates r1 <= r2; r1 = A_eps / r2 does not cancel when gamma^2 >>
+        # 4 A_eps, as (gamma - s) / 2 would
+        s = np.sqrt(self.discriminant)
+        return HypoexponentialWaiting(r1=2.0 * self.amplitude / (self.decay + s), r2=(self.decay + s) / 2.0)
 
     def verdict(self) -> "KernelVerdict":
         if self.discriminant >= 0:
-            # hypoexponential rates r1 <= r2; r1 = A_eps / r2 does not cancel
-            # when gamma^2 >> 4 A_eps, as (gamma - s) / 2 would
-            s = np.sqrt(self.discriminant)
-            r1, r2 = 2.0 * self.amplitude / (self.decay + s), (self.decay + s) / 2.0
+            law = self.waiting()
             return KernelVerdict(
                 verdict="safe",
-                certificate=f"hypoexponential waiting with rates r1={r1:g}, r2={r2:g}",
-                witness={"r1": r1, "r2": r2},
+                certificate=f"hypoexponential waiting with rates r1={law.r1:g}, r2={law.r2:g}",
+                witness={"r1": law.r1, "r2": law.r2},
             )
         t_w, w_val, log10_w = _exponential_negative_witness(self)
         return KernelVerdict(
@@ -772,11 +780,9 @@ class EmpiricalWaiting(WaitingTimeDistribution):
 
 
 def waiting_from_kernel(kernel: MemoryKernel):
-    """The waiting-time distribution dual to a kernel (Eq. duality).
-
-    Raises :class:`NotADistributionError` with a witness time when the
-    inverted density goes negative (dangerous kernel).
-    """
+    """The waiting-time distribution dual to a kernel (Eq. duality):
+    :meth:`MemoryKernel.waiting`, which raises :class:`DangerousKernelError`
+    for a kernel without one."""
     return kernel.waiting()
 
 
@@ -884,8 +890,8 @@ def renewal_mean_count(kernel: MemoryKernel, t):
     Markovian: A1 t.  Fractional: A t^alpha / Gamma(1+alpha).
     Exponential (safe): (A/gamma) t - (A/gamma^2)(1 - exp(-gamma t)).
     LaplaceKernel: numeric Talbot inversion of Ktilde(u)/u^2.
+    Raises :class:`DangerousKernelError` where :meth:`MemoryKernel.waiting`
+    does.
     """
-    verdict = classify_kernel(kernel)
-    if not verdict.is_safe:
-        raise DangerousKernelError(verdict.certificate)
+    kernel.waiting()
     return laplace.like_input(t, kernel.mean_count(np.atleast_1d(np.asarray(t, dtype=float))))

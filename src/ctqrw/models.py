@@ -13,13 +13,8 @@ from functools import cached_property
 import numpy as np
 
 from . import engine, seeding, solvers
-from .errors import (
-    BadMomentsError,
-    BadParametersError,
-    DangerousKernelError,
-    UnsupportedKernelError,
-)
-from .kernels import MemoryKernel, _check_count, _check_positive, classify_kernel, waiting_from_kernel
+from .errors import BadMomentsError, BadParametersError, UnsupportedKernelError
+from .kernels import MemoryKernel, _check_count, _check_positive
 from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, GeneratorMatrix, KrausMap, as_matrix, dissipator
 
 # ---------------------------------------------------------------------------
@@ -351,6 +346,11 @@ class LevyJumps(MarkLaw):
         s = positive_stable(self.mu / 2.0, u[..., 2:])
         return 2.0 * self.sigma * np.sqrt(s) * g
 
+    @property
+    def mean_abs_sq(self) -> float | None:
+        """<|b|^2> = 4 sigma^2 at mu = 2 (b = 2 sigma g); None below."""
+        return 4.0 * self.sigma**2 if self.mu == 2.0 else None
+
     def characteristic(self, k: np.ndarray) -> np.ndarray:
         k = np.asarray(k, dtype=complex)
         return np.exp(-(self.sigma**self.mu) * np.abs(k) ** self.mu)
@@ -415,8 +415,7 @@ class WignerWalkResult:
     def positions(self) -> np.ndarray:
         """Walker positions, shape (n_grid, n_walkers), complex."""
         cfg = self.config
-        waiting = waiting_from_kernel(cfg.kernel)
-        counts = engine.event_counts(waiting, self.grid, cfg.n_walkers, self.base_seed)
+        counts = engine.event_counts(cfg.kernel.waiting(), self.grid, cfg.n_walkers, self.base_seed)
         paths = _mark_paths(self.base_seed, counts, cfg.jumps)
         paths += complex(cfg.initial)
         return paths.T
@@ -444,20 +443,17 @@ def wigner_ctrw(cfg: WignerWalkConfig, grid, base_seed: int, n0: float = 0.0) ->
     j of the mark lane (see :func:`_mark_paths`).  The mean event count is
     read from the event list alone.  The mean excitation estimate is ``n(t)
     = n(0) + <|b|^2> x (empirical mean event count)``; it is None for jump
-    laws without second moments.  Raises :class:`DangerousKernelError` for
-    kernels without a waiting density and :class:`BadParametersError`
-    unless `cfg.n_walkers` is an integer >= 1.
+    laws without second moments (``mean_abs_sq`` None).  Raises
+    :class:`DangerousKernelError` for kernels without a waiting density and
+    :class:`BadParametersError` unless `cfg.n_walkers` is an integer >= 1.
     """
     _check_count("n_walkers", cfg.n_walkers)
-    verdict = classify_kernel(cfg.kernel)
-    if not verdict.is_safe:
-        raise DangerousKernelError(verdict.certificate)
-    waiting = waiting_from_kernel(cfg.kernel)
+    waiting = cfg.kernel.waiting()
     grid = engine.check_grid(grid)
     _, _, first = engine._grid_events(waiting, grid, cfg.n_walkers, base_seed)
     mean_counts = np.cumsum(np.bincount(first, minlength=grid.size)) / cfg.n_walkers
     n_est = None
-    if not isinstance(cfg.jumps, LevyJumps):
+    if cfg.jumps.mean_abs_sq is not None:
         n_est = n0 + cfg.jumps.mean_abs_sq * mean_counts
     return WignerWalkResult(
         grid=grid, mean_counts=mean_counts, n_estimate=n_est, config=cfg, base_seed=base_seed
@@ -614,11 +610,7 @@ def intrinsic_decoherence(
 
     if route == "stochastic":
         _check_count("n_realizations", n_realizations)
-        verdict = classify_kernel(kernel)
-        if not verdict.is_safe:
-            raise DangerousKernelError(verdict.certificate)
-        waiting = waiting_from_kernel(kernel)
-        counts = engine.event_counts(waiting, grid, n_realizations, base_seed)
+        counts = engine.event_counts(kernel.waiting(), grid, n_realizations, base_seed)
         # total extra Hamiltonian time per realization and grid point
         phases = _mark_paths(base_seed, counts, spectrum.phase)
         # element factors: mean phase factor (stochastic) or h_gamma (closed)

@@ -37,7 +37,6 @@ from numpy.polynomial.legendre import leggauss
 from . import laplace
 from .engine import check_grid
 from .errors import (
-    DangerousKernelError,
     DimMismatchError,
     DomainError,
     InversionError,
@@ -47,10 +46,11 @@ from .errors import (
 )
 from .kernels import (  # telegraph_h is re-exported as ctqrw.solvers.telegraph_h
     ExponentialKernel,
+    ExponentialWaiting,
     FractionalKernel,
+    HypoexponentialWaiting,
     MarkovianKernel,
     MemoryKernel,
-    classify_kernel,
     telegraph_h,
 )
 from .quantum import DampingBasis, GeneratorMatrix, KrausMap, as_matrix, choi_matrices, vec
@@ -394,19 +394,6 @@ class DeltaLine:
     location: float
 
 
-def _subordination_mode(kernel: MemoryKernel) -> str:
-    verdict = classify_kernel(kernel)
-    if not verdict.is_safe:
-        raise DangerousKernelError(
-            f"subordination requires a stochastically interpretable kernel: {verdict.certificate}"
-        )
-    if isinstance(kernel, MarkovianKernel):
-        return "delta"
-    if isinstance(kernel, ExponentialKernel):
-        return "laplace"
-    return "density"
-
-
 def _density_at(kernel: MemoryKernel, t: float, taus: np.ndarray) -> np.ndarray:
     """P(t, tau) for many tau at one t: one Talbot inversion of
     ``exp(-tau u/Ktilde(u))/Ktilde(u)`` broadcast over tau.
@@ -433,18 +420,19 @@ def subordination_pdf(kernel: MemoryKernel, t: float, tau):
     """Internal-time density P(t, tau) via fixed-Talbot inversion of
     ``(1/Ktilde(u)) exp(-tau u/Ktilde(u))``.
 
-    Markovian kernels return the symbolic :class:`DeltaLine` at
-    ``tau = A1 t``.  Exponential kernels raise
-    :class:`SubordinationUnavailableError` (no pointwise density exists
-    even in the safe regime; :func:`subordination_solve` needs none), and
-    so does a density whose Talbot inversion is not certified (fractional
-    alpha of 0.7 and above).  Dangerous kernels raise
-    :class:`DangerousKernelError`; ``t <= 0`` raises :class:`DomainError`.
+    The kernel's waiting law decides: exponential waiting (Poisson
+    counting) returns the symbolic :class:`DeltaLine` at ``tau = A1 t``.
+    Hypoexponential waiting raises :class:`SubordinationUnavailableError`
+    (no pointwise density exists even in the safe regime;
+    :func:`subordination_solve` needs none), and so does a density whose
+    Talbot inversion is not certified (fractional alpha of 0.7 and above).
+    A kernel without a waiting law raises :class:`DangerousKernelError`;
+    ``t <= 0`` raises :class:`DomainError`.
     """
-    mode = _subordination_mode(kernel)
-    if mode == "delta":
-        return DeltaLine(location=kernel.rate * float(t))
-    if mode == "laplace":
+    waiting = kernel.waiting()
+    if isinstance(waiting, ExponentialWaiting):
+        return DeltaLine(location=waiting.rate * float(t))
+    if isinstance(waiting, HypoexponentialWaiting):
         raise SubordinationUnavailableError(
             "the exponential kernel admits no pointwise subordination density "
             "(under-dispersed renewal counting); use subordination_solve"
@@ -469,10 +457,10 @@ def subordination_solve(kernel: MemoryKernel, basis: DampingBasis, rho0, grid):
     complex rates the roots of ``u^2 + gamma u + lam A_eps`` can leave the
     contour too: its factors there can be wrong at long times without an
     :class:`InversionError`.
-    Dangerous kernels raise :class:`DangerousKernelError`, and
-    an uncertified inversion raises :class:`InversionError`.
+    A kernel without a waiting law raises :class:`DangerousKernelError`,
+    and an uncertified inversion raises :class:`InversionError`.
     """
-    _subordination_mode(kernel)  # refuses dangerous kernels
+    kernel.waiting()
     grid = check_grid(grid)
     decaying = np.abs(basis.rates) >= 1e-12
     hs = np.ones((basis.rates.size, grid.size), dtype=complex)

@@ -549,12 +549,23 @@ def test_nonfinite_grids_are_bad_parameters(plus_x_state, time_budget, grid):
             call()
 
 
-@pytest.mark.parametrize("t_end", [np.inf, np.nan])
-def test_nonfinite_renewal_horizon_is_bad_parameters(time_budget, t_end):
+@pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0])
+def test_bad_renewal_horizons_and_tolerances_are_bad_parameters(plus_x_state, time_budget, value):
+    # a NaN series tolerance skipped the truncation check and returned states,
+    # and tol = -1 built the 512-row table before it failed; a horizon that
+    # is not finite is refused too (one <= 0 has no events, which is no fault)
     from ctqrw.errors import BadParametersError
 
-    with time_budget(5.0), pytest.raises(BadParametersError, match="finite"):
-        engine.draw_event_times(ExponentialWaiting(rate=1.0), t_end, 1)
+    w = ExponentialWaiting(rate=1.0)
+    calls = [
+        lambda: engine.series_solution(plus_x_state, qubit_kraus(Depolarizing()), w, GRID, tol=value),
+        lambda: engine.renewal_probabilities(w, None, GRID, tail_tol=value),
+    ]
+    if not np.isfinite(value):
+        calls.append(lambda: engine.draw_event_times(w, value, 1))
+    for call in calls:
+        with time_budget(5.0), pytest.raises(BadParametersError, match="finite"):
+            call()
 
 
 INVALID_WAITING = {

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ctqrw import engine, solvers
-from ctqrw.errors import BadMomentsError, BadParametersError, DangerousKernelError
+from ctqrw import engine, laplace, solvers
+from ctqrw.errors import BadMomentsError, BadParametersError, DangerousKernelError, NotADistributionError
 from ctqrw.kernels import (
     ExponentialKernel,
     FractionalKernel,
+    LaplaceKernel,
     MarkovianKernel,
+    renewal_mean_count,
     waiting_from_kernel,
 )
 from ctqrw.models import (
@@ -361,6 +363,67 @@ def test_wigner_levy_has_no_n_estimate():
     cfg = WignerWalkConfig(jumps=LevyJumps(mu=1.2), kernel=MARKOV, n_walkers=20)
     res = wigner_ctrw(cfg, np.linspace(0, 5, 6), base_seed=1)
     assert res.n_estimate is None
+
+
+def test_wigner_levy_at_mu_two_estimates_like_its_gaussian():
+    # mu = 2 samples b = 2 sigma g, so <|b|^2> = 4 sigma^2; the estimate
+    # used to be None there
+    sigma = 0.5
+    grid = np.linspace(0.0, 5.0, 6)
+    levy = WignerWalkConfig(jumps=LevyJumps(mu=2.0, sigma=sigma), kernel=MARKOV, n_walkers=50)
+    gauss = WignerWalkConfig(jumps=GaussianJumps(mean_abs_sq=4 * sigma**2), kernel=MARKOV, n_walkers=50)
+    got = wigner_ctrw(levy, grid, base_seed=3, n0=0.5).n_estimate
+    assert np.array_equal(got, wigner_ctrw(gauss, grid, base_seed=3, n0=0.5).n_estimate)
+
+
+def _stochastic_intrinsic(kernel):
+    spectrum = SpectrumModel(levels=np.array([0.0, 1.0]), phase=DeltaPhase(tau_b=0.5))
+    return intrinsic_decoherence(spectrum, kernel, PLUS_X, GRID, route="stochastic", n_realizations=10)
+
+
+def _walk(kernel):
+    return wigner_ctrw(WignerWalkConfig(jumps=GaussianJumps(), kernel=kernel, n_walkers=10), GRID, base_seed=1)
+
+
+# every call that needs the dual waiting law, which kernel.waiting() alone grants
+GATE_SITES = {
+    "waiting_from_kernel": waiting_from_kernel,
+    "wigner_ctrw": _walk,
+    "intrinsic-stochastic": _stochastic_intrinsic,
+    "renewal_mean_count": lambda kernel: renewal_mean_count(kernel, 1.0),
+    "subordination_solve": lambda kernel: solvers.subordination_solve(
+        kernel, damping_basis(lindblad_from_kraus(qubit_kraus(Depolarizing()))), PLUS_X, GRID
+    ),
+    "subordination_pdf": lambda kernel: solvers.subordination_pdf(kernel, 1.0, 1.0),
+}
+DANGEROUS = {
+    "exponential": ExponentialKernel(amplitude=1.0, decay=1.0),
+    "laplace": LaplaceKernel(transform=lambda u: 1.0 / (u + 1.0)),
+}
+
+
+@pytest.mark.parametrize("kernel", DANGEROUS.values(), ids=DANGEROUS.keys())
+@pytest.mark.parametrize("site", GATE_SITES.values(), ids=GATE_SITES.keys())
+def test_every_gate_site_refuses_a_dangerous_kernel(site, kernel):
+    assert issubclass(NotADistributionError, DangerousKernelError)
+    with pytest.raises(DangerousKernelError) as exc:
+        site(kernel)
+    assert exc.value.witness
+
+
+@pytest.mark.parametrize("run", [_walk, _stochastic_intrinsic], ids=["wigner", "intrinsic-stochastic"])
+def test_monte_carlo_inverts_a_laplace_kernel_density_once(monkeypatch, run):
+    # the gate probes the kernel and inverts its density once; classifying
+    # first, then asking for the waiting law, inverted the density twice
+    inverted, invert = [], laplace.invert
+
+    def counting_invert(fhat, t):
+        inverted.append(np.size(t))
+        return invert(fhat, t)
+
+    monkeypatch.setattr(laplace, "invert", counting_invert)
+    run(LaplaceKernel(transform=lambda u: 0.75 / (u + 2.0)))
+    assert inverted.count(4000) == 1
 
 
 def test_wigner_matches_second_order_volterra():
