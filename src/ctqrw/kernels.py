@@ -30,10 +30,10 @@ transforms, ``1/(u + lam Ktilde(u))``: the count law of the dual waiting
 law is ``P_n(t) = [z^n] h_{1-z}(t)`` (:meth:`MemoryKernel.count_table`).
 On the circle of z that extracts the coefficients, the FFT of those
 transforms is closed-form, ``wtilde^n / ((u + Ktilde) (1 - rho^N
-wtilde^N))`` for row n, so only the poles a kernel names in
-:meth:`MemoryKernel.poles`, which are inverted exactly, keep a sum over
-the circle.  Every waiting law names its dual kernel and tabulates its
-count law there.
+wtilde^N))`` for row n.  Both inversions pass the poles a kernel names in
+:meth:`MemoryKernel.poles` to :func:`laplace.invert`, which decides which
+of them each contour misses and inverts those exactly.  Every waiting law
+names its dual kernel and tabulates its count law there.
 """
 
 import math
@@ -258,26 +258,24 @@ class MemoryKernel:
         raise UnsupportedKernelError("closed-form decay functions exist for built-in kernels only")
 
     def poles(self, lam):
-        """Poles p of ``1/(u + lam Ktilde(u))`` that may leave the Talbot
-        contour, and their residues R, both shaped like `lam`; R = 0 (with
-        p = 0) names none, which is the default."""
-        zero = np.zeros(np.shape(lam), dtype=complex)
-        return zero, zero
+        """Simple poles p of ``1/(u + lam Ktilde(u))`` and their residues R,
+        both shaped ``lam.shape + (n_poles,)``; R = 0 names none.  The
+        default names none: :func:`laplace.invert` inverts the named poles
+        that its contours miss exactly, and the others not at all."""
+        empty = np.zeros(np.shape(lam) + (0,), dtype=complex)
+        return empty, empty
 
     def talbot_decay_factor(self, lam, t) -> np.ndarray:
         """h_lam(t) by fixed-Talbot inversion of ``1/(u + lam Ktilde(u))``,
-        every rate of `lam` in one :func:`laplace.invert` call.
+        every rate of `lam` in one :func:`laplace.invert` call, which takes
+        the kernel's :meth:`poles`.
 
         The rule keeps real parts only, so Re h and Im h are inverted from the
         transforms ``(h(lam) + h(conj lam))/2`` and ``(h(lam) - h(conj lam))/2i``
-        of real functions; for real lam the second vanishes.  A conjugate or
-        repeated rate is inverted once: ``h(conj lam) = conj h(lam)``.  The
-        kernel's :meth:`poles` are inverted exactly: ``R/(u - p)`` is taken
-        out of each transform and ``R e^{p t}`` added back.  The exponential
-        kernel names none, though at complex rates its two poles, the roots
-        of ``u^2 + gamma u + lam A_eps``, can leave the contour too (its
-        :meth:`decay_factor` is closed-form).  h(0) = 1; no rates give an
-        empty array.
+        of real functions; for real lam the second vanishes.  Each names the
+        poles of h(lam) and of h(conj lam), their residues combined alike.
+        A conjugate or repeated rate is inverted once: ``h(conj lam) = conj
+        h(lam)``.  h(0) = 1; no rates give an empty array.
         """
         lam = np.asarray(lam, dtype=complex)
         t = np.asarray(t, dtype=float)
@@ -287,7 +285,7 @@ class MemoryKernel:
             return out
         rates = np.stack([reps, reps.conj()])
         pole, residue = self.poles(rates)
-        named = np.any(residue)
+        zero = np.zeros_like(residue[0])
 
         def even_odd(h):
             return np.stack([(h[0] + h[1]) / 2, (h[0] - h[1]) / 2j])
@@ -295,14 +293,11 @@ class MemoryKernel:
         def fhat(u):
             h = u + rates[..., None, None] * self.laplace(u)
             np.divide(1.0, h, out=h)
-            if named:
-                h -= residue[..., None, None] / (u - pole[..., None, None])
             return even_odd(h)
 
-        times = t[t > 0]
-        parts = laplace.invert(fhat, times)
-        if named:
-            parts += even_odd(residue[..., None] * np.exp(pole[..., None] * times)).real
+        both = np.stack([np.concatenate([residue[0], zero], -1), np.concatenate([zero, residue[1]], -1)])
+        poles = np.concatenate(pole, -1), even_odd(both)
+        parts = laplace.invert(fhat, t[t > 0], poles=poles)
         h = (parts[0] + 1j * parts[1])[back.ravel()].reshape(lam.shape + (-1,))
         out[..., t > 0] = np.where((lam.imag < 0)[..., None], h.conj(), h)
         return out
@@ -342,10 +337,10 @@ class MemoryKernel:
 
         Row n is ``[z^n] h_{1-z}(t)`` on the circle of :func:`_count_circle`,
         whose transforms :meth:`_count_laplace` gives in closed form; the
-        certified Talbot inversion checks every P_n.  The :meth:`poles` at
-        the rates 1 - z_k are inverted exactly: the FFT of ``R/(u - p)`` over
-        the circle is taken out of the transforms and that of ``R e^{p t}``
-        added back, both formed at the points that name a pole only."""
+        certified Talbot inversion checks every P_n.  Row n names the
+        :meth:`poles` at the rates 1 - z_k that the contours may miss
+        (:func:`laplace.may_miss`), with their residues times the weights
+        ``e^{-2 pi i nk/N} / (N rho^n)`` of the FFT over the circle."""
         z, scale = _count_circle(rows)
         table = np.zeros((rows, grid.size))
         table[0, grid == 0] = 1.0
@@ -353,25 +348,10 @@ class MemoryKernel:
         if times.size == 0:  # laplace.invert takes no empty time array
             return table
         pole, residue = self.poles(1.0 - z)
-        named = np.flatnonzero(residue)
-        pole, residue = pole[named], residue[named]
-
-        def circle_sum(terms):
-            """Rows of the FFT over the circle of `terms`, given at the named
-            points (zero elsewhere), over the scale."""
-            full = np.zeros((z.size,) + terms.shape[1:], dtype=complex)
-            full[named] = terms
-            return (np.fft.fft(full, axis=0)[:rows].T / scale).T
-
-        def fhat(u):
-            out = self._count_laplace(u, rows)
-            if named.size:
-                out -= circle_sum(residue[:, None, None] / (u - pole[:, None, None]))
-            return out
-
-        table[:, grid > 0] = laplace.invert(fhat, times)
-        if named.size:
-            table[:, grid > 0] += circle_sum(residue[:, None] * np.exp(pole[:, None] * times)).real
+        k, j = np.nonzero(residue * laplace.may_miss(pole, times))  # (rows, K) only for these
+        weights = np.exp(-2j * np.pi * (np.outer(np.arange(rows), k) % z.size) / z.size) / scale[:, None]
+        poles = pole[k, j], weights * residue[k, j]
+        table[:, grid > 0] = laplace.invert(lambda u: self._count_laplace(u, rows), times, poles=poles)
         return table
 
     def short_time_law(self) -> tuple[float, float]:
@@ -410,11 +390,9 @@ class MarkovianKernel(MemoryKernel):
         return self.rate * t
 
     def poles(self, lam):
-        """``u = -lam A1``, residue 1, at complex lam only: a real rate keeps
-        the plain Talbot sum."""
+        """``u = -lam A1``, residue 1."""
         lam = np.asarray(lam, dtype=complex)
-        off_axis = lam.imag != 0
-        return np.where(off_axis, -lam * self.rate, 0.0), np.where(off_axis, 1.0, 0.0)
+        return (-lam * self.rate)[..., None], np.ones(lam.shape + (1,), dtype=complex)
 
     def decay_factor(self, lam, t):
         """exp(-lam A1 t); complex lam gives a complex factor."""
@@ -454,10 +432,8 @@ class ExponentialKernel(MemoryKernel):
         :class:`NotADistributionError` at the first negative lobe."""
         if self.discriminant < 0:
             raise NotADistributionError(*_exponential_negative_witness(self)[:2])
-        # rates r1 <= r2; r1 = A_eps / r2 does not cancel when gamma^2 >>
-        # 4 A_eps, as (gamma - s) / 2 would
-        s = np.sqrt(self.discriminant)
-        return HypoexponentialWaiting(r1=2.0 * self.amplitude / (self.decay + s), r2=(self.decay + s) / 2.0)
+        r2, r1 = -self.poles(1.0)[0].real  # the roots of u^2 + gamma u + A_eps, r1 <= r2
+        return HypoexponentialWaiting(r1=r1, r2=r2)
 
     def verdict(self) -> "KernelVerdict":
         if self.discriminant >= 0:
@@ -477,6 +453,17 @@ class ExponentialKernel(MemoryKernel):
     def mean_count(self, t):
         a, g = self.amplitude, self.decay
         return (a / g) * t - (a / g**2) * (1.0 - np.exp(-g * t))
+
+    def poles(self, lam):
+        """The roots ``p1 = -(gamma + Phi)/2`` and ``p2 = lam A_eps / p1`` of
+        ``u^2 + gamma u + lam A_eps``, ``Phi = sqrt(gamma^2 - 4 lam A_eps)``,
+        with residues ``(p + gamma)/(2p + gamma)``, that is ``p2/Phi`` and
+        ``-p1/Phi``; the double root at Phi = 0 names none."""
+        lam = np.asarray(lam, dtype=complex)[..., None]
+        phi = np.sqrt(self.decay**2 - 4.0 * lam * self.amplitude)
+        p1 = -0.5 * (self.decay + phi)  # Re phi >= 0: no cancellation
+        pole = np.concatenate([p1, lam * self.amplitude / p1], axis=-1)
+        return pole, np.divide(pole[..., ::-1] * [1, -1], phi, out=np.zeros_like(pole), where=phi != 0)
 
     def decay_factor(self, lam, t):
         """The telegraph factor :func:`telegraph_h`; accepts complex lam."""
@@ -528,7 +515,8 @@ class FractionalKernel(MemoryKernel):
         residue 1/alpha; none at lam = 0."""
         c = -self.amplitude * np.asarray(lam, dtype=complex)
         on_sheet = (c != 0) & (np.abs(np.angle(c)) < self.alpha * np.pi)
-        return np.where(on_sheet, c ** (1.0 / self.alpha), 0.0), np.where(on_sheet, 1.0 / self.alpha, 0.0)
+        pole = np.where(on_sheet, c ** (1.0 / self.alpha), 0.0)
+        return pole[..., None], np.where(on_sheet, 1.0 / self.alpha, 0.0)[..., None]
 
     def decay_factor(self, lam, t):
         """E_alpha(-lam A_alpha t^alpha): :func:`special.mittag_leffler` at
@@ -746,8 +734,9 @@ class EmpiricalWaiting(WaitingTimeDistribution):
 
     def __post_init__(self):
         """`times` and `pdf`: finite 1-d arrays of one length >= 2, `times`
-        >= 0 and strictly increasing (:class:`BadParametersError`); a
-        negative `pdf` value raises :class:`NotADistributionError`."""
+        >= 0 and strictly increasing, and `pdf` of mass > 0
+        (:class:`BadParametersError`); a negative `pdf` value raises
+        :class:`NotADistributionError`."""
         t = np.asarray(self.times, dtype=float)
         p = np.asarray(self.pdf, dtype=float)
         if t.ndim != 1 or p.shape != t.shape or t.size < 2:
@@ -764,7 +753,7 @@ class EmpiricalWaiting(WaitingTimeDistribution):
         cdf = np.concatenate([[0.0], np.cumsum(0.5 * (p[1:] + p[:-1]) * np.diff(t))])
         total = cdf[-1]
         if total <= 0:
-            raise NotADistributionError(float(t[np.argmin(p)]), float(p.min()))
+            raise BadParametersError(f"pdf has zero mass on [{t[0]:g}, {t[-1]:g}]: nothing to normalize")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "pdf", p / total)
         object.__setattr__(self, "cdf", cdf / total)

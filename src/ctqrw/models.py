@@ -14,7 +14,7 @@ import numpy as np
 
 from . import engine, seeding, solvers
 from .errors import BadMomentsError, BadParametersError, UnsupportedKernelError
-from .kernels import MemoryKernel, _check_count, _check_positive
+from .kernels import MemoryKernel, WaitingTimeDistribution, _check_count, _check_positive
 from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, GeneratorMatrix, KrausMap, as_matrix, dissipator
 
 # ---------------------------------------------------------------------------
@@ -403,19 +403,20 @@ class WignerWalkConfig:
 class WignerWalkResult:
     """Mean event count and excitation estimate of a walk; the walkers'
     positions and radial histogram are built on first access, from the
-    same seed, draws and marks."""
+    same seed, waiting law, draws and marks."""
 
     grid: np.ndarray
     mean_counts: np.ndarray
     n_estimate: np.ndarray | None  # n(0) + <|b|^2> <N(t)>, finite-moment laws
     config: WignerWalkConfig
     base_seed: int
+    waiting: WaitingTimeDistribution = field(repr=False)  # the kernel's, built once
 
     @cached_property
     def positions(self) -> np.ndarray:
         """Walker positions, shape (n_grid, n_walkers), complex."""
         cfg = self.config
-        counts = engine.event_counts(cfg.kernel.waiting(), self.grid, cfg.n_walkers, self.base_seed)
+        counts = engine.event_counts(self.waiting, self.grid, cfg.n_walkers, self.base_seed)
         paths = _mark_paths(self.base_seed, counts, cfg.jumps)
         paths += complex(cfg.initial)
         return paths.T
@@ -456,7 +457,7 @@ def wigner_ctrw(cfg: WignerWalkConfig, grid, base_seed: int, n0: float = 0.0) ->
     if cfg.jumps.mean_abs_sq is not None:
         n_est = n0 + cfg.jumps.mean_abs_sq * mean_counts
     return WignerWalkResult(
-        grid=grid, mean_counts=mean_counts, n_estimate=n_est, config=cfg, base_seed=base_seed
+        grid=grid, mean_counts=mean_counts, n_estimate=n_est, config=cfg, base_seed=base_seed, waiting=waiting
     )
 
 

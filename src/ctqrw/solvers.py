@@ -17,8 +17,9 @@ Four independent paths to ``drho/dt = int_0^t K(t-s) L[rho(s)] ds``:
 * ``subordination_solve``: the internal-time integral
   ``rho(t) = int_0^inf P(t,tau) rho^M(tau) dtau``, evaluated in the
   Laplace domain for every kernel: each damping sector is the fixed-Talbot
-  inversion of ``h_lam(u) = 1/(u + lam Ktilde(u))``, with the poles the
-  kernel names inverted exactly.  The density
+  inversion of ``h_lam(u) = 1/(u + lam Ktilde(u))``; the kernel names its
+  poles (``poles``) and the inverter takes out exactly those that its
+  contours miss.  The density
   P(t, tau) itself (``subordination_pdf``) exists pointwise for Markovian
   and fractional kernels only: hypoexponential renewal counting is
   under-dispersed, so no positive Poisson mixture reproduces the
@@ -452,11 +453,11 @@ def subordination_solve(kernel: MemoryKernel, basis: DampingBasis, rho0, grid):
     (:meth:`~ctqrw.kernels.MemoryKernel.talbot_decay_factor`, one call for
     all decaying sectors), one path for every safe kernel; the lam = 0
     sector is one by normalization of P.  Complex damping rates are
-    supported: the poles the kernel names (fractional and Markovian) are
-    inverted exactly.  The exponential kernel names none, though at
-    complex rates the roots of ``u^2 + gamma u + lam A_eps`` can leave the
-    contour too: its factors there can be wrong at long times without an
-    :class:`InversionError`.
+    supported: the poles each built-in kernel names are handed to
+    :func:`~ctqrw.laplace.invert`, which inverts exactly those that a
+    contour misses.  A :class:`~ctqrw.kernels.LaplaceKernel` names none, so
+    a pole of its transform outside the contour of a long time can go
+    unseen by the two-contour check.
     A kernel without a waiting law raises :class:`DangerousKernelError`,
     and an uncertified inversion raises :class:`InversionError`.
     """

@@ -267,9 +267,10 @@ def test_renewal_table_many_rows_on_few_points():
     assert np.max(np.abs(many.tail)) < 1e-8
 
 
-# the right-sized table against a 64-row one: no named pole keeps every row
-# to rounding; named poles (alpha > 1/2) put a factor rho^-n on the pole sums,
-# about 740 in row 44 of the 46-row table against 116 of the 64-row one
+# the right-sized table against a 64-row one: where no contour misses a pole
+# every row agrees to rounding (alpha = 0.9 to 20 T: 4e-11); missed poles
+# (alpha > 1/2 at longer times) put a factor rho^-n on their terms, about 740
+# in row 44 of a 46-row table against 116 of a 64-row one
 _RIGHT_SIZED_CASES = {
     "alpha0.5": (MittagLefflerWaiting(amplitude=0.70710678118654752, alpha=0.5), 1e-10),
     "hypoexponential": (HypoexponentialWaiting(r1=0.5, r2=1.5), 1e-10),

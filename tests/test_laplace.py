@@ -119,3 +119,47 @@ def test_windowed_inversion_evaluates_one_contour_pair_per_window():
     assert rows[0] == (4, laplace.NODES + laplace.CHECK_NODES)
     assert all(shape[0] <= 4 for shape in rows[1:])
     assert sum(shape[0] for shape in rows) < WINDOWED_GRID.size // 10
+
+
+# e^{-0.1 t} cos(3 t): poles -0.1 +/- 3i, residues 1/2, outside the contours
+# of t >= 5 (pi r / 2 = 1.3 at t = 5)
+_DAMPED_COS = lambda u: (u + 0.1) / ((u + 0.1) ** 2 + 9.0)  # noqa: E731
+_DAMPED_COS_POLES = (np.array([-0.1 + 3j, -0.1 - 3j]), np.array([0.5, 0.5]))
+
+
+def test_missed_poles_are_inverted_exactly():
+    t = np.array([5.0, 20.0, 50.0, 80.0])
+    expected = np.exp(-0.1 * t) * np.cos(3.0 * t)
+    for times in ([5.0], [20.0], [50.0], [80.0], t):
+        got = laplace.invert(_DAMPED_COS, np.array(times), poles=_DAMPED_COS_POLES)
+        assert np.max(np.abs(got - expected[np.isin(t, times)])) < 1e-10, times
+    # unnamed, both sums miss them alike and the check passes: off by 0.13
+    # at t = 20
+    assert np.max(np.abs(laplace.invert(_DAMPED_COS, t) - expected)) > 0.1
+
+
+def test_poles_broadcast_over_a_family():
+    # two transforms, the second with its time scaled by 2: its poles and
+    # residues lead with the family axis, the poles shared by both
+    def fhat(u):
+        return np.stack([_DAMPED_COS(u), 0.5 * _DAMPED_COS(0.5 * u)])
+
+    p = np.array([[-0.1 + 3j, -0.1 - 3j], [-0.2 + 6j, -0.2 - 6j]])
+    res = np.full((2, 2), 0.5)
+    t = np.linspace(0.5, 30.0, 60)
+    got = laplace.invert(fhat, t, poles=(p, res))
+    expected = np.stack([np.exp(-0.1 * t) * np.cos(3.0 * t), np.exp(-0.2 * t) * np.cos(6.0 * t)])
+    assert got.shape == (2, t.size)
+    assert np.max(np.abs(got - expected)) < 1e-10
+
+
+def test_enclosed_poles_leave_the_sums_bit_for_bit():
+    # a pole inside every contour, its residue infinite included, is never
+    # taken out: the values are those of naming none
+    fhat = lambda u: 1.0 / (u + 1.0)  # noqa: E731
+    t = np.linspace(0.05, 30.0, 120)
+    plain = laplace.invert(fhat, t)
+    for res in (1.0, np.inf, 0.0):
+        assert np.array_equal(laplace.invert(fhat, t, poles=(np.array([-1.0]), np.array([res]))), plain)
+    none = (np.zeros(0, dtype=complex), np.zeros(0, dtype=complex))
+    assert np.array_equal(laplace.invert(fhat, t, poles=none), plain)

@@ -426,6 +426,21 @@ def test_monte_carlo_inverts_a_laplace_kernel_density_once(monkeypatch, run):
     assert inverted.count(4000) == 1
 
 
+def test_walk_positions_reuse_the_walks_waiting_law(monkeypatch):
+    # positions and the radial histogram draw from the waiting law that
+    # wigner_ctrw built: asking the kernel again probed and inverted twice
+    inverted, invert = [], laplace.invert
+
+    def counting_invert(fhat, t, poles=None):
+        inverted.append(np.size(t))
+        return invert(fhat, t, poles=poles)
+
+    monkeypatch.setattr(laplace, "invert", counting_invert)
+    walk = _walk(LaplaceKernel(transform=lambda u: 0.75 / (u + 2.0)))
+    assert walk.positions.shape == (GRID.size, 10) and walk.radial_bins.size == 65
+    assert inverted == [4000]
+
+
 def test_wigner_matches_second_order_volterra():
     # cross-check: truncated-Fock <a^dag a> under the second-order generator
     # vs the walker estimate, small <|b|^2>

@@ -550,9 +550,9 @@ def test_subordination_solve_is_one_inversion(monkeypatch):
     calls = []
     invert = laplace.invert
 
-    def counted(fhat, t):
+    def counted(fhat, t, poles=None):
         calls.append(np.size(t))
-        return invert(fhat, t)
+        return invert(fhat, t, poles=poles)
 
     monkeypatch.setattr(laplace, "invert", counted)
     _, _, basis, rho, grid = qutrit_problem()
