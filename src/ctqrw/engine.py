@@ -88,12 +88,12 @@ def _renewal_events(waiting: WaitingTimeDistribution, t_end: float, base_seed: i
     Waiting time j of realization k comes from ``seeding.uniforms(base_seed,
     k, j, WAITING_LANE, waiting.uniforms)``.  Each round draws the next
     DRAWS_PER_BLOCK waiting times of every live realization in one call,
-    and each clock is accumulated by a cumsum that starts from its running
-    value, so event times round exactly as ``clock += tau``.  A realization
-    stays live until its clock passes `t_end`.  Returns flat (position in
-    `realizations`, event number, event time) arrays; the number of an
-    event is its draw index + 1, as every wait drawn before `t_end` ends in
-    an event.
+    and each clock is accumulated along its row, starting from its running
+    value plus the first wait, so event times round exactly as
+    ``clock += tau``.  A realization stays live until its clock passes
+    `t_end`.  Returns flat (position in `realizations`, event number, event
+    time) arrays; the number of an event is its draw index + 1, as every
+    wait drawn before `t_end` ends in an event.
     """
     if not np.isfinite(t_end):
         raise BadParametersError(f"the renewal horizon must be finite, got {t_end}")
@@ -108,8 +108,10 @@ def _renewal_events(waiting: WaitingTimeDistribution, t_end: float, base_seed: i
         u = seeding.uniforms(
             base_seed, realizations[live, None], draws, seeding.WAITING_LANE, waiting.uniforms
         )
-        taus = waiting.from_uniforms(u)
-        clocks = np.cumsum(np.concatenate([clock[live, None], taus], axis=1), axis=1)[:, 1:]
+        clocks = waiting.from_uniforms(u)
+        clocks[:, 0] += clock[live]
+        for c in range(1, DRAWS_PER_BLOCK):  # cumsum by columns: faster on short rows
+            clocks[:, c] += clocks[:, c - 1]
         hit = clocks <= t_end
         owners.append(np.broadcast_to(live[:, None], hit.shape)[hit])
         numbers.append(np.broadcast_to(draws + 1, hit.shape)[hit])

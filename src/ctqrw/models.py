@@ -466,13 +466,15 @@ def _mark_paths(base_seed: int, counts: np.ndarray, law: MarkLaw) -> np.ndarray:
     realization k, for counts shaped as :func:`ctqrw.engine.event_counts`.
     Mark j of realization k is ``law`` applied to ``seeding.uniforms(
     base_seed, k, j, MARK_LANE, law.uniforms)``; every mark of every
-    realization is one call."""
+    realization is one call, and a law of no uniforms (a fixed mark) draws
+    none."""
     totals = counts[:, -1]
     taken = np.arange(int(totals.max())) < totals[:, None]
     owners, draws = np.nonzero(taken)
-    marks = law.from_uniforms(
-        seeding.uniforms(base_seed, owners, draws, seeding.MARK_LANE, law.uniforms)
-    )
+    u = np.empty((owners.size, 0))
+    if law.uniforms:
+        u = seeding.uniforms(base_seed, owners, draws, seeding.MARK_LANE, law.uniforms)
+    marks = law.from_uniforms(u)
     steps = np.zeros((len(totals), taken.shape[1] + 1), dtype=marks.dtype)
     steps[:, 1:][taken] = marks
     return np.take_along_axis(np.cumsum(steps, axis=1), counts, axis=1)
