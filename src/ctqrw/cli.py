@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__, engine, models, solvers
 from ._csvformat import format_rows
-from .config import ExperimentConfig, parse_config
+from .config import ExperimentConfig, parse_config, parse_seed
 from .errors import ConfigError, CtqrwError
 from .kernels import classify_kernel, waiting_from_kernel
 from .models import qubit_closed_solution, qubit_kraus, wigner_ctrw, WignerWalkConfig
@@ -277,7 +277,7 @@ def run(config_path: str, out_dir: str = ".", seed_override: int | None = None) 
     try:
         cfg = parse_config(config_path)
         if seed_override is not None:
-            cfg.seed = int(seed_override)
+            cfg.seed = parse_seed(seed_override, "--seed-override")
         grid = cfg.grid()
     except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

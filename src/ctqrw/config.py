@@ -1,41 +1,27 @@
 """Declarative experiment configuration.
 
 Config files are INI-style (``[section]`` headers, ``key = value`` lines,
-``#`` comments; values are read literally, ``%`` included).  Sections and
-keys:
+``#`` comments; values are read literally, ``%`` included).  Two tables
+name every section and key, and one reader applies both to every section:
 
-``[experiment]``
-    kind   one of realizations | ensemble | solve | classify | cp-audit |
-           entropy | wigner | intrinsic | figure1..figure4
-    seed   integer base seed (default 1)
+* ``_PLAIN``: section -> key -> (``ExperimentConfig`` field, parser,
+  default text);
+* ``_TYPED``: section -> (field, type key, default type, type -> (class,
+  key -> (constructor argument, parser, default text))), for ``[kernel]``
+  (repeatable as ``[kernel.NAME]``), ``[model]``, the ``[wigner]`` jump law
+  and the ``[intrinsic]`` phase law.
 
-``[model]``
-    type = depolarizing | dephasing | thermal, with p_x/p_y or
-    kappa/p_up/p_down
-
-``[kernel]`` (repeatable as [kernel.NAME] for multi-curve experiments)
-    type = markovian | exponential | fractional, with rate (A1, 1/sec),
-    amplitude/gamma (A_eps 1/sec^2, gamma 1/sec) or amplitude/alpha
-    (A_alpha 1/sec^alpha)
-
-``[grid]``
-    t_max_over_T (default 10), n_points (default 200); times are measured
-    in the shared scale T with A1 = A_alpha^(1/alpha) = A_eps/gamma = 1/T
-
-``[initial]``
-    state = plus_x | up | down | bloch:x,y,z
-
-``[ensemble]`` n_realizations; ``[realizations]`` n_realizations;
-``[solve]`` route = closed | volterra | subordination | series;
-``[wigner]`` n_walkers, jump = gaussian | point | levy with moments;
-``[intrinsic]`` levels = comma list, phase = delta | exponential | log,
-tau_b; ``[output]`` csv, manifest (two different plain file names, written
-inside the output directory).
+A default of None marks a required key.  A section or key the tables do not
+name is refused, with the closest known name as a hint.  A section named
+after a kind sets fields only under that kind, which reads it as empty when
+it is absent; under another kind it is checked and dropped.  The
+``figure1..figure4`` kinds are INI texts (``_FIGURES``) read by the same
+reader; their file may carry only ``[experiment]`` and ``[output]``, whose
+keys replace the preset's.
 """
 
 import configparser
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,20 +59,23 @@ KINDS = (
 
 @dataclass
 class ExperimentConfig:
+    """One experiment as the grammar reads it; a field is None when the
+    experiment's kind does not read the section that sets it."""
+
     kind: str
-    seed: int = 1
+    seed: int | None = None
     model: object | None = None
     kernels: list = field(default_factory=list)  # (label, kernel) pairs
-    t_max_over_scale: float = 10.0
-    n_points: int = 200
+    t_max_over_scale: float | None = None
+    n_points: int | None = None
     initial: np.ndarray | None = None
-    n_realizations: int = 10000
-    route: str = "closed"
-    n_walkers: int = 10000
+    n_realizations: int | None = None
+    route: str | None = None
+    n_walkers: int | None = None
     jumps: object | None = None
     spectrum: SpectrumModel | None = None
-    csv_name: str = "output.csv"
-    manifest_name: str = "manifest.json"
+    csv_name: str | None = None
+    manifest_name: str | None = None
     raw: dict = field(default_factory=dict)
 
     def grid(self) -> np.ndarray:
@@ -96,305 +85,313 @@ class ExperimentConfig:
         return np.linspace(0.0, self.t_max_over_scale * scale, self.n_points)
 
 
-def _bloch_state(x: float, y: float, z: float) -> np.ndarray:
+def _checked(convert, what: str, ok=lambda value: True, rule: str = ""):
+    """Parser of ``convert(text)``, refused unless `ok` holds.  A parser takes
+    the value text and the ``section.key`` name that its errors name."""
+
+    def parse(text, name: str):
+        try:
+            value = convert(text)
+        except ValueError as exc:
+            raise ConfigError(f"{name}: not {what} ({text!r})") from exc
+        if not ok(value):
+            raise ConfigError(f"{name} must be {rule}, got {value!r}")
+        return value
+
+    return parse
+
+
+def _choice(*options: str):
+    return _checked(str, "text", lambda value: value in options, f"one of {options}")
+
+
+_float = _checked(float, "a number", np.isfinite, "finite")
+_complex = _checked(complex, "a complex number", np.isfinite, "finite")
+_positive = _checked(float, "a number", lambda value: 0 < value < np.inf, "finite and > 0")
+_count = _checked(int, "an integer", lambda value: value >= 1, ">= 1")
+# seeding.uniforms keys Philox with the seed mod 2**64: a seed outside would
+# run another seed's stream under its own name
+parse_seed = _checked(int, "an integer", lambda value: 0 <= value < 2**64, "in [0, 2**64)")
+_levels = _checked(lambda text: np.array([float(v) for v in text.split(",")]),
+                   "a comma list of numbers")
+_file_name = _checked(str, "text", lambda text: text not in ("", ".", "..") and "\0" not in text
+                      and os.path.basename(text) == text, "a plain file name")
+_STATES = {"plus_x": "bloch:1,0,0", "up": "bloch:0,0,1", "down": "bloch:0,0,-1"}
+
+
+def _qubit_state(text: str) -> np.ndarray:
+    """The density matrix of a named state or ``bloch:x,y,z``."""
     from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z
 
+    head, _, vector = _STATES.get(text, text).partition(":")
+    x, y, z = (float(v) for v in vector.split(","))
+    if head != "bloch" or not x * x + y * y + z * z <= 1.0 + 1e-12:  # NaN fails too
+        raise ValueError(text)
     return 0.5 * (np.eye(2, dtype=complex) + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
 
 
-def _parse_initial(text: str) -> np.ndarray:
-    text = text.strip()
-    if text == "plus_x":
-        return _bloch_state(1.0, 0.0, 0.0)
-    if text == "up":
-        return _bloch_state(0.0, 0.0, 1.0)
-    if text == "down":
-        return _bloch_state(0.0, 0.0, -1.0)
-    if text.startswith("bloch:"):
+_state = _checked(_qubit_state, "plus_x, up, down or bloch:x,y,z with norm <= 1")
+
+# section -> key -> (ExperimentConfig field, parser, default text); a field
+# of None marks a key that is checked and then dropped
+_PLAIN = {
+    "experiment": {
+        "kind": ("kind", _choice(*KINDS), None),
+        "seed": ("seed", parse_seed, "1"),
+        "threads": (None, _count, "1"),  # every run is one vectorized pass
+    },
+    "grid": {  # times in the shared scale T: A1 = A_alpha^(1/alpha) = A_eps/gamma = 1/T
+        "t_max_over_T": ("t_max_over_scale", _positive, "10"),
+        "n_points": ("n_points", _count, "200"),
+    },
+    "initial": {"state": ("initial", _state, "plus_x")},
+    "ensemble": {"n_realizations": ("n_realizations", _count, "10000")},
+    "realizations": {"n_realizations": ("n_realizations", _count, "3")},
+    "solve": {"route": ("route", _choice("closed", "volterra", "subordination", "series"), "closed")},
+    "wigner": {"n_walkers": ("n_walkers", _count, "10000")},
+    "output": {
+        "csv": ("csv_name", _file_name, "output.csv"),
+        "manifest": ("manifest_name", _file_name, "manifest.json"),
+    },
+}
+
+
+def _spectrum(phase):
+    def build(levels: np.ndarray, tau_b: float) -> SpectrumModel:
+        return SpectrumModel(levels=levels, phase=phase(tau_b=tau_b))
+
+    return build
+
+
+_AMPLITUDE = ("amplitude", _float, None)
+_SPECTRUM = {"levels": ("levels", _levels, None), "tau_b": ("tau_b", _float, None)}
+
+# section -> (ExperimentConfig field, type key, default type,
+#             type -> (class, key -> (constructor argument, parser, default text)))
+# Kernel units: rate A1 in 1/sec; amplitude A_eps in 1/sec^2 with gamma in
+# 1/sec; amplitude A_alpha in 1/sec^alpha with alpha.
+_TYPED = {
+    "kernel": ("kernels", "type", None, {
+        "markovian": (MarkovianKernel, {"rate": ("rate", _float, None)}),
+        "exponential": (ExponentialKernel, {"amplitude": _AMPLITUDE,
+                                            "gamma": ("decay", _float, None)}),
+        "fractional": (FractionalKernel, {"amplitude": _AMPLITUDE,
+                                          "alpha": ("alpha", _float, None)}),
+    }),
+    "model": ("model", "type", None, {
+        "depolarizing": (Depolarizing, {"p_x": ("p_x", _float, "0.5"),
+                                        "p_y": ("p_y", _float, "0.5")}),
+        "dephasing": (Dephasing, {}),
+        "thermal": (Thermal, {"kappa": ("kappa", _float, None),
+                              "p_up": ("p_up", _float, None),
+                              "p_down": ("p_down", _float, None)}),
+    }),
+    "wigner": ("jumps", "jump", "gaussian", {
+        "gaussian": (GaussianJumps, {"mean": ("mean", _complex, "0"),
+                                     "mean_sq": ("mean_sq", _complex, "0"),
+                                     "mean_abs_sq": ("mean_abs_sq", _float, "1")}),
+        "point": (PointMassJumps, {"beta0": ("beta0", _complex, "0")}),
+        "levy": (LevyJumps, {"mu": ("mu", _float, None), "sigma": ("sigma", _float, "1")}),
+    }),
+    "intrinsic": ("spectrum", "phase", "delta", {
+        "delta": (_spectrum(DeltaPhase), _SPECTRUM),
+        "exponential": (_spectrum(ExponentialPhase), _SPECTRUM),
+        "log": (_spectrum(LogFormalPhase), _SPECTRUM),
+    }),
+}
+
+
+def _keys(section: str) -> list:
+    """The keys the tables name in `section` (none for an unknown one)."""
+    keys = list(_PLAIN.get(section, ()))
+    if section in _TYPED:
+        _, selector, _, types = _TYPED[section]
+        keys += [selector, *(key for _, args in types.values() for key in args)]
+    return list(dict.fromkeys(keys))
+
+
+def _unknown(name: str, known: list) -> ConfigError:
+    import difflib  # only a refused config pays for it
+
+    close = difflib.get_close_matches(name, known, n=1)
+    return ConfigError(f"unknown {name}" + (f"; did you mean {close[0]}?" if close else ""))
+
+
+def _value(body, name: str, key: str, parse, default):
+    text = body.get(key, default)
+    if text is None:
+        raise ConfigError(f"missing key {name}.{key}")
+    return parse(text, f"{name}.{key}")
+
+
+def _read_section(parser: configparser.ConfigParser, name: str) -> dict:
+    """Field -> value for section `name`, read as empty when absent."""
+    body = parser[name] if name in parser else {}
+    base = "kernel" if name.startswith("kernel.") else name
+    known = _keys(base)
+    if not known:
+        raise _unknown(f"section [{name}]", [f"[{s}]" for s in dict.fromkeys([*_PLAIN, *_TYPED])])
+    for key in body:
+        if key not in map(parser.optionxform, known):
+            raise _unknown(f"key {name}.{key}", [f"{name}.{k}" for k in known])
+    fields = {
+        attr: _value(body, name, key, parse, default)
+        for key, (attr, parse, default) in _PLAIN.get(base, {}).items()
+    }
+    if base in _TYPED:
+        attr, selector, default_type, types = _TYPED[base]
+        build, args = types[_value(body, name, selector, _choice(*types), default_type)]
+        values = {arg: _value(body, name, key, parse, default)
+                  for key, (arg, parse, default) in args.items()}
         try:
-            x, y, z = (float(v) for v in text[len("bloch:") :].split(","))
-        except ValueError as exc:
-            raise ConfigError(f"initial.state: cannot parse Bloch vector {text!r}") from exc
-        if x * x + y * y + z * z > 1.0 + 1e-12:
-            raise ConfigError("initial.state: Bloch vector must have norm <= 1")
-        return _bloch_state(x, y, z)
-    raise ConfigError(f"initial.state: unknown preset {text!r}")
+            fields[attr] = build(**values)
+        except (BadParametersError, BadMomentsError) as exc:
+            raise ConfigError(f"[{name}]: {exc}") from exc
+    fields.pop(None, None)
+    return fields
 
 
-def _get_float(section, key: str, section_name: str, default: float | None = None) -> float:
-    """Finite float `section_name.key`; `default` when the key is absent."""
-    if key not in section and default is not None:
-        return default
-    if key not in section:
-        raise ConfigError(f"missing key {section_name}.{key}")
-    try:
-        value = float(section[key])
-    except ValueError as exc:
-        raise ConfigError(f"{section_name}.{key}: not a number ({section[key]!r})") from exc
-    if not np.isfinite(value):
-        raise ConfigError(f"{section_name}.{key} must be finite, got {value!r}")
-    return value
-
-
-def _get_complex(section, key: str, section_name: str, default: complex) -> complex:
-    """Finite complex `section_name.key`; `default` when the key is absent."""
-    text = section.get(key, str(default))
-    try:
-        value = complex(text)
-    except ValueError as exc:
-        raise ConfigError(f"{section_name}.{key}: not a complex number ({text!r})") from exc
-    if not np.isfinite(value):
-        raise ConfigError(f"{section_name}.{key} must be finite, got {value!r}")
-    return value
-
-
-@contextmanager
-def _section(name: str):
-    """Report a parameter error of the model, kernel, jump law or spectrum
-    built from section `name` as a config error naming that section."""
-    try:
-        yield
-    except (BadParametersError, BadMomentsError) as exc:
-        raise ConfigError(f"[{name}]: {exc}") from exc
-
-
-def _get_count(section, key: str, section_name: str, default: int) -> int:
-    """Integer `section_name.key` that must be at least 1."""
-    text = section.get(key, str(default))
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise ConfigError(f"{section_name}.{key}: not an integer ({text!r})") from exc
-    if value < 1:
-        raise ConfigError(f"{section_name}.{key} must be >= 1, got {value}")
-    return value
-
-
-def _parse_kernel(section, name: str):
-    ktype = section.get("type", "").strip()
-    if ktype == "markovian":
-        return MarkovianKernel(rate=_get_float(section, "rate", name))
-    if ktype == "exponential":
-        return ExponentialKernel(
-            amplitude=_get_float(section, "amplitude", name),
-            decay=_get_float(section, "gamma", name),
-        )
-    if ktype == "fractional":
-        return FractionalKernel(
-            amplitude=_get_float(section, "amplitude", name),
-            alpha=_get_float(section, "alpha", name),
-        )
-    raise ConfigError(f"{name}.type: unknown kernel type {ktype!r}")
-
-
-def _parse_model(section):
-    mtype = section.get("type", "").strip()
-    if mtype == "depolarizing":
-        return Depolarizing(
-            p_x=_get_float(section, "p_x", "model", 0.5),
-            p_y=_get_float(section, "p_y", "model", 0.5),
-        )
-    if mtype == "dephasing":
-        return Dephasing()
-    if mtype == "thermal":
-        return Thermal(
-            kappa=_get_float(section, "kappa", "model"),
-            p_up=_get_float(section, "p_up", "model"),
-            p_down=_get_float(section, "p_down", "model"),
-        )
-    raise ConfigError(f"model.type: unknown model type {mtype!r}")
-
-
-def _parse_jumps(section):
-    jtype = section.get("jump", "gaussian").strip()
-    if jtype == "gaussian":
-        return GaussianJumps(
-            mean=_get_complex(section, "mean", "wigner", 0j),
-            mean_sq=_get_complex(section, "mean_sq", "wigner", 0j),
-            mean_abs_sq=_get_float(section, "mean_abs_sq", "wigner", 1.0),
-        )
-    if jtype == "point":
-        return PointMassJumps(beta0=_get_complex(section, "beta0", "wigner", 0j))
-    if jtype == "levy":
-        return LevyJumps(
-            mu=_get_float(section, "mu", "wigner"),
-            sigma=_get_float(section, "sigma", "wigner", 1.0),
-        )
-    raise ConfigError(f"wigner.jump: unknown jump law {jtype!r}")
-
-
-def _parse_spectrum(section) -> SpectrumModel:
-    if "levels" not in section:
-        raise ConfigError("missing key intrinsic.levels")
-    try:
-        levels = np.array([float(v) for v in section["levels"].split(",")])
-    except ValueError as exc:
-        raise ConfigError("intrinsic.levels: expected a comma list of numbers") from exc
-    phase_kind = section.get("phase", "delta").strip()
-    tau_b = _get_float(section, "tau_b", "intrinsic")
-    if phase_kind == "delta":
-        phase = DeltaPhase(tau_b=tau_b)
-    elif phase_kind == "exponential":
-        phase = ExponentialPhase(tau_b=tau_b)
-    elif phase_kind == "log":
-        phase = LogFormalPhase(tau_b=tau_b)
-    else:
-        raise ConfigError(f"intrinsic.phase: unknown phase law {phase_kind!r}")
-    return SpectrumModel(levels=levels, phase=phase)
-
-
-def _parse_output(parser, cfg: ExperimentConfig):
-    """``[output] csv`` and ``manifest``: two different plain file names,
-    which the run writes inside the output directory."""
-    if "output" not in parser:
-        return
-    section = parser["output"]
-    cfg.csv_name = section.get("csv", cfg.csv_name)
-    cfg.manifest_name = section.get("manifest", cfg.manifest_name)
-    for key, name in (("csv", cfg.csv_name), ("manifest", cfg.manifest_name)):
-        if name in ("", ".", "..") or os.path.basename(name) != name or "\0" in name:
-            raise ConfigError(f"output.{key} must be a plain file name, got {name!r}")
+def _read(parser: configparser.ConfigParser) -> ExperimentConfig:
+    if "experiment" not in parser:
+        raise ConfigError("missing section [experiment]")
+    kind = _read_section(parser, "experiment")["kind"]
+    if kind.startswith("figure"):
+        others = [s for s in parser.sections() if s not in ("experiment", "output")]
+        if others:
+            raise ConfigError(f"[{others[0]}]: {kind} is a preset; its file may carry only "
+                              "[experiment] and [output]")
+        preset = _parser()
+        preset.read_string(_FIGURES[kind])
+        preset.read_dict({s: {k: v for k, v in parser[s].items() if k != "kind"}
+                          for s in parser.sections()})
+        return _read(preset)
+    fields, kernels = {}, []
+    # the sections present, then those whose defaults apply when absent: the
+    # kind's own and the plain ones named after no kind
+    defaulted = [s for s in [*_PLAIN, *_TYPED] if s == kind or s in _PLAIN and s not in KINDS]
+    for name in dict.fromkeys([*parser.sections(), *defaulted]):
+        values = _read_section(parser, name)
+        if "kernels" in values:
+            label = name.split(".", 1)[1] if "." in name else "kernel"
+            kernels.append((label, values.pop("kernels")))
+        if name == kind or name not in KINDS:
+            fields.update(values)
+    if not kernels:
+        raise ConfigError("missing section [kernel]")
+    cfg = ExperimentConfig(kernels=kernels, **fields)
+    if kind in ("realizations", "ensemble", "solve", "cp-audit", "entropy") and cfg.model is None:
+        raise ConfigError(f"experiment kind {kind!r} needs a [model] section")
     if cfg.csv_name == cfg.manifest_name:
         raise ConfigError(f"output.manifest must differ from output.csv, both are {cfg.csv_name!r}")
+    return cfg
+
+
+def _parser() -> configparser.ConfigParser:
+    return configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
 
 
 def parse_config(path: str) -> ExperimentConfig:
     """Parse and validate an experiment file; raises :class:`ConfigError`
     naming the offending key."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    parser = _parser()
     try:
         read = parser.read(path)
     except configparser.Error as exc:  # its message names the file and the line
         raise ConfigError(" ".join(str(exc).split())) from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
-    if "experiment" not in parser:
-        raise ConfigError("missing section [experiment]")
-    exp = parser["experiment"]
-    kind = exp.get("kind", "").strip()
-    if kind not in KINDS:
-        raise ConfigError(f"experiment.kind: unknown kind {kind!r}; expected one of {KINDS}")
-    cfg = ExperimentConfig(kind=kind)
-    try:
-        cfg.seed = int(exp.get("seed", 1))
-    except ValueError as exc:
-        raise ConfigError("experiment.seed: not an integer") from exc
-
-    if kind.startswith("figure"):
-        preset = figure_presets(int(kind[-1]))
-        preset.seed = cfg.seed
-        _parse_output(parser, preset)
-        preset.raw = {s: dict(parser[s]) for s in parser.sections()}
-        return preset
-
-    kernel_sections = [s for s in parser.sections() if s == "kernel" or s.startswith("kernel.")]
-    for s in kernel_sections:
-        label = s.split(".", 1)[1] if "." in s else "kernel"
-        with _section(s):
-            cfg.kernels.append((label, _parse_kernel(parser[s], s)))
-    if not cfg.kernels:
-        raise ConfigError("missing section [kernel]")
-
-    if "model" in parser:
-        with _section("model"):
-            cfg.model = _parse_model(parser["model"])
-    if "grid" in parser:
-        g = parser["grid"]
-        cfg.t_max_over_scale = _get_float(g, "t_max_over_T", "grid", 10.0)
-        if cfg.t_max_over_scale <= 0:
-            raise ConfigError(f"grid.t_max_over_T must be > 0, got {cfg.t_max_over_scale!r}")
-        cfg.n_points = _get_count(g, "n_points", "grid", 200)
-    if "initial" in parser:
-        cfg.initial = _parse_initial(parser["initial"].get("state", "plus_x"))
-    if "ensemble" in parser:
-        cfg.n_realizations = _get_count(parser["ensemble"], "n_realizations", "ensemble", 10000)
-    if "realizations" in parser:
-        cfg.n_realizations = _get_count(
-            parser["realizations"], "n_realizations", "realizations", 3
-        )
-    if "solve" in parser:
-        cfg.route = parser["solve"].get("route", "closed").strip()
-        if cfg.route not in ("closed", "volterra", "subordination", "series"):
-            raise ConfigError(f"solve.route: unknown route {cfg.route!r}")
-    if "wigner" in parser:
-        w = parser["wigner"]
-        cfg.n_walkers = _get_count(w, "n_walkers", "wigner", 10000)
-        with _section("wigner"):
-            cfg.jumps = _parse_jumps(w)
-    if "intrinsic" in parser:
-        with _section("intrinsic"):
-            cfg.spectrum = _parse_spectrum(parser["intrinsic"])
-    _parse_output(parser, cfg)
-
-    _validate(cfg)
+    cfg = _read(parser)
     cfg.raw = {s: dict(parser[s]) for s in parser.sections()}
     return cfg
 
 
-def _validate(cfg: ExperimentConfig):
-    needs_model = cfg.kind in ("realizations", "ensemble", "solve", "cp-audit", "entropy")
-    if needs_model and cfg.model is None:
-        raise ConfigError(f"experiment kind {cfg.kind!r} needs a [model] section")
-    if needs_model and cfg.initial is None:
-        cfg.initial = _parse_initial("plus_x")
-    if cfg.kind == "wigner" and cfg.jumps is None:
-        cfg.jumps = GaussianJumps()
-    if cfg.kind == "intrinsic" and cfg.spectrum is None:
-        raise ConfigError("experiment kind 'intrinsic' needs an [intrinsic] section")
-
-
 def figure_presets(n: int) -> ExperimentConfig:
-    """Fully specified configs for the four reference figures.
+    """The config of reference figure `n` (1..4), read from its text in
+    ``_FIGURES`` as a file holding only ``kind = figure<n>`` is."""
+    parser = _parser()
+    parser.read_string(f"[experiment]\nkind = figure{n}\n")
+    return _read(parser)
 
-    1: stochastic realizations (depolarizing, fractional alpha = 1/2,
-       A_alpha = 1/sqrt(2));
-    2: 10^4-realization ensemble of M_x vs the Mittag-Leffler closed form;
-    3: linear entropy, depolarizing: Markovian A1 = 0.5, fractional
-       (0.5, 1/sqrt2), exponential (gamma=2, A=1) and (gamma=0.5, A=0.25);
-    4: linear entropy, thermal p_down = 1, kappa = 0.75: Markovian A1 = 1,
-       fractional (0.5, 1), exponential (4, 4) and (1, 1).
 
-    All grids span t/T in [0, 10] with 200 points.
-    """
-    if n not in (1, 2, 3, 4):
-        raise ConfigError(f"figure preset must be 1..4, got {n}")
-    frac_half = FractionalKernel(amplitude=1.0 / np.sqrt(2.0), alpha=0.5)
-    if n == 1:
-        cfg = ExperimentConfig(kind="realizations")
-        cfg.model = Depolarizing()
-        cfg.kernels = [("fractional", frac_half)]
-        cfg.initial = _bloch_state(1 / np.sqrt(3), 1 / np.sqrt(3), 1 / np.sqrt(3))
-        cfg.n_realizations = 3
-        cfg.csv_name = "figure1.csv"
-        return cfg
-    if n == 2:
-        cfg = ExperimentConfig(kind="ensemble")
-        cfg.model = Depolarizing()
-        cfg.kernels = [("fractional", frac_half)]
-        cfg.initial = _parse_initial("plus_x")
-        cfg.n_realizations = 10000
-        cfg.csv_name = "figure2.csv"
-        return cfg
-    if n == 3:
-        cfg = ExperimentConfig(kind="entropy")
-        cfg.model = Depolarizing()
-        cfg.kernels = [
-            ("markovian", MarkovianKernel(rate=0.5)),
-            ("fractional", frac_half),
-            ("exp_safe", ExponentialKernel(amplitude=1.0, decay=2.0)),
-            ("exp_dangerous", ExponentialKernel(amplitude=0.25, decay=0.5)),
-        ]
-        cfg.initial = _parse_initial("plus_x")
-        cfg.csv_name = "figure3.csv"
-        return cfg
-    cfg = ExperimentConfig(kind="entropy")
-    cfg.model = Thermal(kappa=0.75, p_up=0.0, p_down=1.0)
-    cfg.kernels = [
-        ("markovian", MarkovianKernel(rate=1.0)),
-        ("fractional", FractionalKernel(amplitude=1.0, alpha=0.5)),
-        ("exp_safe", ExponentialKernel(amplitude=4.0, decay=4.0)),
-        ("exp_dangerous", ExponentialKernel(amplitude=1.0, decay=1.0)),
-    ]
-    cfg.initial = _parse_initial("plus_x")
-    cfg.csv_name = "figure4.csv"
-    return cfg
+# The reference figures, on the [grid] defaults: t/T in [0, 10], 200 points.
+_FIGURES = {
+    "figure1": """
+        # stochastic realizations, depolarizing, fractional kernel
+        [experiment]
+        kind = realizations
+        [model]
+        type = depolarizing
+        [kernel.fractional]
+        type = fractional
+        amplitude = 0.7071067811865475  # 1/sqrt(2)
+        alpha = 0.5
+        [initial]
+        state = bloch:0.5773502691896258,0.5773502691896258,0.5773502691896258
+        [output]
+        csv = figure1.csv
+    """,
+    "figure2": """
+        # 10^4-realization ensemble of M_x against the Mittag-Leffler closed form
+        [experiment]
+        kind = ensemble
+        [model]
+        type = depolarizing
+        [kernel.fractional]
+        type = fractional
+        amplitude = 0.7071067811865475  # 1/sqrt(2)
+        alpha = 0.5
+        [output]
+        csv = figure2.csv
+    """,
+    "figure3": """
+        # linear entropy, depolarizing, safe and dangerous exponential kernels
+        [experiment]
+        kind = entropy
+        [model]
+        type = depolarizing
+        [kernel.markovian]
+        type = markovian
+        rate = 0.5
+        [kernel.fractional]
+        type = fractional
+        amplitude = 0.7071067811865475  # 1/sqrt(2)
+        alpha = 0.5
+        [kernel.exp_safe]
+        type = exponential
+        amplitude = 1.0
+        gamma = 2.0
+        [kernel.exp_dangerous]
+        type = exponential
+        amplitude = 0.25
+        gamma = 0.5
+        [output]
+        csv = figure3.csv
+    """,
+    "figure4": """
+        # linear entropy, zero-temperature thermal channel
+        [experiment]
+        kind = entropy
+        [model]
+        type = thermal
+        kappa = 0.75
+        p_up = 0.0
+        p_down = 1.0
+        [kernel.markovian]
+        type = markovian
+        rate = 1.0
+        [kernel.fractional]
+        type = fractional
+        amplitude = 1.0
+        alpha = 0.5
+        [kernel.exp_safe]
+        type = exponential
+        amplitude = 4.0
+        gamma = 4.0
+        [kernel.exp_dangerous]
+        type = exponential
+        amplitude = 1.0
+        gamma = 1.0
+        [output]
+        csv = figure4.csv
+    """,
+}

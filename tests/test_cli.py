@@ -676,3 +676,101 @@ def test_series_route_on_exponential_phase_waiting_loads_no_scipy():
         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     )
     assert _fresh_python(code) == "[]"
+
+
+@pytest.mark.parametrize(
+    "line, typo, message",
+    [
+        ("alpha = 0.5", "alhpa = 0.5", "unknown key kernel.alhpa; did you mean kernel.alpha?"),
+        ("n_points = 50", "n_pionts = 7", "unknown key grid.n_pionts; did you mean grid.n_points?"),
+        ("n_realizations = 200", "n_realisations = 50",
+         "unknown key ensemble.n_realisations; did you mean ensemble.n_realizations?"),
+        ("[ensemble]", "[ensmble]", "unknown section [ensmble]; did you mean [ensemble]?"),
+    ],
+)
+def test_unknown_key_or_section_is_config_error_naming_it(tmp_path, capsys, line, typo, message):
+    assert cli.run(write(tmp_path, GOOD_ENSEMBLE.replace(line, typo)), str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "extra, section",
+    [("[kernel]\ntype = markovian\nrate = 5\n[grid]\nn_points = 7\n", "[kernel]"),
+     ("[grid]\nn_points = 7\n", "[grid]")],
+)
+def test_figure_kind_refuses_other_sections(tmp_path, capsys, extra, section):
+    text = "[experiment]\nkind = figure3\n" + extra
+    assert cli.run(write(tmp_path, text), str(tmp_path / "o")) == 2
+    assert section in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+REALIZATIONS = GOOD_ENSEMBLE.replace("kind = ensemble", "kind = realizations")
+
+
+@pytest.mark.parametrize(
+    "text, count",
+    [
+        (REALIZATIONS.replace("[ensemble]\nn_realizations = 200", ""), 3),
+        (REALIZATIONS.replace("[ensemble]\nn_realizations = 200", "[realizations]"), 3),
+        (REALIZATIONS, 3),
+        (GOOD_ENSEMBLE + "[realizations]\nn_realizations = 5\n", 200),
+        (GOOD_ENSEMBLE.replace("[ensemble]\nn_realizations = 200", "[realizations]\nn_realizations = 5"),
+         10000),
+    ],
+    ids=["no-section", "empty-section", "other-kind-section", "both-sections", "only-other-section"],
+)
+def test_realization_count_comes_from_the_kind_section(tmp_path, text, count):
+    assert parse_config(write(tmp_path, text)).n_realizations == count
+
+
+def test_realizations_without_a_section_write_three_realizations(tmp_path):
+    text = REALIZATIONS.replace("[ensemble]\nn_realizations = 200", "")
+    out = tmp_path / "o"
+    assert cli.run(write(tmp_path, text), str(out)) == 0
+    header = (out / "out.csv").read_text().splitlines()[0].split(",")
+    assert header == ["t"] + [f"{m}_r{k}" for k in range(3) for m in ("M_x", "M_y", "M_z")]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**65 + 1])
+def test_seed_outside_the_philox_key_range_is_config_error(tmp_path, capsys, seed):
+    bad = write(tmp_path, GOOD_ENSEMBLE.replace("seed = 1", f"seed = {seed}"), "bad.ini")
+    assert cli.run(bad, str(tmp_path / "o")) == 2
+    assert "experiment.seed" in capsys.readouterr().err
+    good = write(tmp_path, GOOD_ENSEMBLE)
+    assert cli.main(["--config", good, "--out-dir", str(tmp_path / "o"), "--seed-override", str(seed)]) == 2
+    assert "--seed-override" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seeds_at_the_ends_of_the_range_are_read(tmp_path, seed):
+    assert parse_config(write(tmp_path, GOOD_ENSEMBLE.replace("seed = 1", f"seed = {seed}"))).seed == seed
+
+
+@pytest.mark.parametrize("state", ["bloch:nan,0,0", "bloch:inf,0,0", "bloch:0.8,0.8,0", "bloch:1,0",
+                                   "plus_y"])
+def test_initial_state_off_the_bloch_ball_is_config_error(tmp_path, capsys, state):
+    text = GOOD_ENSEMBLE.replace("[grid]", f"[initial]\nstate = {state}\n\n[grid]")
+    assert cli.run(write(tmp_path, text), str(tmp_path / "o")) == 2
+    assert "initial.state" in capsys.readouterr().err
+
+
+def test_fuzz_test_junks_every_key_the_grammar_reads():
+    from ctqrw import config
+    from test_cli_fuzz import KEYS
+
+    grammar = {name: set(config._keys(name)) for name in [*config._PLAIN, *config._TYPED]}
+    grammar["experiment"].discard("threads")
+    del grammar["output"]
+    assert grammar == {name: set(keys) for name, keys in KEYS.items()}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_figure_preset_is_its_kind_read_from_a_file(tmp_path, n):
+    cfg = parse_config(write(tmp_path, f"[experiment]\nkind = figure{n}\n"))
+    preset = figure_presets(n)
+    assert cfg.raw == {"experiment": {"kind": f"figure{n}"}} and preset.raw == {}
+    cfg.raw = preset.raw
+    assert repr(cfg) == repr(preset)
