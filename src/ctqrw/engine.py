@@ -112,14 +112,34 @@ def _renewal_events(waiting: WaitingTimeDistribution, t_end: float, base_seed: i
         clocks[:, 0] += clock[live]
         for c in range(1, DRAWS_PER_BLOCK):  # cumsum by columns: faster on short rows
             clocks[:, c] += clocks[:, c - 1]
+        # rows are nondecreasing, so each row's hits are a prefix of it
         hit = clocks <= t_end
-        owners.append(np.broadcast_to(live[:, None], hit.shape)[hit])
-        numbers.append(np.broadcast_to(draws + 1, hit.shape)[hit])
+        per_row = np.count_nonzero(hit, axis=1)
+        owners.append(np.repeat(live, per_row))
+        ends = np.cumsum(per_row)
+        numbers.append(np.arange(first + 1, first + 1 + ends[-1]) - np.repeat(ends - per_row, per_row))
         times.append(clocks[hit])
         clock[live] = clocks[:, -1]
-        live = live[clocks[:, -1] <= t_end]
+        live = live[hit[:, -1]]
         first += DRAWS_PER_BLOCK
     return np.concatenate(owners), np.concatenate(numbers), np.concatenate(times)
+
+
+def _first_cells(grid: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """``searchsorted(grid, times, side="left")`` for unsorted `times` on an
+    increasing `grid`: each cell is guessed from the mean grid step and
+    checked, ``grid[i-1] < t <= grid[i]``; only the times whose guess fails
+    the check are searched.  On an equal-step grid the guess fails only
+    within rounding of a grid point."""
+    edges = np.concatenate([[-np.inf], grid, [np.inf]])  # edges[i] = grid[i - 1]
+    with np.errstate(all="ignore"):  # 0/0 on a one-point grid, overflow on a subnormal span
+        scale = (grid.size - 1) / (grid[-1] - grid[0])
+        guess = times - grid[0]
+        guess *= scale if np.isfinite(scale) else 0.0
+    cell = np.clip(np.ceil(guess, out=guess), 0, grid.size, out=guess).astype(np.intp)
+    wrong = np.flatnonzero((edges[cell] >= times) | (edges[cell + 1] < times))
+    cell[wrong] = np.searchsorted(grid, times[wrong], side="left")
+    return cell
 
 
 def _grid_events(waiting: WaitingTimeDistribution, grid: np.ndarray, n: int, base_seed: int):
@@ -128,7 +148,7 @@ def _grid_events(waiting: WaitingTimeDistribution, grid: np.ndarray, n: int, bas
     first grid cell) arrays: an event at time s counts at every grid point
     t >= s, from cell ``searchsorted(grid, s, side="left")`` on."""
     owners, numbers, times = _renewal_events(waiting, float(grid[-1]), base_seed, np.arange(n))
-    return owners, numbers, np.searchsorted(grid, times, side="left")
+    return owners, numbers, _first_cells(grid, times)
 
 
 def event_counts(waiting: WaitingTimeDistribution, grid, n: int, base_seed: int) -> np.ndarray:

@@ -130,15 +130,16 @@ def qubit_closed_solution(
 
     ``P_+(t) = P_eq + (P_+(0) - P_eq) h_pop(t)``,
     ``C(t) = C(0) h_coh(t)``, with the model's damping eigenvalues feeding
-    the kernel's decay function (exp / telegraph / Mittag-Leffler).
+    the kernel's decay function (exp / telegraph / Mittag-Leffler), both
+    rates in one ``decay_factor`` call.
     """
     grid = engine.check_grid(grid)
     m = as_matrix(rho0)
     if abs(np.trace(m) - 1.0) > 1e-9:
         raise BadParametersError("qubit_closed_solution expects a unit-trace state")
     lam_pop, lam_coh, p_eq = _model_rates(model)
-    h_pop = np.asarray(kernel.decay_factor(lam_pop, grid), dtype=complex).real
-    h_coh = np.asarray(kernel.decay_factor(lam_coh, grid), dtype=complex).real
+    rates = np.array([lam_pop, lam_coh])
+    h_pop, h_coh = np.asarray(kernel.decay_factor(rates, grid), dtype=complex).real
     p0_up = m[0, 0].real
     p0_down = m[1, 1].real
     if p_eq is None:  # dephasing: populations frozen

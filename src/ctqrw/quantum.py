@@ -125,7 +125,7 @@ def linear_entropy(rho):
     state positivity on a qubit).  A single matrix gives a float.
     """
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    out = 1.0 - np.trace(m @ m, axis1=-2, axis2=-1).real
+    out = 1.0 - np.einsum("...ij,...ji->...", m, m).real  # Tr[m^2] without forming m^2
     return float(out) if m.ndim == 2 else out
 
 

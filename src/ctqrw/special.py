@@ -9,7 +9,9 @@ Three evaluation regimes, cross-validated on the seams by the test suite:
 
 * power series ``sum_k (-x)^k / Gamma(alpha k + beta)`` while the predicted
   float64 cancellation stays below 1e-13 (the series is mathematically
-  entire but numerically useless once its largest term dwarfs the result);
+  entire but numerically useless once its largest term dwarfs the result),
+  its terms and partial sums formed _SERIES_CHUNK at a time by sequential
+  accumulates that round exactly as the term-by-term recursion;
 * the exact spectral representation obtained by collapsing the Hankel
   contour of ``1/Gamma`` onto the branch cut,
 
@@ -20,7 +22,11 @@ Three evaluation regimes, cross-validated on the seams by the test suite:
   discretized for every ``0 < a < 1`` with one fixed rule: tanh-sinh on
   ``[0, 1]`` (after ``r = q^(1/a)``) plus Gauss-Legendre panels on
   ``[1, 55]``, graded geometrically around the Lorentzian feature of width
-  ``~ x sin(pi a)`` at ``r^a = x |cos(pi a)|`` that appears for ``a > 1/2``;
+  ``~ x sin(pi a)`` at ``r^a = x |cos(pi a)|`` that appears for ``a > 1/2``.
+  Without that dip every x shares one node row, whose x-independent factors
+  (weights, ``e^{-r} r^{a-b}``, ``r^a``) are formed once per call; only the
+  rational factor is formed per (x, node).  The dip moves with x, so for
+  ``a > 1/2`` the graded panels, and with them the nodes, stay per x;
 * the asymptotic series ``sum_k (-1)^{k+1} x^{-k} / Gamma(b - a k)`` with
   optimal truncation at its smallest term.
 """
@@ -36,6 +42,7 @@ from .laplace import like_input
 
 _SERIES_MAX_TERM = 1e3  # keeps cancellation below ~2e-13
 _SERIES_MAX_K = 1500
+_SERIES_CHUNK = 32  # series terms per accumulate
 _ASYMP_X_MIN = 30.0
 
 
@@ -62,25 +69,43 @@ def _series(alpha: float, beta: float, x: np.ndarray):
 
     Returns (values, ok) where ok marks entries evaluated to ~1e-13 or
     better; entries whose largest term exceeded the guard are left NaN.
+
+    The terms ``term_k = (term_{k-1} (-x)) Gamma(alpha (k-1) + beta) /
+    Gamma(alpha k + beta)`` come _SERIES_CHUNK at a time from one
+    ``multiply.accumulate`` over the interleaved factors ``[term, -x, r_k,
+    -x, r_{k+1}, ...]`` and their partial sums from one ``add.accumulate``,
+    both sequential, so every value rounds as the term-by-term recursion
+    does.  A row's sum stops at its first term below 1e-18; a row with a
+    term above the guard is given up.
     """
     x = np.atleast_1d(x)
     ratios = _series_ratios(alpha, beta)
     out = np.full(x.shape, np.nan)
-    term = np.full(x.shape, _rgamma(beta))
+    ok = np.zeros(x.shape, dtype=bool)
+    live = np.arange(x.size)  # 1/Gamma(beta) <= 1: every row starts under the guard
+    term = np.full(x.size, _rgamma(beta))
     acc = term.copy()
-    max_abs = np.abs(term)
-    converged = np.zeros(x.shape, dtype=bool)
-    hopeless = np.zeros(x.shape, dtype=bool)
-    for kk in range(1, _SERIES_MAX_K + 1):
-        term = np.where(hopeless, 0.0, term * (-x) * ratios[kk - 1])
-        acc = np.where(converged, acc, acc + term)
-        max_abs = np.maximum(max_abs, np.abs(term))
-        converged |= np.abs(term) < 1e-18
-        hopeless |= max_abs > _SERIES_MAX_TERM
-        if (converged | hopeless).all():
-            break
-    ok = converged & ~hopeless
-    out[ok] = acc[ok]
+    # a given-up row's terms may overflow before its chunk ends
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(0, _SERIES_MAX_K, _SERIES_CHUNK):
+            if not live.size:
+                break
+            r = ratios[k : k + _SERIES_CHUNK]
+            factors = np.empty((live.size, 2 * r.size + 1))
+            factors[:, 0] = term
+            factors[:, 1::2] = -x[live, None]
+            factors[:, 2::2] = r
+            terms = np.multiply.accumulate(factors, axis=1)[:, 2::2]
+            small = np.abs(terms) < 1e-18
+            terms[:, 1:][np.logical_or.accumulate(small, axis=1)[:, :-1]] = 0.0
+            sums = np.add.accumulate(np.concatenate([acc[:, None], terms], axis=1), axis=1)
+            converged = small.any(axis=1)
+            hopeless = (np.abs(terms) > _SERIES_MAX_TERM).any(axis=1)
+            done = converged & ~hopeless
+            out[live[done]] = sums[done, -1]
+            ok[live[done]] = True
+            going = ~converged & ~hopeless
+            live, term, acc = live[going], terms[going, -1], sums[going, -1]
     return out, ok
 
 
@@ -114,28 +139,28 @@ _PEAK_OFFSETS = np.concatenate([-_PEAK_GRADE, [0.0], _PEAK_GRADE])
 
 
 def _spectral_bounds(alpha: float, x: np.ndarray) -> np.ndarray:
-    """Per-x panel boundaries on [1, 55] for the branch-cut integral.
+    """Panel boundaries on [1, 55] for the branch-cut integral, one row
+    shared by every x, or one row per x when there is a dip.
 
-    A shared geometric ladder resolves the e^{-r} factor.  When alpha > 1/2
-    the denominator has a Lorentzian dip of width w at
+    A geometric ladder resolves the e^{-r} factor.  When alpha > 1/2 the
+    denominator has a Lorentzian dip of width w at
     r* = (|cos(pi alpha)| x)^(1/alpha); thirteen more boundaries,
     r* + w * (0, -+geomspace(0.25, 400, 6)), grade the panels geometrically
     away from it, so its 1/d^2 tails stay resolved however sharp the dip.
-    Without a dip the thirteen sit at r = 1 and add empty panels, which
-    keeps one panel layout for every alpha.  Beyond r = 55 the e^{-r}
-    factor has killed everything.
+    The dip moves with x, so those rows are per x, shape (n_x, 42); without
+    it the ladder alone is the one row, shape (1, 29).  Beyond r = 55 the
+    e^{-r} factor has killed everything.
     """
     base = np.geomspace(1.0, 55.0, 29)
     c = np.cos(np.pi * alpha)
-    if c < 0:
-        s_peak = -c * x
-        r_peak = s_peak ** (1.0 / alpha)
-        width = (x * np.sin(np.pi * alpha) / alpha) * np.maximum(s_peak, 1e-30) ** (
-            1.0 / alpha - 1.0
-        )
-        peak = np.clip(r_peak[:, None] + np.minimum(width, 6.0)[:, None] * _PEAK_OFFSETS, 1.0, 55.0)
-    else:
-        peak = np.ones((x.size, _PEAK_OFFSETS.size))
+    if c >= 0:
+        return base[None, :]
+    s_peak = -c * x
+    r_peak = s_peak ** (1.0 / alpha)
+    width = (x * np.sin(np.pi * alpha) / alpha) * np.maximum(s_peak, 1e-30) ** (
+        1.0 / alpha - 1.0
+    )
+    peak = np.clip(r_peak[:, None] + np.minimum(width, 6.0)[:, None] * _PEAK_OFFSETS, 1.0, 55.0)
     bounds = np.concatenate([np.broadcast_to(base, (x.size, base.size)), peak], axis=1)
     return np.sort(bounds, axis=1)
 
@@ -158,43 +183,44 @@ _GL_NODES, _GL_WEIGHTS = leggauss(12)
 
 def _spectral_vectorized(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     """Fixed-rule discretization of the branch-cut integral, vectorized in x,
-    for every 0 < alpha < 1."""
+    for every 0 < alpha < 1.
+
+    Each node row carries its x-independent factors, the weights times
+    ``e^{-r} r^{alpha-beta}`` and ``r^alpha``; only the rational factor
+    ``[r^a sin(pi b) - x sin(pi (a-b))] / D(r)`` is formed per (x, node).
+    """
     c = np.cos(np.pi * alpha)
     sb = np.sin(np.pi * beta)
     sab = np.sin(np.pi * (alpha - beta))
+    xc = x[:, None]
 
-    def integrand(r):
-        # r: (n_x, n_nodes); weight r^{alpha-beta} handled by caller
-        ra = r ** alpha
-        denom = ra * ra + 2.0 * x[:, None] * ra * c + x[:, None] ** 2
-        return np.exp(-r) * (ra * sb - x[:, None] * sab) / denom
-
-    total = np.zeros(x.shape)
+    def rule(s, weight):
+        # s = r^alpha on (1 or n_x, n_nodes) rows; weight includes e^{-r}
+        vals = s * sb - xc * sab
+        # D = (s^2 + 2 x s c) + x^2, rounded in this order: near the dip it cancels
+        denom = 2.0 * xc * s
+        denom *= c
+        denom += s * s
+        denom += xc * xc
+        vals /= denom
+        vals *= weight
+        return vals.sum(axis=1)
 
     # [0, 1]: substitute r = q^(1/alpha); the denominator and the bracket
     # become polynomial in q and all remaining endpoint behavior
     # (q^((1-beta)/alpha) weight, q^(1/alpha) Hoelder terms of e^{-r}) is
     # absorbed by the tanh-sinh rule
-    q = _TS_NODES[None, :]
-    denom_q = q * q + 2.0 * x[:, None] * q * c + x[:, None] ** 2
-    vals_q = (
-        np.exp(-q ** (1.0 / alpha))
-        * q ** ((1.0 - beta) / alpha)
-        * (q * sb - x[:, None] * sab)
-        / denom_q
-    )
-    total += (vals_q * _TS_WEIGHTS[None, :]).sum(axis=1) / alpha
+    q = _TS_NODES
+    weight = np.exp(-q ** (1.0 / alpha)) * q ** ((1.0 - beta) / alpha) * _TS_WEIGHTS
+    total = rule(q[None, :], weight) / alpha
 
-    # [1, 55]: composite Gauss-Legendre on the shared-plus-peak panels
+    # [1, 55]: composite Gauss-Legendre on the ladder (plus peak) panels
     bounds = _spectral_bounds(alpha, x)
-    a = bounds[:, :-1]
-    b = bounds[:, 1:]
-    mid = 0.5 * (a + b)[:, :, None]
-    half = 0.5 * (b - a)[:, :, None]
-    nodes = mid + half * _GL_NODES[None, None, :]
-    vals = integrand(nodes.reshape(x.size, -1)).reshape(nodes.shape)
-    vals *= nodes ** (alpha - beta)
-    total += (vals * _GL_WEIGHTS[None, None, :] * half).sum(axis=(1, 2))
+    mid = 0.5 * (bounds[:, 1:] + bounds[:, :-1])[:, :, None]
+    half = 0.5 * (bounds[:, 1:] - bounds[:, :-1])[:, :, None]
+    r = (mid + half * _GL_NODES).reshape(bounds.shape[0], -1)
+    weight = np.exp(-r) * r ** (alpha - beta) * (half * _GL_WEIGHTS).reshape(r.shape)
+    total += rule(r**alpha, weight)
     return total / np.pi
 
 

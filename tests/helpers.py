@@ -37,3 +37,29 @@ def mittag_leffler_series(alpha, x):
             k += 1
             term = (-x) ** k / mpmath.gamma(a * k + 1)
         return complex(total)
+
+
+def mittag_leffler_series_loop(alpha, beta, x):
+    """The power series of ``ctqrw.special._series`` one term per step: the
+    reference its chunked accumulation must equal bit for bit."""
+    from ctqrw import special
+
+    x = np.atleast_1d(x)
+    ratios = special._series_ratios(alpha, beta)
+    out = np.full(x.shape, np.nan)
+    term = np.full(x.shape, special._rgamma(beta))
+    acc = term.copy()
+    max_abs = np.abs(term)
+    converged = np.zeros(x.shape, dtype=bool)
+    hopeless = np.zeros(x.shape, dtype=bool)
+    for kk in range(1, special._SERIES_MAX_K + 1):
+        term = np.where(hopeless, 0.0, term * (-x) * ratios[kk - 1])
+        acc = np.where(converged, acc, acc + term)
+        max_abs = np.maximum(max_abs, np.abs(term))
+        converged |= np.abs(term) < 1e-18
+        hopeless |= max_abs > special._SERIES_MAX_TERM
+        if (converged | hopeless).all():
+            break
+    ok = converged & ~hopeless
+    out[ok] = acc[ok]
+    return out, ok

@@ -798,3 +798,57 @@ def test_count_law_is_probabilities_or_typed_error(plus_x_state, time_budget, la
                 assert np.max(table.sum(axis=0)) <= 1.0 + 1e-9
         except CtqrwError:
             pass
+
+
+def _edge_times(grid):
+    """Each grid point, one ulp either side of it, the midpoints, t = 0 and
+    times past the end."""
+    return np.concatenate(
+        [
+            grid,
+            np.nextafter(grid, -np.inf),
+            np.nextafter(grid, np.inf),
+            0.5 * (grid[1:] + grid[:-1]),
+            [0.0, grid[-1] + 1.0, 2.0 * grid[-1] + 3.0],
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        np.linspace(0.0, 10.0, 201),
+        np.linspace(2.5, 20.0, 50),
+        np.geomspace(1e-3, 10.0, 60),
+        np.array([3.0]),
+        np.concatenate([np.linspace(0.0, 1.0, 11), [1.0 + 1e-7], np.linspace(1.1, 2.0, 10)]),
+        np.array([0.0, 5e-324, 1e-323]),
+        np.array([1e-310, 3e-310]),
+    ],
+    ids=["linspace-0", "linspace-2.5", "geomspace", "one-point", "step-1e-7", "subnormal", "subnormal-span"],
+)
+def test_first_cells_are_searchsorted(grid, rng):
+    times = _edge_times(grid)
+    times = times[times >= 0.0]
+    times = np.concatenate([times, rng.permutation(times), rng.uniform(0.0, 1.5 * grid[-1], 500)])
+    assert np.array_equal(engine._first_cells(grid, times), np.searchsorted(grid, times, side="left"))
+
+
+@pytest.mark.parametrize(
+    "waiting",
+    [ExponentialWaiting(rate=2.0), MittagLefflerWaiting(amplitude=1 / np.sqrt(2), alpha=0.5)],
+    ids=["poisson", "ml-0.5"],
+)
+def test_event_list_is_the_boolean_mask_event_list(waiting):
+    # the event list as boolean masks over each round's (rows x draws) clock
+    # block gave: round by round, rows in order, each row's events numbered
+    # on from the last, and each realization's events its own draws
+    t_end, base_seed, n = 12.0, 9, 400
+    owners, numbers, times = engine._renewal_events(waiting, t_end, base_seed, np.arange(n))
+    rounds = (numbers - 1) // engine.DRAWS_PER_BLOCK
+    assert np.array_equal(np.lexsort((numbers, owners, rounds)), np.arange(owners.size))
+    assert rounds.max() > 0
+    for k in range(n):
+        mine = owners == k
+        assert np.array_equal(numbers[mine], np.arange(1, np.count_nonzero(mine) + 1))
+        assert np.array_equal(times[mine], engine.draw_event_times(waiting, t_end, base_seed, k))

@@ -7,6 +7,7 @@ from scipy.special import erfcx
 from ctqrw import special
 from ctqrw.errors import DomainError
 from ctqrw.special import mittag_leffler, ml_reference
+from helpers import mittag_leffler_series_loop
 
 
 def test_value_at_zero_and_alpha_one():
@@ -40,7 +41,7 @@ def test_against_high_precision_reference(alpha):
         assert abs(val - ref) <= 1e-10 * max(abs(ref), 1e-12), (alpha, x)
 
 
-@pytest.mark.parametrize("alpha", [0.03, 0.97, 0.99, 0.999])
+@pytest.mark.parametrize("alpha", [0.03, 0.97, 0.99, 0.999, 0.5, 0.7, 0.9])
 @pytest.mark.parametrize("beta_is_alpha", [False, True])
 def test_branch_cut_rule_at_extreme_alpha(alpha, beta_is_alpha):
     # the points neither the series nor the asymptotic branch certifies go
@@ -56,6 +57,51 @@ def test_branch_cut_rule_at_extreme_alpha(alpha, beta_is_alpha):
     for xi, val in zip(x, vals):
         ref = ml_reference(alpha, float(xi), beta=beta)
         assert abs(val - ref) <= 1e-10 * max(abs(ref), 1e-12), (alpha, beta, xi)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3])
+@pytest.mark.parametrize("beta_is_alpha", [False, True])
+def test_branch_cut_rule_on_the_shared_node_row(alpha, beta_is_alpha):
+    # as above at alpha < 1/2, where every x shares one node row.  Just below
+    # its own switch to the asymptotic branch the reference sums ~10^4 terms
+    # at hundreds of digits, tens of seconds a point; the band points where
+    # it sums fewer than 2000 terms or goes asymptotic are checked
+    beta = alpha if beta_is_alpha else 1.0
+    x = np.geomspace(0.5, 200.0, 40)
+    by_series = special._series(alpha, beta, x)[1]
+    by_asymptotic = special._asymptotic(alpha, beta, x)[1] & (x >= special._ASYMP_X_MIN)
+    x = x[~by_series & ~by_asymptotic]
+    reference_terms = 2.0 * x ** (1.0 / alpha) / alpha
+    x = x[(reference_terms < 2000) | (reference_terms > 30000)]
+    assert x.size >= 5
+    vals = mittag_leffler(alpha, x, beta=beta)
+    for xi, val in zip(x, vals):
+        ref = ml_reference(alpha, float(xi), beta=beta)
+        assert abs(val - ref) <= 1e-10 * max(abs(ref), 1e-12), (alpha, beta, xi)
+
+
+@pytest.mark.parametrize("alpha", [0.03, 0.5, 0.97, 0.999])
+@pytest.mark.parametrize("beta_is_alpha", [False, True])
+def test_series_is_the_term_by_term_loop(alpha, beta_is_alpha):
+    # across the 1e3 guard (from every term clean to hopeless) and down to
+    # the smallest subnormal: the chunked accumulation rounds as the loop
+    beta = alpha if beta_is_alpha else 1.0
+    x = np.concatenate([np.geomspace(1e-6, 40.0, 800), [5e-324, 1e-300]])
+    vals, ok = special._series(alpha, beta, x)
+    ref_vals, ref_ok = mittag_leffler_series_loop(alpha, beta, x)
+    assert np.array_equal(ok, ref_ok)
+    assert np.array_equal(vals, ref_vals, equal_nan=True)
+    assert ok.any() and not ok.all()
+
+
+def test_series_runs_out_of_terms_like_the_loop():
+    # alpha = 0.01 at x = 1: every term 1/Gamma(0.01 k + 1) stays below 1.2,
+    # far under the guard, yet term 1500 is still ~1e-15
+    x = np.array([0.5, 1.0])
+    vals, ok = special._series(0.01, 1.0, x)
+    ref_vals, ref_ok = mittag_leffler_series_loop(0.01, 1.0, x)
+    assert list(ok) == list(ref_ok) == [True, False]
+    assert np.array_equal(vals, ref_vals, equal_nan=True)
 
 
 def test_reference_asymptotic_branch_is_not_fooled_by_a_vanishing_term():
