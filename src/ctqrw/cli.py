@@ -16,14 +16,21 @@ columns dimensionless), 17-significant-digit values, LF line endings.  Each
 value is the bytes of ``'%.17g' % value``, formatted in numpy blocks
 (``_csvformat``) with CPython as the per-value fallback.
 The JSON manifest echoes the configuration, seeds, library version, the
-python/numpy/scipy versions and wall time, and validates against
-``manifest_schema.json``.
+python/numpy/scipy versions and wall time.  Before it is written, every
+manifest is checked against ``manifest_schema.json`` by ``validate_manifest``,
+which implements the keywords that schema uses and refuses a schema with any
+other; jsonschema is the tests' oracle, not a run-time dependency.  A manifest
+that misses its schema raises ``ManifestError``: a bug in ctqrw, not a numeric
+failure, so it is not exit 3.  numpy's version is ``np.__version__``; scipy's
+is read from its installed ``METADATA``, without importing scipy.
 """
 
 import argparse
 import functools
 import importlib.resources
+import importlib.util
 import json
+import numbers
 import os
 import platform
 import sys
@@ -34,7 +41,7 @@ import numpy as np
 from . import __version__, engine, models, solvers
 from ._csvformat import format_rows
 from .config import ExperimentConfig, parse_config, parse_seed
-from .errors import ConfigError, CtqrwError
+from .errors import ConfigError, CtqrwError, ManifestError
 from .kernels import classify_kernel, waiting_from_kernel
 from .models import qubit_closed_solution, qubit_kraus, wigner_ctrw, WignerWalkConfig
 from .quantum import damping_basis, linear_entropy, lindblad_from_kraus
@@ -59,16 +66,32 @@ def write_csv(path: str, header: list, columns: list):
             fh.write(format_rows(table[start : start + rows]))
 
 
-@functools.cache
-def _dependency_versions() -> dict:
-    """Python, numpy and scipy versions, read once per process from package
-    metadata, which imports neither package."""
+def _installed_version(name: str) -> str:
+    """The ``Version:`` line of the package's ``dist-info/METADATA``, found
+    beside the package by ``importlib.util.find_spec``, which imports
+    nothing; ``importlib.metadata`` is asked only where no such file is."""
+    spec = importlib.util.find_spec(name)
+    if spec is not None and spec.origin is not None:
+        site = os.path.dirname(os.path.dirname(spec.origin))
+        for entry in sorted(os.listdir(site)):
+            if entry.startswith(f"{name}-") and entry.endswith(".dist-info"):
+                with open(os.path.join(site, entry, "METADATA"), encoding="utf-8") as fh:
+                    for line in fh:
+                        if line.startswith("Version:"):
+                            return line[len("Version:") :].strip()
     from importlib import metadata
 
+    return metadata.version(name)
+
+
+@functools.cache
+def _dependency_versions() -> dict:
+    """Python, numpy and scipy versions, read once per process; scipy is not
+    imported to read its version."""
     return {
         "python": platform.python_version(),
-        "numpy": metadata.version("numpy"),
-        "scipy": metadata.version("scipy"),
+        "numpy": np.__version__,
+        "scipy": _installed_version("scipy"),
     }
 
 
@@ -85,23 +108,69 @@ def _manifest(cfg: ExperimentConfig, outputs, wall, extra: dict) -> dict:
     }
 
 
-@functools.cache
-def _manifest_validator():
-    """Validator for ``manifest_schema.json``, built once per process (the
-    schema itself is checked here, not on every run)."""
-    import jsonschema
+# the JSON Schema keywords ``manifest_schema.json`` uses, each checked below
+# as Draft 2020-12 defines it; a schema with any other keyword is refused
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+}
+_KEYWORDS = {"$schema", "title", "type", "required", "properties", "items", "minimum",
+             "additionalProperties"}
 
+
+def _check_schema(node, where: str):
+    """Refuse a schema node that asks for more than `_check` implements."""
+    if not isinstance(node, dict):
+        raise ManifestError(f"{where}: a schema that is not an object is not implemented")
+    unknown = sorted(set(node) - _KEYWORDS)
+    if unknown:
+        raise ManifestError(f"{where}: keyword {unknown[0]!r} is not implemented")
+    if node.get("type", "object") not in list(_TYPES):  # a list of types is not hashable
+        raise ManifestError(f"{where}: type {node['type']!r} is not implemented")
+    if node.get("additionalProperties", True) is not True:
+        raise ManifestError(f"{where}: only additionalProperties: true is implemented")
+    for key, sub in node.get("properties", {}).items():
+        _check_schema(sub, f"{where}.properties.{key}")
+    if "items" in node:
+        _check_schema(node["items"], f"{where}.items")
+
+
+@functools.cache
+def _manifest_schema() -> dict:
+    """``manifest_schema.json``, read and checked once per process."""
     schema = json.loads(
         importlib.resources.files("ctqrw").joinpath("manifest_schema.json").read_text()
     )
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    _check_schema(schema, "manifest_schema.json")
+    return schema
+
+
+def _check(value, node: dict, path: str):
+    kind = node.get("type")
+    if kind is not None and not _TYPES[kind](value):
+        raise ManifestError(f"{path} must be of type {kind}, got {value!r}")
+    if "minimum" in node and _TYPES["number"](value) and value < node["minimum"]:
+        raise ManifestError(f"{path} = {value!r} is below its minimum {node['minimum']}")
+    if isinstance(value, dict):
+        for key in node.get("required", ()):
+            if key not in value:
+                raise ManifestError(f"{path}.{key} is required")
+        for key, sub in node.get("properties", {}).items():
+            if key in value:
+                _check(value[key], sub, f"{path}.{key}")
+    if isinstance(value, list) and "items" in node:
+        for i, item in enumerate(value):
+            _check(item, node["items"], f"{path}[{i}]")
 
 
 def validate_manifest(doc: dict):
-    """Raise ``jsonschema.ValidationError`` unless `doc` fits the schema."""
-    _manifest_validator().validate(doc)
+    """Raise :class:`ManifestError`, naming the path, unless `doc` fits
+    ``manifest_schema.json``."""
+    _check(doc, _manifest_schema(), "manifest")
 
 
 def _solution_columns(states, grid):
@@ -293,6 +362,8 @@ def run(config_path: str, out_dir: str = ".", seed_override: int | None = None) 
         with open(os.path.join(out_dir, cfg.manifest_name), "w", newline="\n") as fh:
             json.dump(manifest, fh, indent=2, default=str)
             fh.write("\n")
+    except ManifestError:
+        raise  # a manifest that misses its schema is a bug in ctqrw, not exit 3
     except CtqrwError as exc:
         print(f"numeric failure in {cfg.kind}: {exc}", file=sys.stderr)
         return 3

@@ -121,3 +121,10 @@ class BadMomentsError(CtqrwError):
 
 class ConfigError(CtqrwError):
     """Experiment configuration is malformed; message names the key."""
+
+
+class ManifestError(CtqrwError):
+    """A run manifest does not fit ``manifest_schema.json`` (or the schema
+    uses a keyword the checker does not implement); the message names the
+    path, e.g. ``manifest.seeds[0]``.  ctqrw builds every manifest itself,
+    so this is a bug in ctqrw, not a failure of the run's numerics."""

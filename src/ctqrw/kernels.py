@@ -778,21 +778,20 @@ def waiting_from_kernel(kernel: MemoryKernel):
 def _exponential_negative_witness(kernel: ExponentialKernel):
     """First-lobe witness w(t*) < 0 for a dangerous exponential kernel.
 
-    Evaluated with mpmath: near the safe boundary the lobe sits at
-    t* = 3 pi / sqrt(4 A - gamma^2) where exp(-gamma t*/2) underflows
-    float64.  Returns (t*, w(t*) as float with at least the sign preserved,
-    log10|w(t*)|).
+    In closed form: with Phi = sqrt(4 A - gamma^2) the lobe bottoms out near
+    t* = 3 pi / Phi, where sin(Phi t*/2) = -1, so
+    w(t*) = -(2A/Phi) exp(-3 pi gamma / (2 Phi)).  Near the safe boundary
+    that exponential underflows float64, so log10|w(t*)| comes from the
+    exponent directly.  Returns (t*, w(t*) as float with at least the sign
+    preserved, log10|w(t*)|).
     """
-    import mpmath
-
-    a, g = mpmath.mpf(kernel.amplitude), mpmath.mpf(kernel.decay)
-    root = mpmath.sqrt(4 * a - g * g)
-    t_star = 3 * mpmath.pi / root
-    w = 2 * a * mpmath.exp(-g * t_star / 2) * mpmath.sin(root * t_star / 2) / root
-    w_float = float(w)
-    if w_float == 0.0:  # underflow; keep the (negative) sign
-        w_float = -5e-324
-    return float(t_star), w_float, float(mpmath.log(abs(w), 10))
+    a, g = kernel.amplitude, kernel.decay
+    phi = math.sqrt(4.0 * a - g * g)
+    exponent = 3.0 * math.pi * g / (2.0 * phi)
+    w = -(2.0 * a / phi) * math.exp(-exponent)
+    if w == 0.0:  # underflow; keep the (negative) sign
+        w = -5e-324
+    return 3.0 * math.pi / phi, w, math.log10(2.0 * a / phi) - exponent / math.log(10.0)
 
 
 def _nonnegative_times(t) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Random channels and states for the tests, and a Mittag-Leffler oracle;
+"""Random channels and states for the tests, and mpmath oracles (the
+Mittag-Leffler series, the exponential kernel's negative-density witness);
 the caller passes the numpy generator, so every draw is reproducible from
 the test's seed."""
 
@@ -63,3 +64,17 @@ def mittag_leffler_series_loop(alpha, beta, x):
     ok = converged & ~hopeless
     out[ok] = acc[ok]
     return out, ok
+
+
+def exponential_witness_mp(amplitude, decay):
+    """The first-lobe witness (t*, w(t*), log10|w(t*)|) of a dangerous
+    exponential kernel, its density evaluated in mpmath at t* = 3 pi / Phi,
+    Phi = sqrt(4 A - gamma^2), with no closed form for the sine and no
+    underflow: the reference for ``kernels._exponential_negative_witness``."""
+    import mpmath
+
+    a, g = mpmath.mpf(amplitude), mpmath.mpf(decay)
+    root = mpmath.sqrt(4 * a - g * g)
+    t_star = 3 * mpmath.pi / root
+    w = 2 * a * mpmath.exp(-g * t_star / 2) * mpmath.sin(root * t_star / 2) / root
+    return float(t_star), float(w), float(mpmath.log(abs(w), 10))

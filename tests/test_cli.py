@@ -2,13 +2,14 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ctqrw import cli
 from ctqrw.config import figure_presets, parse_config
-from ctqrw.errors import ConfigError
+from ctqrw.errors import ConfigError, ManifestError
 
 
 def write(tmp_path, text, name="run.ini"):
@@ -77,8 +78,6 @@ def test_run_ensemble_and_manifest(tmp_path):
 
 
 def test_manifest_without_seeds_is_rejected():
-    import jsonschema
-
     doc = {
         "experiment": "ensemble",
         "config": {},
@@ -87,7 +86,7 @@ def test_manifest_without_seeds_is_rejected():
         "outputs": ["out.csv"],
     }
     for _ in range(2):  # the second call reuses the cached validator
-        with pytest.raises(jsonschema.ValidationError, match="seeds"):
+        with pytest.raises(ManifestError, match="seeds"):
             cli.validate_manifest(doc)
     cli.validate_manifest(dict(doc, seeds=[1]))
 
@@ -95,8 +94,6 @@ def test_manifest_without_seeds_is_rejected():
 def test_manifest_records_dependency_versions(tmp_path):
     import platform
     from importlib import metadata
-
-    import jsonschema
 
     path = write(tmp_path, GOOD_ENSEMBLE)
     out = tmp_path / "results"
@@ -109,7 +106,7 @@ def test_manifest_records_dependency_versions(tmp_path):
     }
     assert cli._dependency_versions() is cli._dependency_versions()  # read once per process
     bad = dict(manifest, dependency_versions={"python": "3", "numpy": 2})
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(ManifestError):
         cli.validate_manifest(bad)
 
 
@@ -124,6 +121,146 @@ def test_realizations_manifest_names_the_run_seed(tmp_path):
     manifest = json.loads((out / "run.json").read_text())
     cli.validate_manifest(manifest)
     assert manifest["seeds"] == [17]
+
+
+@pytest.mark.parametrize("name", ["numpy", "scipy", "jsonschema", "pytest"])
+def test_installed_version_is_the_metadata_version(name):
+    from importlib import metadata
+
+    assert cli._installed_version(name) == metadata.version(name)
+
+
+def test_installed_version_falls_back_to_metadata(monkeypatch):
+    from importlib import metadata
+
+    monkeypatch.setattr(cli.importlib.util, "find_spec", lambda name: None)
+    assert cli._installed_version("scipy") == metadata.version("scipy")
+
+
+# one small config per runner kind, and the four figure presets: the real
+# manifests the checker must pass, and the seeds of the mutations below
+_KERNEL = "[kernel]\ntype = fractional\namplitude = 0.70710678118654752\nalpha = 0.5\n"
+_MODEL_KERNEL = "[model]\ntype = depolarizing\n\n" + _KERNEL + "\n[grid]\nn_points = 9\n"
+_DANGEROUS = "[kernel]\ntype = exponential\namplitude = 1\ngamma = 1\n"
+MANIFEST_KINDS = {
+    "realizations": "[experiment]\nkind = realizations\nseed = 4\n\n" + _MODEL_KERNEL,
+    "ensemble": "[experiment]\nkind = ensemble\n\n" + _MODEL_KERNEL + "\n[ensemble]\nn_realizations = 20\n",
+    "solve": "[experiment]\nkind = solve\n\n" + _MODEL_KERNEL + "\n[solve]\nroute = volterra\n",
+    "classify": "[experiment]\nkind = classify\n\n" + _DANGEROUS,
+    "cp-audit": "[experiment]\nkind = cp-audit\n\n" + _MODEL_KERNEL,
+    "entropy": "[experiment]\nkind = entropy\n\n" + _MODEL_KERNEL,
+    "wigner": "[experiment]\nkind = wigner\n\n" + _KERNEL + "\n[wigner]\nn_walkers = 20\n",
+    "intrinsic": "[experiment]\nkind = intrinsic\n\n" + _KERNEL
+                 + "\n[intrinsic]\nlevels = 0, 1.3\ntau_b = 0.5\n",
+    **{f"figure{n}": f"[experiment]\nkind = figure{n}\n" for n in (1, 2, 3, 4)},
+}
+
+
+@pytest.fixture(scope="module")
+def manifests(tmp_path_factory):
+    docs = {}
+    for kind, text in MANIFEST_KINDS.items():
+        base = tmp_path_factory.mktemp(kind)
+        path = write(base, text)
+        assert cli.run(path, str(base / "out")) == 0
+        docs[kind] = json.loads((base / "out" / parse_config(path).manifest_name).read_text())
+    return docs
+
+
+def _schema():
+    return json.loads((Path(cli.__file__).parent / "manifest_schema.json").read_text())
+
+
+# values that break one type or another: booleans are neither integers nor
+# numbers, 1.0 is an integer, -0.5 is below wall_time_sec's minimum
+_VALUES = [True, False, 0, 1, -1, 1.0, 1.5, -0.5, -0.0, float("inf"), float("nan"), "", "1",
+           None, [], [1], ["a"], [True], [1.0], [1.5], {}, {"a": 1}]
+
+
+def _mutations(doc: dict):
+    """The real manifest, and copies with one value replaced, one key
+    deleted or one key added, at the top level and one level down."""
+    yield "as is", doc
+    yield "a list", [doc]
+    for key in list(doc) + ["extra"]:
+        yield f"without {key}", {k: v for k, v in doc.items() if k != key}
+        for value in _VALUES:
+            yield f"{key} = {value!r}", dict(doc, **{key: value})
+        inner = doc.get(key)
+        if isinstance(inner, dict):
+            for sub in list(inner) + ["extra"]:
+                yield f"without {key}.{sub}", dict(doc, **{key: {k: v for k, v in inner.items() if k != sub}})
+                for value in _VALUES:
+                    yield f"{key}.{sub} = {value!r}", dict(doc, **{key: dict(inner, **{sub: value})})
+        if isinstance(inner, list):
+            for value in _VALUES:
+                yield f"{key}[0] = {value!r}", dict(doc, **{key: [value] + inner[1:]})
+                yield f"{key} + [{value!r}]", dict(doc, **{key: inner + [value]})
+
+
+def test_manifest_checker_agrees_with_jsonschema(manifests):
+    import jsonschema
+
+    oracle = jsonschema.Draft202012Validator(_schema())
+    verdicts = {True: 0, False: 0}
+    for kind, doc in manifests.items():
+        cli.validate_manifest(doc)
+        for what, mutant in _mutations(doc):
+            try:
+                cli.validate_manifest(mutant)
+                accepted = True
+            except ManifestError:
+                accepted = False
+            assert accepted == oracle.is_valid(mutant), f"{kind}: {what}"
+            verdicts[accepted] += 1
+    assert min(verdicts.values()) > 1000, verdicts  # both verdicts are well exercised
+
+
+def test_manifest_error_names_the_path():
+    doc = {"experiment": "solve", "config": {}, "seeds": [1, "7"], "library_version": "0",
+           "wall_time_sec": 0.1, "outputs": []}
+    with pytest.raises(ManifestError, match=r"manifest\.seeds\[1\] must be of type integer"):
+        cli.validate_manifest(doc)
+    with pytest.raises(ManifestError, match=r"manifest\.wall_time_sec = -1 is below its minimum 0"):
+        cli.validate_manifest(dict(doc, seeds=[1], wall_time_sec=-1))
+    with pytest.raises(ManifestError, match=r"manifest\.dependency_versions\.scipy is required"):
+        cli.validate_manifest(dict(doc, seeds=[1], dependency_versions={"python": "3", "numpy": "2"}))
+
+
+def test_manifest_schema_is_a_valid_draft_2020_12_schema():
+    import jsonschema
+
+    schema = _schema()
+    assert jsonschema.validators.validator_for(schema) is jsonschema.Draft202012Validator
+    jsonschema.Draft202012Validator.check_schema(schema)
+    assert cli._manifest_schema() == schema
+
+
+@pytest.mark.parametrize(
+    "where, edit, message",
+    [
+        ("experiment", {"pattern": "^[a-z]+$"}, "keyword 'pattern'"),
+        ("seeds", {"items": {"type": "integer", "maximum": 5}}, "keyword 'maximum'"),
+        ("outputs", {"items": True}, "not an object"),
+        ("wall_time_sec", {"type": ["number", "null"]}, r"type \['number', 'null'\]"),
+        ("verdict", {"type": "boolean"}, "type 'boolean'"),
+        ("dependency_versions", {"additionalProperties": False}, "only additionalProperties: true"),
+    ],
+)
+def test_schema_keyword_the_checker_lacks_is_refused(where, edit, message):
+    schema = _schema()
+    schema["properties"][where].update(edit)
+    with pytest.raises(ManifestError, match=message):
+        cli._check_schema(schema, "manifest_schema.json")
+
+
+def test_manifest_error_is_not_a_numeric_failure(tmp_path, monkeypatch):
+    # a manifest that misses its schema is a bug in ctqrw: run() raises it
+    # instead of reporting exit 3
+    build = cli._manifest
+    monkeypatch.setattr(cli, "_manifest", lambda *args: dict(build(*args), seeds=["1"]))
+    with pytest.raises(ManifestError, match=r"manifest\.seeds\[0\]"):
+        cli.run(write(tmp_path, GOOD_ENSEMBLE), str(tmp_path / "out"))
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -608,6 +745,23 @@ def _fresh_python(code: str) -> str:
 def test_cli_import_loads_no_scipy():
     code = "import sys, ctqrw.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     assert _fresh_python(code) == "[]"
+
+
+def test_cli_runs_load_no_jsonschema_metadata_or_mpmath(tmp_path):
+    # a fresh interpreter runs one config of each runner kind, a dangerous
+    # kernel's classify and an exit-3 run; the manifests are still checked
+    configs = dict(MANIFEST_KINDS)
+    configs["exit-3"] = ("[experiment]\nkind = solve\n\n[model]\ntype = depolarizing\n\n" + _DANGEROUS
+                         + "\n[solve]\nroute = series\n")
+    paths = {name: write(tmp_path, text, f"{name}.ini") for name, text in configs.items()}
+    code = (
+        "import sys\n"
+        "import ctqrw.cli\n"
+        f"codes = [ctqrw.cli.run(p, {str(tmp_path / 'out')!r} + '-' + n) for n, p in {paths!r}.items()]\n"
+        "banned = ('jsonschema', 'importlib.metadata', 'mpmath', 'email', 'scipy')\n"
+        "print(codes, sorted(m for m in sys.modules if m.startswith(banned)))"
+    )
+    assert _fresh_python(code) == f"{[0] * len(MANIFEST_KINDS) + [3]} []"
 
 
 # Each route that needs scipy imports it on first use.  Tier-1 test modules

@@ -33,6 +33,7 @@ from ctqrw.kernels import (
 )
 from ctqrw.seeding import WAITING_LANE, uniforms
 from ctqrw.special import mittag_leffler
+from helpers import exponential_witness_mp
 
 
 def draws(waiting, seed, n):
@@ -163,6 +164,27 @@ def test_classification_boundary_flip():
     # the witness is a genuine negative value of the analytically continued w
     assert dang.witness["w_value"] < 0
     assert np.isfinite(dang.witness["log10_abs_w"])
+
+
+@pytest.mark.parametrize(
+    "amplitude, decay",
+    [(0.25, 0.5), (1.0, 1.0), (4.0, 1.0), (1.0, 1.9), (1.0, 1.99), (1.0, 1.999), (1.0, 1.99999999),
+     (1000.0, 0.1), (0.3, 1.0), (7.5, 5.4), (1e-3, 0.06)],
+)
+def test_exponential_witness_is_the_mpmath_one(amplitude, decay):
+    # the closed form w(t*) = -(2A/Phi) exp(-3 pi gamma / (2 Phi)) against the
+    # density evaluated in mpmath with its sine, at the same t*
+    t_ref, w_ref, log_ref = exponential_witness_mp(amplitude, decay)
+    witness = classify_kernel(ExponentialKernel(amplitude=amplitude, decay=decay)).witness
+    assert witness["t"] == t_ref
+    assert witness["log10_abs_w"] == pytest.approx(log_ref, rel=1e-15)
+    if w_ref == 0.0:  # below float64: the sign is kept on the smallest subnormal
+        assert witness["w_value"] == -5e-324
+    else:
+        assert witness["w_value"] == pytest.approx(w_ref, rel=1e-14)
+    with pytest.raises(NotADistributionError) as exc:
+        ExponentialKernel(amplitude=amplitude, decay=decay).waiting()
+    assert (exc.value.witness_t, exc.value.value) == (witness["t"], witness["w_value"])
 
 
 # safe regular kernels, A/(u + gamma) with gamma^2 > 4A, at scale A/gamma and
