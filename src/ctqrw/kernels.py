@@ -43,6 +43,7 @@ from typing import Callable
 import numpy as np
 
 from . import laplace, special
+from ._csvformat import _SPLIT
 from .errors import (
     BadParametersError,
     DangerousKernelError,
@@ -784,9 +785,17 @@ def _exponential_negative_witness(kernel: ExponentialKernel):
     that exponential underflows float64, so log10|w(t*)| comes from the
     exponent directly.  Returns (t*, w(t*) as float with at least the sign
     preserved, log10|w(t*)|).
+
+    Near the boundary 4A - gamma^2 cancels, so gamma^2 is taken exactly as
+    Dekker's two-product p + e and Phi^2 = (4A - p) - e.
     """
     a, g = kernel.amplitude, kernel.decay
-    phi = math.sqrt(4.0 * a - g * g)
+    c = _SPLIT * g
+    g_hi = c - (c - g)
+    g_lo = g - g_hi
+    p = g * g
+    e = ((g_hi * g_hi - p) + 2.0 * g_hi * g_lo) + g_lo * g_lo
+    phi = math.sqrt((4.0 * a - p) - e)
     exponent = 3.0 * math.pi * g / (2.0 * phi)
     w = -(2.0 * a / phi) * math.exp(-exponent)
     if w == 0.0:  # underflow; keep the (negative) sign

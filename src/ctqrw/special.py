@@ -5,15 +5,16 @@
 ``x >= 0``, the regime governing fractional relaxation: stretched
 exponential at small argument, power-law ``~ x^{-1}`` at large argument.
 
-Three evaluation regimes, cross-validated on the seams by the test suite:
+Two evaluation regimes, cross-validated on their seam by the test suite:
 
 * power series ``sum_k (-x)^k / Gamma(alpha k + beta)`` while the predicted
   float64 cancellation stays below 1e-13 (the series is mathematically
   entire but numerically useless once its largest term dwarfs the result),
   its terms and partial sums formed _SERIES_CHUNK at a time by sequential
   accumulates that round exactly as the term-by-term recursion;
-* the exact spectral representation obtained by collapsing the Hankel
-  contour of ``1/Gamma`` onto the branch cut,
+* everywhere else, out to the largest float, the exact spectral
+  representation obtained by collapsing the Hankel contour of ``1/Gamma``
+  onto the branch cut,
 
     E_{a,b}(-x) = (1/pi) int_0^inf e^{-r} r^{a-b}
                   [r^a sin(pi b) - x sin(pi (a-b))] / D(r) dr,
@@ -26,9 +27,10 @@ Three evaluation regimes, cross-validated on the seams by the test suite:
   Without that dip every x shares one node row, whose x-independent factors
   (weights, ``e^{-r} r^{a-b}``, ``r^a``) are formed once per call; only the
   rational factor is formed per (x, node).  The dip moves with x, so for
-  ``a > 1/2`` the graded panels, and with them the nodes, stay per x;
-* the asymptotic series ``sum_k (-1)^{k+1} x^{-k} / Gamma(b - a k)`` with
-  optimal truncation at its smallest term.
+  ``a > 1/2`` the graded panels, and with them the nodes, stay per x.
+  ``x^2`` in ``D`` overflows past x ~ 1e154; the rational factor ``f`` is
+  homogeneous of degree -1 in ``(r^a, x)``, so past x = 2^500 it is
+  evaluated as ``2^-k f(2^-k r^a, 2^-k x)``, exact in binary floating point.
 """
 
 import functools
@@ -43,7 +45,7 @@ from .laplace import like_input
 _SERIES_MAX_TERM = 1e3  # keeps cancellation below ~2e-13
 _SERIES_MAX_K = 1500
 _SERIES_CHUNK = 32  # series terms per accumulate
-_ASYMP_X_MIN = 30.0
+_X_SCALE_EXP = 500  # past 2^500 the branch-cut rule scales x down
 
 
 def _rgamma(x: float) -> float:
@@ -109,30 +111,6 @@ def _series(alpha: float, beta: float, x: np.ndarray):
     return out, ok
 
 
-def _asymptotic(alpha: float, beta: float, x: np.ndarray):
-    """Large-x series truncated at its smallest term.
-
-    Returns (values, ok); ok requires the smallest retained term to certify
-    a relative error below 1e-11.
-    """
-    x = np.atleast_1d(x)
-    best = np.full(x.shape, np.inf)
-    val_at_best = np.zeros(x.shape)
-    running = np.zeros(x.shape)
-    for k in range(1, 40):
-        coef = _rgamma(beta - alpha * k)  # zero at the poles of Gamma
-        term = (-1.0) ** (k + 1) * coef * x ** (-float(k))
-        running = running + term
-        mag = np.abs(term)
-        take = (mag < best) & (mag > 0)
-        val_at_best = np.where(take, running, val_at_best)
-        best = np.where(take, mag, best)
-    # where every term was zero (cannot happen for alpha<1) keep NaN
-    ok = best < 1e-11 * np.maximum(np.abs(val_at_best), 1e-300)
-    out = np.where(ok, val_at_best, np.nan)
-    return out, ok
-
-
 # boundaries around the Lorentzian dip, in units of its width
 _PEAK_GRADE = np.geomspace(0.25, 400.0, 6)
 _PEAK_OFFSETS = np.concatenate([-_PEAK_GRADE, [0.0], _PEAK_GRADE])
@@ -155,6 +133,7 @@ def _spectral_bounds(alpha: float, x: np.ndarray) -> np.ndarray:
     c = np.cos(np.pi * alpha)
     if c >= 0:
         return base[None, :]
+    x = np.minimum(x, 2.0**_X_SCALE_EXP)  # no overflow; that far out the dip clips to 55
     s_peak = -c * x
     r_peak = s_peak ** (1.0 / alpha)
     width = (x * np.sin(np.pi * alpha) / alpha) * np.maximum(s_peak, 1e-30) ** (
@@ -193,9 +172,15 @@ def _spectral_vectorized(alpha: float, beta: float, x: np.ndarray) -> np.ndarray
     sb = np.sin(np.pi * beta)
     sab = np.sin(np.pi * (alpha - beta))
     xc = x[:, None]
+    k = None  # past 2^500 the rational factor f(s, x) is 2^-k f(2^-k s, 2^-k x)
+    if np.any(x > 2.0**_X_SCALE_EXP):
+        k = np.maximum(np.frexp(xc)[1] - _X_SCALE_EXP, 0)
+        xc = np.ldexp(xc, -k)
 
     def rule(s, weight):
         # s = r^alpha on (1 or n_x, n_nodes) rows; weight includes e^{-r}
+        if k is not None:
+            s = np.ldexp(s, -k)
         vals = s * sb - xc * sab
         # D = (s^2 + 2 x s c) + x^2, rounded in this order: near the dip it cancels
         denom = 2.0 * xc * s
@@ -221,7 +206,8 @@ def _spectral_vectorized(alpha: float, beta: float, x: np.ndarray) -> np.ndarray
     r = (mid + half * _GL_NODES).reshape(bounds.shape[0], -1)
     weight = np.exp(-r) * r ** (alpha - beta) * (half * _GL_WEIGHTS).reshape(r.shape)
     total += rule(r**alpha, weight)
-    return total / np.pi
+    total /= np.pi
+    return total if k is None else np.ldexp(total, -k[:, 0])
 
 
 def mittag_leffler(alpha: float, x, beta: float = 1.0):
@@ -235,9 +221,11 @@ def mittag_leffler(alpha: float, x, beta: float = 1.0):
         appearing in the Mittag-Leffler waiting-time density
         ``w(t) = A t^(alpha-1) E_{alpha,alpha}(-A t^alpha)``.
 
-    Returns the same shape as `x`; scalars in, float out.  Accuracy is
-    ~1e-12 relative for moderate arguments and better than 1e-8 everywhere
-    (tested against a 50-digit reference).
+    ``alpha = 1`` is ``exp(-x)`` and requires ``beta = 1``.
+
+    Returns the same shape as `x`; scalars in, float out, finite for every
+    finite x.  Tested against a 50-digit reference up to ``alpha = 0.999``:
+    within 1e-10 relative on x in [0.5, 200] and 1e-12 on [30, 1e8].
     """
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"alpha must be in (0, 1], got {alpha}")
@@ -247,40 +235,20 @@ def mittag_leffler(alpha: float, x, beta: float = 1.0):
     if np.any(x_arr < 0) or np.any(~np.isfinite(x_arr)):
         raise DomainError("x must be finite and >= 0")
 
-    if alpha == 1.0 and beta == 1.0:
+    if alpha == 1.0:
+        if beta != 1.0:
+            raise DomainError(f"alpha = 1 requires beta = 1, got {beta}")
         return like_input(x, np.exp(-x_arr))
 
     out = np.empty(x_arr.shape)
     zero = x_arr == 0.0
     out[zero] = _rgamma(beta)
-    todo = ~zero
-
-    if alpha == 1.0:
-        # only reachable with beta < 1; series everywhere it is clean,
-        # asymptotic beyond (the branch-cut form needs alpha < 1)
-        vals, ok = _series(1.0, beta, x_arr[todo])
-        rem = ~ok
-        if rem.any():
-            avals, aok = _asymptotic(1.0, beta, x_arr[todo][rem])
-            if not aok.all():
-                raise DomainError("alpha == 1 with beta < 1 unsupported in the gap region")
-            vals[rem] = avals
-        out[todo] = vals
-        return like_input(x, out)
-
-    # each rule leaves NaN where it does not certify its accuracy
-    xt = x_arr[todo]
-    vals = np.full(xt.shape, np.nan)
-    big = xt >= _ASYMP_X_MIN
-    if big.any():
-        vals[big] = _asymptotic(alpha, beta, xt[big])[0]
-    need = np.isnan(vals)
-    if need.any():
-        vals[need] = _series(alpha, beta, xt[need])[0]
-    need = np.isnan(vals)
-    if need.any():
-        vals[need] = _spectral_vectorized(alpha, beta, xt[need])
-    out[todo] = vals
+    # the branch-cut rule takes every point the series does not certify
+    xt = x_arr[~zero]
+    vals, ok = _series(alpha, beta, xt)
+    if not ok.all():
+        vals[~ok] = _spectral_vectorized(alpha, beta, xt[~ok])
+    out[~zero] = vals
     return like_input(x, out)
 
 

@@ -70,11 +70,13 @@ def exponential_witness_mp(amplitude, decay):
     """The first-lobe witness (t*, w(t*), log10|w(t*)|) of a dangerous
     exponential kernel, its density evaluated in mpmath at t* = 3 pi / Phi,
     Phi = sqrt(4 A - gamma^2), with no closed form for the sine and no
-    underflow: the reference for ``kernels._exponential_negative_witness``."""
+    underflow: the reference for ``kernels._exponential_negative_witness``.
+    Evaluated at 60 digits: near the safe boundary 4 A - gamma^2 cancels."""
     import mpmath
 
-    a, g = mpmath.mpf(amplitude), mpmath.mpf(decay)
-    root = mpmath.sqrt(4 * a - g * g)
-    t_star = 3 * mpmath.pi / root
-    w = 2 * a * mpmath.exp(-g * t_star / 2) * mpmath.sin(root * t_star / 2) / root
-    return float(t_star), float(w), float(mpmath.log(abs(w), 10))
+    with mpmath.workdps(60):
+        a, g = mpmath.mpf(amplitude), mpmath.mpf(decay)
+        root = mpmath.sqrt(4 * a - g * g)
+        t_star = 3 * mpmath.pi / root
+        w = 2 * a * mpmath.exp(-g * t_star / 2) * mpmath.sin(root * t_star / 2) / root
+        return float(t_star), float(w), float(mpmath.log(abs(w), 10))

@@ -1,5 +1,7 @@
 """Mittag-Leffler evaluation against independent oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import erfcx
@@ -44,14 +46,16 @@ def test_against_high_precision_reference(alpha):
 @pytest.mark.parametrize("alpha", [0.03, 0.97, 0.99, 0.999, 0.5, 0.7, 0.9])
 @pytest.mark.parametrize("beta_is_alpha", [False, True])
 def test_branch_cut_rule_at_extreme_alpha(alpha, beta_is_alpha):
-    # the points neither the series nor the asymptotic branch certifies go
-    # to the branch-cut integral, whose peak panels must resolve the sharp
-    # Lorentzian dip of alpha near 1 and the flat integrand of alpha near 0
+    # the points the series does not certify go to the branch-cut integral,
+    # whose peak panels must resolve the sharp Lorentzian dip of alpha near 1
+    # and the flat integrand of alpha near 0.  Past x = 30 the points where
+    # the reference would sum 2000 to 30000 terms at hundreds of digits are
+    # skipped
     beta = alpha if beta_is_alpha else 1.0
     x = np.geomspace(0.5, 200.0, 40)
-    by_series = special._series(alpha, beta, x)[1]
-    by_asymptotic = special._asymptotic(alpha, beta, x)[1] & (x >= special._ASYMP_X_MIN)
-    x = x[~by_series & ~by_asymptotic]
+    x = x[~special._series(alpha, beta, x)[1]]
+    reference_terms = 2.0 * x ** (1.0 / alpha) / alpha
+    x = x[(x < 30.0) | (reference_terms < 2000) | (reference_terms > 30000)]
     assert x.size >= 5
     vals = mittag_leffler(alpha, x, beta=beta)
     for xi, val in zip(x, vals):
@@ -63,14 +67,12 @@ def test_branch_cut_rule_at_extreme_alpha(alpha, beta_is_alpha):
 @pytest.mark.parametrize("beta_is_alpha", [False, True])
 def test_branch_cut_rule_on_the_shared_node_row(alpha, beta_is_alpha):
     # as above at alpha < 1/2, where every x shares one node row.  Just below
-    # its own switch to the asymptotic branch the reference sums ~10^4 terms
-    # at hundreds of digits, tens of seconds a point; the band points where
-    # it sums fewer than 2000 terms or goes asymptotic are checked
+    # its own switch to the asymptotic series the reference sums ~10^4 terms
+    # at hundreds of digits, tens of seconds a point; the points where it
+    # sums fewer than 2000 terms or goes asymptotic are checked
     beta = alpha if beta_is_alpha else 1.0
     x = np.geomspace(0.5, 200.0, 40)
-    by_series = special._series(alpha, beta, x)[1]
-    by_asymptotic = special._asymptotic(alpha, beta, x)[1] & (x >= special._ASYMP_X_MIN)
-    x = x[~by_series & ~by_asymptotic]
+    x = x[~special._series(alpha, beta, x)[1]]
     reference_terms = 2.0 * x ** (1.0 / alpha) / alpha
     x = x[(reference_terms < 2000) | (reference_terms > 30000)]
     assert x.size >= 5
@@ -135,11 +137,42 @@ def test_beta_alpha_against_reference(alpha):
 
 
 def test_regime_seams_are_continuous():
-    # series / spectral / asymptotic must agree on their handover bands
+    # the series hands over to the branch-cut rule near x = 2; the rule
+    # alone carries x = 29 and 31
     for alpha in (0.35, 0.5, 0.75, 0.9):
         for x in (1.9, 2.1, 29.0, 31.0):
             ref = ml_reference(alpha, x)
             assert abs(mittag_leffler(alpha, x) - ref) < 1e-9 * abs(ref)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.7, 0.9, 0.97, 0.999])
+@pytest.mark.parametrize("beta_is_alpha", [False, True])
+def test_branch_cut_rule_at_large_x(alpha, beta_is_alpha):
+    # the rule alone carries every x past the series, out to 1e8; the points
+    # where the reference sums fewer than 2000 terms or goes asymptotic
+    beta = alpha if beta_is_alpha else 1.0
+    x = np.geomspace(30.0, 1e8, 15)
+    reference_terms = 2.0 * x ** (1.0 / alpha) / alpha
+    x = x[(reference_terms < 2000) | (reference_terms > 30000)]
+    vals = mittag_leffler(alpha, x, beta=beta)
+    for xi, val in zip(x, vals):
+        ref = ml_reference(alpha, float(xi), beta=beta)
+        assert abs(val - ref) <= 1e-12 * abs(ref), (alpha, beta, xi)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9, 0.999])
+@pytest.mark.parametrize("beta_is_alpha", [False, True])
+def test_huge_x_is_finite_without_warnings(alpha, beta_is_alpha):
+    # past x = 2^500 the rule scales x and r^alpha down so x^2 cannot overflow
+    beta = alpha if beta_is_alpha else 1.0
+    x = np.array([1e155, 1e200, 1e300, 1.7e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        vals = mittag_leffler(alpha, x, beta=beta)
+    assert np.all(np.isfinite(vals))
+    if alpha == 0.5 and beta == 1.0:
+        ref = erfcx(x)
+        assert np.all(np.abs(vals - ref) <= 1e-14 * ref)
 
 
 def test_large_argument_asymptotics():
@@ -159,6 +192,8 @@ def test_domain_errors():
         mittag_leffler(0.5, -1.0)
     with pytest.raises(DomainError):
         mittag_leffler(0.5, 1.0, beta=1.5)
+    with pytest.raises(DomainError):
+        mittag_leffler(1.0, 2.0, beta=0.5)
 
 
 def test_vector_and_scalar_shapes():
@@ -179,7 +214,7 @@ def test_rgamma_matches_scipy_between_the_poles():
     from scipy.special import rgamma
 
     x = np.linspace(-39.5, 40.0, 2001) + 0.013
-    # the arguments beta - alpha k of the asymptotic series
+    # negative arguments between the poles, beta - alpha k
     alphas = np.linspace(0.01, 0.999, 60)
     k = np.arange(1, 40)
     for beta in (1.0, 0.5):
