@@ -23,7 +23,7 @@ from ctqrw.kernels import kernel_from_waiting
 
 cases = [
     ("Markovian A1=0.5", MarkovianKernel(rate=0.5)),
-    ("fractional alpha=0.5", FractionalKernel(amplitude=1 / np.sqrt(2), alpha=0.5)),
+    ("fractional alpha=0.5", FractionalKernel(amplitude=2**-0.5, alpha=0.5)),
     ("exponential gamma=2, A=0.75", ExponentialKernel(amplitude=0.75, decay=2.0)),
     ("exponential gamma=0.5, A=0.25", ExponentialKernel(amplitude=0.25, decay=0.5)),
     ("custom Ktilde = 0.9 u^0.4", LaplaceKernel(transform=lambda u: 0.9 * u**0.4)),

@@ -12,7 +12,8 @@ name every section and key, and one reader applies both to every section:
   and the ``[intrinsic]`` phase law.
 
 A default of None marks a required key.  A section or key the tables do not
-name is refused, with the closest known name as a hint.  A section named
+name is refused, with the closest known name as a hint, and so is a key that
+only another type of its section reads.  A section named
 after a kind sets fields only under that kind, which reads it as empty when
 it is absent; under another kind it is checked and dropped.  The
 ``figure1..figure4`` kinds are INI texts (``_FIGURES``) read by the same
@@ -240,7 +241,13 @@ def _read_section(parser: configparser.ConfigParser, name: str) -> dict:
     }
     if base in _TYPED:
         attr, selector, default_type, types = _TYPED[base]
-        build, args = types[_value(body, name, selector, _choice(*types), default_type)]
+        chosen = _value(body, name, selector, _choice(*types), default_type)
+        build, args = types[chosen]
+        read = [*_PLAIN.get(base, ()), selector, *args]
+        for key in body:
+            if key not in map(parser.optionxform, read):
+                raise ConfigError(f"{name}.{key} is not a key of {selector} = {chosen} "
+                                  f"(its keys: {', '.join(args) or 'none'})")
         values = {arg: _value(body, name, key, parse, default)
                   for key, (arg, parse, default) in args.items()}
         try:

@@ -74,12 +74,13 @@ class DangerousKernelError(CtqrwError):
 
 
 class NotADistributionError(DangerousKernelError):
-    """Waiting-time density goes negative; carries a witness time."""
+    """Waiting-time density goes negative; carries a witness time, the
+    value there, and any `extra` witness entries after those two."""
 
-    def __init__(self, witness_t: float, value: float):
+    def __init__(self, witness_t: float, value: float, **extra):
         self.witness_t, self.value = witness_t, value
         message = f"the waiting density is negative: w(t) = {value:.3e} < 0 at t = {witness_t:.6g}"
-        super().__init__(message, {"t": witness_t, "w_value": value})
+        super().__init__(message, {"t": witness_t, "w_value": value, **extra})
 
 
 class SubordinationUnavailableError(CtqrwError):

@@ -8,7 +8,7 @@ wtilde); safe kernels admit a renewal-process interpretation and therefore
 yield completely positive dynamics regardless of the scattering map.
 Every renewal route has one gate, ``kernel.waiting()``: the dual waiting
 law, or :class:`DangerousKernelError` with a witness (a negative density is
-a :class:`NotADistributionError`); ``verdict()`` reports the same checks.
+a :class:`NotADistributionError`); ``verdict()``, defined once, reads it.
 
 Built-in variants (units in seconds):
 
@@ -36,8 +36,9 @@ of them each contour misses and inverts those exactly.  Every waiting law
 names its dual kernel and tabulates its count law there.
 """
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -188,9 +189,11 @@ class MemoryKernel:
         k = self.laplace(u)
         return k / (u + k)
 
+    @functools.cached_property
     def _checked_waiting(self):
         """(waiting law, probe orders left undecided) after the two checks of
-        a kernel without closed forms, each run once.  First the numeric
+        a kernel without closed forms, run once per kernel: a passed gate is
+        cached, a failed one raises again on the next call.  First the numeric
         complete-monotonicity probe: wtilde(u) = 1/(u/Ktilde(u) + 1) must be
         positive with alternating derivative signs up to ``PROBE_ORDER`` on a
         log grid spanning [1e-3, 1e3] times the kernel rate (a derivative
@@ -219,26 +222,27 @@ class MemoryKernel:
             i = int(np.argmin(pdf))
             raise NotADistributionError(float(grid[i]), float(pdf[i]))
         law = EmpiricalWaiting(times=grid, pdf=np.clip(pdf, 0.0, None), kernel=self)
-        return law, orders[undecided].tolist()
+        return law, tuple(orders[undecided].tolist())
 
     def waiting(self):
         """The dual waiting-time distribution, naming this kernel as its
         dual: the one gate of every renewal route.  Raises
         :class:`DangerousKernelError` (:class:`NotADistributionError` for a
         negative density) with the witness of the failed check."""
-        return self._checked_waiting()[0]
+        return self._checked_waiting[0]
 
     def verdict(self) -> "KernelVerdict":
-        """The checks of :meth:`waiting` as a verdict: "dangerous" with the
-        witness of the failed one, else "safe-conditional", whose
-        certificate names the probe orders left undecided."""
+        """:meth:`waiting` read as a verdict: "dangerous" with the error's
+        message and witness; "safe" for a closed waiting law, its fields
+        the witness; "safe-conditional" for the probe's tabulated law,
+        whose certificate names the probe orders left undecided."""
         try:
-            _, skipped = self._checked_waiting()
+            law = self.waiting()
         except DangerousKernelError as exc:
-            certificate = str(exc)
-            if isinstance(exc, NotADistributionError):
-                certificate = f"inverted waiting density negative at t={exc.witness_t:g}"
-            return KernelVerdict(verdict="dangerous", certificate=certificate, witness=exc.witness)
+            return KernelVerdict(verdict="dangerous", certificate=str(exc), witness=exc.witness)
+        if not isinstance(law, EmpiricalWaiting):
+            return KernelVerdict(verdict="safe", certificate=f"dual waiting law {law!r}", witness=asdict(law))
+        skipped = list(self._checked_waiting[1])
         note = f" (orders {skipped} below rounding at some u, undecided)" if skipped else ""
         return KernelVerdict(
             verdict="safe-conditional",
@@ -381,12 +385,6 @@ class MarkovianKernel(MemoryKernel):
     def waiting(self):
         return ExponentialWaiting(rate=self.rate)
 
-    def verdict(self) -> "KernelVerdict":
-        return KernelVerdict(
-            verdict="safe",
-            certificate=f"exponential waiting density {self.rate:g} exp(-{self.rate:g} t)",
-        )
-
     def mean_count(self, t):
         return self.rate * t
 
@@ -432,24 +430,10 @@ class ExponentialKernel(MemoryKernel):
         """Hypoexponential waiting for gamma^2 >= 4 A_eps; otherwise raises
         :class:`NotADistributionError` at the first negative lobe."""
         if self.discriminant < 0:
-            raise NotADistributionError(*_exponential_negative_witness(self)[:2])
-        r2, r1 = -self.poles(1.0)[0].real  # the roots of u^2 + gamma u + A_eps, r1 <= r2
+            t_w, w_val, log10_w = _exponential_negative_witness(self)
+            raise NotADistributionError(t_w, w_val, log10_abs_w=log10_w)
+        r2, r1 = (-self.poles(1.0)[0].real).tolist()  # the roots of u^2 + gamma u + A_eps, r1 <= r2
         return HypoexponentialWaiting(r1=r1, r2=r2)
-
-    def verdict(self) -> "KernelVerdict":
-        if self.discriminant >= 0:
-            law = self.waiting()
-            return KernelVerdict(
-                verdict="safe",
-                certificate=f"hypoexponential waiting with rates r1={law.r1:g}, r2={law.r2:g}",
-                witness={"r1": law.r1, "r2": law.r2},
-            )
-        t_w, w_val, log10_w = _exponential_negative_witness(self)
-        return KernelVerdict(
-            verdict="dangerous",
-            certificate=f"waiting density negative at t={t_w:g} (first negative lobe)",
-            witness={"t": t_w, "w_value": w_val, "log10_abs_w": log10_w},
-        )
 
     def mean_count(self, t):
         a, g = self.amplitude, self.decay
@@ -497,15 +481,6 @@ class FractionalKernel(MemoryKernel):
 
     def waiting(self):
         return MittagLefflerWaiting(amplitude=self.amplitude, alpha=self.alpha)
-
-    def verdict(self) -> "KernelVerdict":
-        return KernelVerdict(
-            verdict="safe",
-            certificate=(
-                f"Mittag-Leffler waiting density, alpha={self.alpha:g}; wtilde is CM "
-                "for 0 < alpha <= 1"
-            ),
-        )
 
     def mean_count(self, t):
         return self.amplitude * t**self.alpha / math.gamma(1.0 + self.alpha)
@@ -804,9 +779,10 @@ def _exponential_negative_witness(kernel: ExponentialKernel):
 
 
 def _nonnegative_times(t) -> np.ndarray:
+    """`t` as a float array, at least 1-d; :class:`DomainError` unless finite and >= 0."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr < 0):
-        raise DomainError("t must be >= 0")
+    if not np.all((t_arr >= 0) & (t_arr < np.inf)):  # NaN fails both
+        raise DomainError("t must be finite and >= 0")
     return t_arr
 
 
@@ -843,7 +819,8 @@ class KernelVerdict:
     verdict is "safe", "dangerous" or "safe-conditional" (finite numeric
     probe passed; complete monotonicity is an infinite family of conditions,
     so a pass certifies nothing beyond the probed orders).  `certificate`
-    describes the witness; `witness` carries its numbers.
+    describes the witness; `witness` carries its numbers: the failed check's,
+    the waiting law's parameters, or the probe's orders.
     """
 
     verdict: str
@@ -872,8 +849,8 @@ def _circle_derivatives(f, center: float, radius: float, n_max: int):
 
 
 def classify_kernel(kernel: MemoryKernel) -> KernelVerdict:
-    """Safe/dangerous classification: exact criteria for the built-ins, the
-    numeric probe of :meth:`MemoryKernel.verdict` for a LaplaceKernel."""
+    """Safe/dangerous classification: :meth:`MemoryKernel.verdict`, the
+    reading of the kernel's :meth:`~MemoryKernel.waiting` gate."""
     return kernel.verdict()
 
 
@@ -887,8 +864,9 @@ def renewal_mean_count(kernel: MemoryKernel, t):
     Markovian: A1 t.  Fractional: A t^alpha / Gamma(1+alpha).
     Exponential (safe): (A/gamma) t - (A/gamma^2)(1 - exp(-gamma t)).
     LaplaceKernel: numeric Talbot inversion of Ktilde(u)/u^2.
-    Raises :class:`DangerousKernelError` where :meth:`MemoryKernel.waiting`
-    does.
+    Raises :class:`DomainError` unless every t is finite and >= 0, then
+    :class:`DangerousKernelError` where :meth:`MemoryKernel.waiting` does.
     """
+    times = _nonnegative_times(t)
     kernel.waiting()
-    return laplace.like_input(t, kernel.mean_count(np.atleast_1d(np.asarray(t, dtype=float))))
+    return laplace.like_input(t, kernel.mean_count(times))

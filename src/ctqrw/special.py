@@ -48,13 +48,6 @@ _SERIES_CHUNK = 32  # series terms per accumulate
 _X_SCALE_EXP = 500  # past 2^500 the branch-cut rule scales x down
 
 
-def _rgamma(x: float) -> float:
-    """1/Gamma(x), exactly zero at the poles x = 0, -1, -2, ..."""
-    if x <= 0.0 and x == math.floor(x):
-        return 0.0
-    return 1.0 / math.gamma(x)
-
-
 @functools.lru_cache(maxsize=64)
 def _series_ratios(alpha: float, beta: float) -> np.ndarray:
     """Read-only ``Gamma(alpha (k-1) + beta) / Gamma(alpha k + beta)`` for
@@ -85,7 +78,7 @@ def _series(alpha: float, beta: float, x: np.ndarray):
     out = np.full(x.shape, np.nan)
     ok = np.zeros(x.shape, dtype=bool)
     live = np.arange(x.size)  # 1/Gamma(beta) <= 1: every row starts under the guard
-    term = np.full(x.size, _rgamma(beta))
+    term = np.full(x.size, 1.0 / math.gamma(beta))
     acc = term.copy()
     # a given-up row's terms may overflow before its chunk ends
     with np.errstate(over="ignore", invalid="ignore"):
@@ -242,7 +235,7 @@ def mittag_leffler(alpha: float, x, beta: float = 1.0):
 
     out = np.empty(x_arr.shape)
     zero = x_arr == 0.0
-    out[zero] = _rgamma(beta)
+    out[zero] = 1.0 / math.gamma(beta)
     # the branch-cut rule takes every point the series does not certify
     xt = x_arr[~zero]
     vals, ok = _series(alpha, beta, xt)
@@ -263,7 +256,7 @@ def ml_reference(alpha: float, x: float, beta: float = 1.0, dps: int = 50) -> fl
     import mpmath
 
     if x == 0.0:
-        return _rgamma(beta)
+        return 1.0 / math.gamma(beta)
     # predicted series length: terms peak near k with psi(alpha k) = ln x
     k_needed = 10 + 2.0 * np.exp(max(np.log(x), 0.0) / alpha) / alpha
     use_series = k_needed < 30000

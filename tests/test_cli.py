@@ -849,6 +849,30 @@ def test_unknown_key_or_section_is_config_error_naming_it(tmp_path, capsys, line
 
 
 @pytest.mark.parametrize(
+    "line, extra, message",
+    [
+        ("alpha = 0.5", "alpha = 0.5\ngamma = 3",
+         "kernel.gamma is not a key of type = fractional (its keys: amplitude, alpha)"),
+        ("type = depolarizing", "type = dephasing\np_x = 0.5",
+         "model.p_x is not a key of type = dephasing (its keys: none)"),
+    ],
+)
+def test_key_of_another_type_is_config_error_naming_it(tmp_path, capsys, line, extra, message):
+    assert cli.run(write(tmp_path, GOOD_ENSEMBLE.replace(line, extra)), str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_key_of_another_type_is_refused_under_another_kind(tmp_path, capsys):
+    # [wigner] is checked under kind = ensemble too, and keeps its plain key
+    text = GOOD_ENSEMBLE + "[wigner]\nn_walkers = 5\njump = point\nmu = 1\n"
+    assert cli.run(write(tmp_path, text), str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == "config error: wigner.mu is not a key of jump = point (its keys: beta0)\n"
+    text = GOOD_ENSEMBLE + "[wigner]\nn_walkers = 5\njump = point\nbeta0 = 0.1\n"
+    assert cli.run(write(tmp_path, text), str(tmp_path / "o")) == 0
+
+
+@pytest.mark.parametrize(
     "extra, section",
     [("[kernel]\ntype = markovian\nrate = 5\n[grid]\nn_points = 7\n", "[kernel]"),
      ("[grid]\nn_points = 7\n", "[grid]")],

@@ -31,8 +31,40 @@ def section(required, **optional):
     return st.fixed_dictionaries(required, optional=optional)
 
 
+def typed(table, **plain):
+    """A section of one type, drawn first, holding only that type's keys
+    (a key of another type is refused) and the section's plain keys."""
+    selector, types = table
+    return st.sampled_from(sorted(types)).flatmap(
+        lambda name: section({selector: st.just(name), **plain, **types[name]})
+    )
+
+
 PROBABILITY = st.sampled_from([0.0, 0.25, 0.5, 1.0])
 MOMENT = st.sampled_from(["0", "0.3", "0.2+0.1j", "-0.5j"])
+
+# (selector, type -> key -> value) of the sections whose keys depend on a type
+KERNEL = ("type", {
+    "markovian": {"rate": number(0.2, 3.0)},
+    "exponential": {"amplitude": number(0.2, 3.0), "gamma": number(0.2, 3.0)},
+    "fractional": {"amplitude": number(0.2, 3.0), "alpha": number(0.2, 1.0)},
+})
+# |mean|^2 <= 0.25 and |mean_sq - mean^2| <= 0.75 <= mean_abs_sq - |mean|^2
+JUMP = ("jump", {
+    "gaussian": {"mean": MOMENT, "mean_sq": MOMENT, "mean_abs_sq": number(1.0, 2.0)},
+    "point": {"beta0": MOMENT},
+    "levy": {"mu": number(0.2, 2.0), "sigma": number(0.2, 2.0)},
+})
+
+
+def model(p):
+    return ("type", {
+        "depolarizing": {"p_x": st.just(str(p)), "p_y": st.just(str(1.0 - p))},
+        "dephasing": {},
+        "thermal": {"kappa": number(0.05, 1.0), "p_up": st.just(str(p)),
+                    "p_down": st.just(str(1.0 - p))},
+    })
+
 
 # every section is present with small counts (n_points <= 40, at most 50
 # realizations or walkers), so no run falls back to the 10^4-realization
@@ -44,25 +76,12 @@ VALID = st.fixed_dictionaries(
                                       "cp-audit", "entropy", "wigner", "intrinsic"])},
             seed=st.integers(0, 2**31 - 1).map(str),
         ),
-        "kernel": section(
-            {"type": st.sampled_from(["markovian", "exponential", "fractional"]),
-             "rate": number(0.2, 3.0), "amplitude": number(0.2, 3.0),
-             "gamma": number(0.2, 3.0), "alpha": number(0.2, 1.0)},
-        ),
+        "kernel": typed(KERNEL),
         "grid": section({"n_points": st.integers(1, 40).map(str)}, t_max_over_T=number(0.1, 10.0)),
         "ensemble": section({"n_realizations": st.integers(1, 50).map(str)}),
         "realizations": section({"n_realizations": st.integers(1, 50).map(str)}),
-        "wigner": section(
-            {"n_walkers": st.integers(1, 50).map(str),
-             "jump": st.sampled_from(["gaussian", "point", "levy"]),
-             "mean_abs_sq": number(1.0, 2.0), "beta0": MOMENT, "mu": number(0.2, 2.0),
-             "sigma": number(0.2, 2.0)},
-        ),
-        "model": PROBABILITY.flatmap(lambda p: section(
-            {"type": st.sampled_from(["depolarizing", "dephasing", "thermal"]),
-             "p_x": st.just(str(p)), "p_y": st.just(str(1.0 - p)), "kappa": number(0.05, 1.0),
-             "p_up": st.just(str(p)), "p_down": st.just(str(1.0 - p))},
-        )),
+        "wigner": typed(JUMP, n_walkers=st.integers(1, 50).map(str)),
+        "model": PROBABILITY.flatmap(lambda p: typed(model(p))),
         "initial": section(
             {"state": st.sampled_from(["plus_x", "up", "down", "bloch:0.1,0.2,0.3"])}
         ),
@@ -77,14 +96,21 @@ VALID = st.fixed_dictionaries(
     },
 )
 
+
+def _typed_keys(plain, table):
+    selector, types = table
+    return (*plain, selector, *dict.fromkeys(key for keys in types.values() for key in keys))
+
+
+# every key the generator writes, so every key its junk may replace
 KEYS = {
     "experiment": ("kind", "seed"),
-    "kernel": ("type", "rate", "amplitude", "gamma", "alpha"),
+    "kernel": _typed_keys((), KERNEL),
     "grid": ("n_points", "t_max_over_T"),
     "ensemble": ("n_realizations",),
     "realizations": ("n_realizations",),
-    "wigner": ("n_walkers", "jump", "mean", "mean_sq", "mean_abs_sq", "beta0", "mu", "sigma"),
-    "model": ("type", "p_x", "p_y", "kappa", "p_up", "p_down"),
+    "wigner": _typed_keys(("n_walkers",), JUMP),
+    "model": _typed_keys((), model(0.0)),
     "initial": ("state",),
     "solve": ("route",),
     "intrinsic": ("levels", "phase", "tau_b"),
@@ -93,11 +119,11 @@ KEYS = {
 
 @st.composite
 def configs(draw):
-    """A valid config with up to two values swapped for junk."""
+    """A valid config with up to two of its values swapped for junk."""
     sections = draw(VALID)
     for _ in range(draw(st.integers(0, 2))):
         name = draw(st.sampled_from(sorted(sections)))
-        sections[name][draw(st.sampled_from(KEYS[name]))] = draw(JUNK)
+        sections[name][draw(st.sampled_from(sorted(sections[name])))] = draw(JUNK)
     return sections
 
 

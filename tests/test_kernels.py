@@ -111,6 +111,45 @@ def test_waiting_from_kernel_variants():
     assert exc.value.value < 0
 
 
+def test_safe_verdict_witness_is_the_waiting_law():
+    for kern in (MarkovianKernel(rate=0.5), FractionalKernel(amplitude=1 / np.sqrt(2), alpha=0.5),
+                 ExponentialKernel(amplitude=0.75, decay=2.0)):
+        verdict, law = kern.verdict(), kern.waiting()
+        assert verdict.verdict == "safe"
+        assert type(law)(**verdict.witness) == law
+        assert repr(law) in verdict.certificate
+    # the roots are Python floats: the law's repr reads r1=0.5, not np.float64(0.5)
+    assert repr(ExponentialKernel(amplitude=0.75, decay=2.0).waiting()) == "HypoexponentialWaiting(r1=0.5, r2=1.5)"
+
+
+def test_dangerous_verdict_is_the_refusal_of_the_gate():
+    for kern in (ExponentialKernel(amplitude=1.0, decay=1.0), LaplaceKernel(transform=lambda u: 1.0 / (u + 1.0))):
+        with pytest.raises(DangerousKernelError) as exc:
+            kern.waiting()
+        verdict = kern.verdict()
+        assert verdict.verdict == "dangerous"
+        assert (verdict.certificate, verdict.witness) == (str(exc.value), exc.value.witness)
+
+
+def test_a_laplace_kernel_is_probed_once(monkeypatch):
+    # the CM probe and the 4000-point inversion of the gate run once per
+    # kernel; the mean count inverts its 2 times, verdict() and waiting()
+    # then reuse the gate
+    sizes = []
+    invert = laplace.invert
+
+    def counting(fhat, t, **kwargs):
+        sizes.append(np.size(t))
+        return invert(fhat, t, **kwargs)
+
+    monkeypatch.setattr(laplace, "invert", counting)
+    kernel = LaplaceKernel(transform=lambda u: 0.75 / (u + 2.0))
+    renewal_mean_count(kernel, [1.0, 2.0])
+    assert kernel.verdict().verdict == "safe-conditional"
+    assert isinstance(kernel.waiting(), EmpiricalWaiting)
+    assert sizes == [4000, 2]
+
+
 def test_exponential_kernel_slow_rate_does_not_cancel():
     # gamma^2 >> 4 A_eps: (gamma - sqrt(gamma^2 - 4 A_eps)) / 2 gave 7.45e-9
     witness = ExponentialKernel(amplitude=1.0, decay=1e8).verdict().witness
@@ -601,9 +640,25 @@ def test_kernel_time_scale_convention():
     assert FractionalKernel(amplitude=1 / np.sqrt(2), alpha=0.5).time_scale == pytest.approx(2.0)
 
 
-def test_waiting_pdf_domain():
-    with pytest.raises(DomainError):
-        waiting_pdf(ExponentialWaiting(rate=1.0), -0.5)
+def _time_calls():
+    kernels = [MarkovianKernel(rate=1.0), ExponentialKernel(amplitude=0.75, decay=2.0),
+               FractionalKernel(amplitude=1.0, alpha=0.5), LaplaceKernel(transform=np.sqrt)]
+    laws = [ExponentialWaiting(rate=1.0), HypoexponentialWaiting(r1=0.5, r2=1.5),
+            MittagLefflerWaiting(amplitude=1.0, alpha=0.5)]
+    for kernel in kernels:
+        yield pytest.param(lambda t, k=kernel: renewal_mean_count(k, t), id=type(kernel).__name__)
+    for law in laws:
+        for f in (waiting_pdf, waiting_survival):
+            yield pytest.param(lambda t, f=f, w=law: f(w, t), id=f"{f.__name__}-{type(law).__name__}")
+
+
+@pytest.mark.parametrize("t", [-1.0, np.nan, np.inf, [0.0, -1.0]], ids=["-1", "nan", "inf", "[0,-1]"])
+@pytest.mark.parametrize("call", _time_calls())
+def test_times_that_are_not_finite_and_nonnegative_are_domain_errors(call, t):
+    # these gave -1.0, 0.823, 0.0 or NaN, or raised from the Mittag-Leffler
+    # evaluation, depending on the variant
+    with pytest.raises(DomainError, match="finite and >= 0"):
+        call(t)
 
 
 from hypothesis import given, settings
