@@ -75,11 +75,14 @@ class DangerousKernelError(CtqrwError):
 
 class NotADistributionError(DangerousKernelError):
     """Waiting-time density goes negative; carries a witness time, the
-    value there, and any `extra` witness entries after those two."""
+    value there, and any `extra` witness entries after those two.  A
+    ``log10_abs_w`` entry is printed too: a value that underflows the float
+    range is clamped, and only its logarithm keeps the magnitude."""
 
     def __init__(self, witness_t: float, value: float, **extra):
         self.witness_t, self.value = witness_t, value
-        message = f"the waiting density is negative: w(t) = {value:.3e} < 0 at t = {witness_t:.6g}"
+        log = f", log10|w(t)| = {extra['log10_abs_w']:.6g}," if "log10_abs_w" in extra else ""
+        message = f"the waiting density is negative: w(t) = {value:.3e} < 0{log} at t = {witness_t:.6g}"
         super().__init__(message, {"t": witness_t, "w_value": value, **extra})
 
 

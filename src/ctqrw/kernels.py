@@ -38,6 +38,7 @@ names its dual kernel and tabulates its count law there.
 
 import functools
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
@@ -96,12 +97,29 @@ def telegraph_h(t, lam, gamma: float, a_eps: float):
     return out
 
 
-def _check_positive(**values):
-    """Raise :class:`BadParametersError` unless every value is finite and
-    > 0; the comparisons fail for NaN."""
+def _real(name: str, value) -> float:
+    """`value` as a Python float; :class:`BadParametersError` naming `name`
+    unless it is a real number (an int, a float or a numpy scalar of one),
+    not a bool, a complex, a string, None or an array."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise BadParametersError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise BadParametersError(f"{name} must be finite, got an int beyond the float range") from None
+
+
+def _check_positive(owner=None, **values):
+    """Raise :class:`BadParametersError` unless every value is a real number
+    (:func:`_real`), finite and > 0; the comparisons fail for NaN.  A frozen
+    dataclass `owner` gets each value back as a Python float, under its
+    name, so its fields and repr are plain."""
     for name, value in values.items():
-        if not (np.isfinite(value) and value > 0):
+        value = _real(name, value)
+        if not (math.isfinite(value) and value > 0):
             raise BadParametersError(f"{name} must be finite and > 0, got {value}")
+        if owner is not None:
+            object.__setattr__(owner, name, value)
 
 
 def _check_count(name: str, value):
@@ -111,11 +129,14 @@ def _check_count(name: str, value):
         raise BadParametersError(f"{name} must be an integer >= 1, got {value!r}")
 
 
-def _check_fractional(amplitude: float, alpha: float):
-    """The Mittag-Leffler parameters: finite amplitude > 0, 0 < alpha <= 1."""
-    _check_positive(amplitude=amplitude)
+def _check_fractional(owner):
+    """The Mittag-Leffler parameters of `owner`: finite amplitude > 0 and
+    0 < alpha <= 1, both stored on it as Python floats."""
+    _check_positive(owner, amplitude=owner.amplitude)
+    alpha = _real("alpha", owner.alpha)
     if not (0.0 < alpha <= 1.0):
         raise BadParametersError(f"alpha must be in (0, 1], got {alpha}")
+    object.__setattr__(owner, "alpha", alpha)
 
 
 def _by_rate(lam, t: np.ndarray) -> np.ndarray:
@@ -372,7 +393,7 @@ class MarkovianKernel(MemoryKernel):
     rate: float
 
     def __post_init__(self):
-        _check_positive(rate=self.rate)
+        _check_positive(self, rate=self.rate)
         super().__post_init__()
 
     def laplace(self, u):
@@ -412,7 +433,7 @@ class ExponentialKernel(MemoryKernel):
     decay: float
 
     def __post_init__(self):
-        _check_positive(amplitude=self.amplitude, decay=self.decay)
+        _check_positive(self, amplitude=self.amplitude, decay=self.decay)
         super().__post_init__()
 
     @property
@@ -469,7 +490,7 @@ class FractionalKernel(MemoryKernel):
     alpha: float
 
     def __post_init__(self):
-        _check_fractional(self.amplitude, self.alpha)
+        _check_fractional(self)
         super().__post_init__()
 
     def laplace(self, u):
@@ -528,7 +549,7 @@ class LaplaceKernel(MemoryKernel):
     scale: float = 1.0
 
     def __post_init__(self):
-        _check_positive(scale=self.scale)
+        _check_positive(self, scale=self.scale)
         super().__post_init__()
 
     def laplace(self, u):
@@ -592,7 +613,7 @@ class ExponentialWaiting(WaitingTimeDistribution):
     rate: float
 
     def __post_init__(self):
-        _check_positive(rate=self.rate)
+        _check_positive(self, rate=self.rate)
 
     def density(self, t):
         return self.rate * np.exp(-self.rate * t)
@@ -624,7 +645,7 @@ class HypoexponentialWaiting(WaitingTimeDistribution):
     uniforms = 2
 
     def __post_init__(self):
-        _check_positive(r1=self.r1, r2=self.r2)
+        _check_positive(self, r1=self.r1, r2=self.r2)
 
     def density(self, t):
         r1, r2 = self.r1, self.r2
@@ -659,7 +680,7 @@ class MittagLefflerWaiting(WaitingTimeDistribution):
     uniforms = 2
 
     def __post_init__(self):
-        _check_fractional(self.amplitude, self.alpha)
+        _check_fractional(self)
 
     def density(self, t):
         """Diverges as t^(alpha-1) at 0 for alpha < 1."""

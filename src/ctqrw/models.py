@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from . import engine, seeding, solvers
-from .errors import BadMomentsError, BadParametersError, UnsupportedKernelError
+from .errors import BadMomentsError, BadParametersError
 from .kernels import MemoryKernel, WaitingTimeDistribution, _check_count, _check_positive
 from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, GeneratorMatrix, KrausMap, as_matrix, dissipator
 
@@ -85,20 +85,17 @@ def qubit_kraus(model: QubitModel) -> KrausMap:
     raise BadParametersError(f"unknown qubit model {model!r}")
 
 
-def _model_rates(model: QubitModel):
-    """Damping eigenvalues (lam_pop, lam_coh) and equilibrium upper level."""
-    if isinstance(model, Depolarizing):
-        if abs(model.p_x - 0.5) > 1e-12:
-            raise UnsupportedKernelError(
-                "closed forms are implemented for p_x = p_y = 1/2; use the generic solvers"
-            )
-        return 2.0, 1.0, 0.5
-    if isinstance(model, Dephasing):
-        return 0.0, 2.0, None  # populations frozen
-    if isinstance(model, Thermal):
-        lam_coh = 1.0 - np.sqrt(1.0 - model.kappa)  # = kappa/2 + 2 kappa_tilde
-        return model.kappa, lam_coh, model.p_up
-    raise BadParametersError(f"unknown qubit model {model!r}")
+# sigma_0 = I, sigma_x, sigma_y, sigma_z, and the Pauli-channel signs: row a
+# of g = (1/4) S (1, h_x, h_y, h_z) is the weight of sigma_a rho0 sigma_a
+_PAULI = np.array([np.eye(2), SIGMA_X, SIGMA_Y, SIGMA_Z], dtype=complex)
+_PAULI_SIGNS = 0.25 * np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]])
+
+
+def _pauli_transfer(emap: KrausMap) -> np.ndarray:
+    """``T_kl = (1/2) Tr[sigma_k L(sigma_l)]`` of L = E - I for a qubit map E, from
+    its Kraus operators C_i: ``(1/2) sum_i Tr[sigma_k C_i sigma_l C_i^dag] - delta_kl``."""
+    c = np.array(emap.operators)
+    return 0.5 * np.einsum("kab,ibc,lcd,iad->kl", _PAULI, c, _PAULI, c.conj()).real - np.eye(4)
 
 
 @dataclass(frozen=True)
@@ -106,8 +103,10 @@ class QubitSolution:
     """Closed-form trajectory of a qubit model.
 
     ``states[k]`` is rho(grid[k]); populations/coherences are the matrix
-    elements in the sigma_z eigenbasis; for the equal-weight depolarizing
-    model `g` holds the map decomposition coefficients
+    elements in the sigma_z eigenbasis.  ``h_pop`` is the decay factor of
+    M_z and ``h_coh`` that of M_x; at p_x != p_y the depolarizing M_y
+    decays with its own factor, carried by ``states`` only.  For the
+    depolarizing model `g` holds the map decomposition coefficients
     rho(t) = g_I rho0 + sum_j g_j sigma_j rho0 sigma_j whose positivity is
     exactly the CP condition.
     """
@@ -123,55 +122,36 @@ class QubitSolution:
     g: dict | None = field(default=None)
 
 
-def qubit_closed_solution(
-    model: QubitModel, kernel: MemoryKernel, rho0, grid
-) -> QubitSolution:
-    """Populations/coherences under a built-in kernel, in closed form.
+def qubit_closed_solution(model: QubitModel, kernel: MemoryKernel, rho0, grid) -> QubitSolution:
+    """The trajectory under a built-in kernel in closed form, for every model.
 
-    ``P_+(t) = P_eq + (P_+(0) - P_eq) h_pop(t)``,
-    ``C(t) = C(0) h_coh(t)``, with the model's damping eigenvalues feeding
-    the kernel's decay function (exp / telegraph / Mittag-Leffler), both
-    rates in one ``decay_factor`` call.
+    Every number of the model is read off its channel ``qubit_kraus``: the
+    Pauli transfer matrix T of L = E - I is diagonal in the sectors j = x,
+    y, z (a damping basis), with rates ``lam_j = -T_jj`` and fixed point
+    ``r_eq_j = T_j0 / lam_j`` (0 where lam_j = 0).  The Bloch components
+    ``r_j = Tr[sigma_j rho]`` follow ``r_j(t) = r_eq_j + h_j(t) (r_j(0) -
+    r_eq_j)``, every distinct rate in one ``decay_factor`` call (exp /
+    telegraph / Mittag-Leffler); at p_x != p_y the depolarizing M_y decays
+    with its own factor.
     """
     grid = engine.check_grid(grid)
     m = as_matrix(rho0)
     if abs(np.trace(m) - 1.0) > 1e-9:
         raise BadParametersError("qubit_closed_solution expects a unit-trace state")
-    lam_pop, lam_coh, p_eq = _model_rates(model)
-    rates = np.array([lam_pop, lam_coh])
-    h_pop, h_coh = np.asarray(kernel.decay_factor(rates, grid), dtype=complex).real
-    p0_up = m[0, 0].real
-    p0_down = m[1, 1].real
-    if p_eq is None:  # dephasing: populations frozen
-        p_up = np.full(grid.shape, p0_up)
-        p_down = np.full(grid.shape, p0_down)
-    else:
-        p_up = p_eq + (p0_up - p_eq) * h_pop
-        p_down = (1.0 - p_eq) + (p0_down - (1.0 - p_eq)) * h_pop
-    c_up = m[0, 1] * h_coh
-    c_down = m[1, 0] * h_coh
-    states = np.zeros((grid.size, 2, 2), dtype=complex)
-    states[:, 0, 0] = p_up
-    states[:, 1, 1] = p_down
-    states[:, 0, 1] = c_up
-    states[:, 1, 0] = c_down
+    t = _pauli_transfer(qubit_kraus(model))
+    lam = 0.0 - np.diagonal(t)[1:]  # no -0.0 rate: 0.0 - 0.0 is +0.0
+    r_eq = np.divide(t[1:, 0], lam, out=np.zeros(3), where=lam != 0)
+    rates, sector = np.unique(lam, return_inverse=True)
+    h = np.real(kernel.decay_factor(rates, grid))[sector]
+    r0 = np.einsum("jab,ba->j", _PAULI[1:], m)
+    r = r_eq[:, None] + h * (r0 - r_eq)[:, None]
+    states = 0.5 * (np.trace(m) * _PAULI[0] + np.einsum("jk,jab->kab", r, _PAULI[1:]))
     g = None
     if isinstance(model, Depolarizing):
-        g_i = 0.5 * ((1.0 + h_pop) / 2.0 + h_coh)
-        g_x = (1.0 - h_pop) / 4.0
-        g_z = 0.5 * ((1.0 + h_pop) / 2.0 - h_coh)
-        g = {"g_I": g_i, "g_x": g_x, "g_y": g_x.copy(), "g_z": g_z}
-    return QubitSolution(
-        grid=grid,
-        states=states,
-        p_up=p_up,
-        p_down=p_down,
-        coherence_up=c_up,
-        coherence_down=c_down,
-        h_pop=h_pop,
-        h_coh=h_coh,
-        g=g,
-    )
+        g = dict(zip(("g_I", "g_x", "g_y", "g_z"), _PAULI_SIGNS @ np.vstack([np.ones(grid.size), h])))
+    return QubitSolution(grid=grid, states=states, p_up=states[:, 0, 0].real, p_down=states[:, 1, 1].real,
+                         coherence_up=states[:, 0, 1], coherence_down=states[:, 1, 0],
+                         h_pop=h[2], h_coh=h[0], g=g)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +312,7 @@ class LevyJumps(MarkLaw):
     def __post_init__(self):
         if not (0.0 < self.mu <= 2.0):
             raise BadParametersError(f"mu must be in (0, 2], got {self.mu}")
-        _check_positive(sigma=self.sigma)
+        _check_positive(self, sigma=self.sigma)
 
     uniforms = 4
 
@@ -509,7 +489,7 @@ class ExponentialPhase(MarkLaw):
     tau_b: float
 
     def __post_init__(self):
-        _check_positive(tau_b=self.tau_b)
+        _check_positive(self, tau_b=self.tau_b)
 
     def fourier(self, omega):
         return 1.0 / (1.0 + 1j * np.asarray(omega) * self.tau_b)
@@ -532,7 +512,7 @@ class LogFormalPhase(MarkLaw):
     tau_b: float
 
     def __post_init__(self):
-        _check_positive(tau_b=self.tau_b)
+        _check_positive(self, tau_b=self.tau_b)
 
     def fourier(self, omega):
         return 1.0 - np.log(1.0 + 1j * np.asarray(omega) * self.tau_b)

@@ -44,15 +44,16 @@ def mittag_leffler_series(alpha, x):
 
 
 def ml_branch_cut_mp(alpha, beta, x):
-    """E_{alpha,beta}(-x), 0 < alpha <= 1/2, x > 0, as the branch-cut
+    """E_{alpha,beta}(-x), 0 < alpha <= 1, x > 0, as the branch-cut
     integral in q = r^alpha at 30 digits,
 
         (1/(pi alpha)) int_0^inf e^(-q^(1/alpha)) q^((1-beta)/alpha)
         (q sin(pi beta) - x sin(pi (alpha - beta))) / (q^2 + 2 x q cos(pi alpha) + x^2) dq,
 
     by ``mpmath.quad`` with breakpoints at 1 and 2, where e^(-q^(1/alpha))
-    cuts off, and at x and 2x, the scale of the denominator.  At alpha <=
-    1/2 the denominator has no dip, so those panels resolve it."""
+    cuts off, and at x and 2x, the scale of the denominator.  At alpha >
+    1/2 the denominator dips to x^2 sin^2(pi alpha) at q = x |cos(pi alpha)|,
+    a Lorentzian peak of the integrand that is a breakpoint too."""
     import mpmath
 
     with mpmath.workdps(30):
@@ -63,7 +64,10 @@ def ml_branch_cut_mp(alpha, beta, x):
             return (mpmath.exp(-q ** (1 / a)) * q ** ((1 - b) / a) * (q * sb - xm * sab)
                     / (q * q + 2 * xm * q * c + xm * xm))
 
-        points = [mpmath.mpf(0), *sorted({mpmath.mpf(1), mpmath.mpf(2), xm, 2 * xm}), mpmath.inf]
+        breaks = {mpmath.mpf(1), mpmath.mpf(2), xm, 2 * xm}
+        if c < 0:
+            breaks.add(-xm * c)
+        points = [mpmath.mpf(0), *sorted(breaks), mpmath.inf]
         return float(mpmath.quad(integrand, points) / (mpmath.pi * a))
 
 

@@ -643,6 +643,21 @@ MARKOVIAN_SOLVE = SLOW_FRACTIONAL_SOLVE.replace(
 
 
 @pytest.mark.parametrize(
+    "kind, section",
+    [("ensemble", "[ensemble]\nn_realizations = 200"), ("entropy", ""), ("solve", "[solve]\nroute = closed")],
+)
+def test_closed_form_kinds_run_at_unequal_depolarizing_weights(tmp_path, kind, section):
+    # the closed form reads every sector's rate off the channel, so the
+    # kinds that use it serve p_x != p_y as cp-audit does
+    text = (
+        DEPOLARIZING_P.replace("p_x = 0.5\np_y = 0.5", "p_x = 0.3\np_y = 0.7")
+        .replace("kind = ensemble", f"kind = {kind}")
+        .replace("[ensemble]\nn_realizations = 200", section)
+    )
+    assert cli.run(write(tmp_path, text), str(tmp_path / "o")) == 0
+
+
+@pytest.mark.parametrize(
     "text, line, key",
     [
         (GOOD_ENSEMBLE, "alpha = 1.5", "[kernel]"),

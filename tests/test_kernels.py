@@ -226,6 +226,54 @@ def test_exponential_witness_is_the_mpmath_one(amplitude, decay):
     assert (exc.value.witness_t, exc.value.value) == (witness["t"], witness["w_value"])
 
 
+def test_underflowing_witness_prints_its_logarithm():
+    # w(t*) underflows to the smallest subnormal; the message keeps the
+    # magnitude through log10|w| and still names the witness time
+    kernel = ExponentialKernel(amplitude=1.0, decay=1.99999999)
+    with pytest.raises(NotADistributionError) as exc:
+        kernel.waiting()
+    log10_w, t = exc.value.witness["log10_abs_w"], exc.value.witness_t
+    assert exc.value.value == -5e-324 and log10_w < -20000
+    assert f"log10|w(t)| = {log10_w:.6g}," in str(exc.value)
+    assert str(exc.value).endswith(f"at t = {t:.6g}")
+    assert kernel.verdict().certificate == str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [MarkovianKernel, lambda v: ExponentialKernel(v, 1.0), lambda v: ExponentialKernel(1.0, v),
+     lambda v: FractionalKernel(v, 0.5), lambda v: FractionalKernel(1.0, v), ExponentialWaiting,
+     lambda v: HypoexponentialWaiting(1.0, v), lambda v: MittagLefflerWaiting(v, 0.5),
+     lambda v: LaplaceKernel(np.sqrt, v)],
+    ids=["markovian-rate", "exponential-amplitude", "exponential-decay", "fractional-amplitude",
+         "fractional-alpha", "exponential-waiting-rate", "hypoexponential-r2", "mittag-leffler-amplitude",
+         "laplace-scale"],
+)
+@pytest.mark.parametrize(
+    "value",
+    [1j, "a", None, np.array([1.0]), np.array(0.5), True, np.True_, 10**400],
+    ids=["complex", "str", "none", "array", "0d-array", "bool", "numpy-bool", "int-beyond-float"],
+)
+def test_parameters_that_are_not_real_numbers_are_refused(make, value):
+    # a typed refusal naming the parameter, not a bare TypeError or
+    # ValueError, and no bool read as 1
+    with pytest.raises(BadParametersError, match=r"^(rate|amplitude|decay|alpha|r2|scale) must be"):
+        make(value)
+
+
+def test_parameters_are_stored_as_python_floats():
+    # numpy scalars and ints become floats, so fields, reprs and
+    # certificates are plain
+    kernel = FractionalKernel(amplitude=1 / np.sqrt(2), alpha=np.float32(0.5))
+    assert type(kernel.amplitude) is float and type(kernel.alpha) is float
+    assert kernel.verdict().certificate == (
+        "dual waiting law MittagLefflerWaiting(amplitude=0.7071067811865475, alpha=0.5)"
+    )
+    assert repr(MarkovianKernel(np.int64(2))) == "MarkovianKernel(rate=2.0)"
+    assert repr(ExponentialKernel(np.float64(0.75), 2)) == "ExponentialKernel(amplitude=0.75, decay=2.0)"
+    assert repr(HypoexponentialWaiting(np.float64(0.5), 1)) == "HypoexponentialWaiting(r1=0.5, r2=1.0)"
+
+
 # safe regular kernels, A/(u + gamma) with gamma^2 > 4A, at scale A/gamma and
 # at scale 1: their probe coefficients of high order fall below rounding on
 # the small circles, where they have no sign to check

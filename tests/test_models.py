@@ -112,11 +112,37 @@ def test_depolarizing_markovian_limit_of_exponential():
     assert np.max(np.abs(sol.p_up - expected)) < 2e-3
 
 
-def test_depolarizing_general_px_rejected_in_closed_form():
-    from ctqrw.errors import UnsupportedKernelError
+# a state with all three Bloch components (0.3, 0.4, 0.5)
+BLOCH_345 = make_density(0.5 * np.array([[1.5, 0.3 - 0.4j], [0.3 + 0.4j, 0.5]]))
 
-    with pytest.raises(UnsupportedKernelError):
-        qubit_closed_solution(Depolarizing(p_x=0.3, p_y=0.7), EXP_SAFE, PLUS_X, GRID)
+
+@pytest.mark.parametrize("p_x", [0.0, 0.25, 0.3])
+def test_depolarizing_closed_form_at_any_px(p_x):
+    # the channel read-off against the eigendecomposition of the model's
+    # generator, and against quadrature at the Volterra route's tolerance
+    model = Depolarizing(p_x=p_x, p_y=1.0 - p_x)
+    gen = lindblad_from_kraus(qubit_kraus(model))
+    basis = damping_basis(gen)
+    for kernel in (MARKOV, EXP_SAFE, FRAC_HALF, ExponentialKernel(amplitude=1.0, decay=1.0)):
+        sol = qubit_closed_solution(model, kernel, BLOCH_345, GRID)
+        ref = solvers.closed_form_solve(basis, kernel, BLOCH_345, GRID)
+        assert np.max(np.abs(sol.states - ref)) < 1e-12
+    grid = np.linspace(0.0, 10.0, 2001)
+    for kernel in (MARKOV, EXP_SAFE):
+        sol = qubit_closed_solution(model, kernel, BLOCH_345, grid)
+        assert np.max(np.abs(sol.states - solvers.volterra_solve(gen, kernel, BLOCH_345, grid))) < 1e-5
+
+
+@pytest.mark.parametrize("p_x", [0.0, 0.25, 0.3, 0.5])
+@pytest.mark.parametrize("kernel", [EXP_SAFE, ExponentialKernel(amplitude=1.0, decay=1.0)], ids=["safe", "dangerous"])
+def test_depolarizing_g_is_half_the_choi_defect(p_x, kernel):
+    # the Pauli-channel weights g = S (1, h_x, h_y, h_z)/4 are the Choi
+    # eigenvalues over 2, so 2 min(g) is the CP audit of the closed form
+    model = Depolarizing(p_x=p_x, p_y=1.0 - p_x)
+    basis = damping_basis(lindblad_from_kraus(qubit_kraus(model)))
+    sol = qubit_closed_solution(model, kernel, PLUS_X, GRID)
+    defects = solvers.cp_defect_over_time(lambda b: solvers.closed_form_solve(basis, kernel, b, GRID), 2, GRID)
+    assert np.max(np.abs(2.0 * np.min(np.stack(list(sol.g.values())), axis=0) - defects)) < 1e-12
 
 
 def test_dephasing_populations_frozen_and_cp():
