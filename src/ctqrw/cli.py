@@ -25,9 +25,7 @@ failure, so it is not exit 3.  numpy's version is ``np.__version__``; scipy's
 is read from its installed ``METADATA``, without importing scipy.
 """
 
-import argparse
 import functools
-import importlib.resources
 import importlib.util
 import json
 import numbers
@@ -141,10 +139,9 @@ def _check_schema(node, where: str):
 
 @functools.cache
 def _manifest_schema() -> dict:
-    """``manifest_schema.json``, read and checked once per process."""
-    schema = json.loads(
-        importlib.resources.files("ctqrw").joinpath("manifest_schema.json").read_text()
-    )
+    """``manifest_schema.json``, package data beside this module, read and checked once per process."""
+    with open(os.path.join(os.path.dirname(__file__), "manifest_schema.json"), encoding="utf-8") as fh:
+        schema = json.load(fh)
     _check_schema(schema, "manifest_schema.json")
     return schema
 
@@ -374,6 +371,8 @@ def run(config_path: str, out_dir: str = ".", seed_override: int | None = None) 
 
 
 def main(argv=None) -> int:
+    import argparse  # loaded by the command line only, off the import path of run()
+
     parser = argparse.ArgumentParser(
         prog="ctqrw", description="run a configured renewal-dynamics experiment"
     )

@@ -23,10 +23,10 @@ keys replace the preset's.
 
 import configparser
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import Field, record
 from .errors import BadMomentsError, BadParametersError, ConfigError
 from .kernels import ExponentialKernel, FractionalKernel, MarkovianKernel
 from .models import (
@@ -58,7 +58,7 @@ KINDS = (
 )
 
 
-@dataclass
+@record(frozen=False)
 class ExperimentConfig:
     """One experiment as the grammar reads it; a field is None when the
     experiment's kind does not read the section that sets it."""
@@ -66,7 +66,7 @@ class ExperimentConfig:
     kind: str
     seed: int | None = None
     model: object | None = None
-    kernels: list = field(default_factory=list)  # (label, kernel) pairs
+    kernels: list = Field(default_factory=list)  # (label, kernel) pairs
     t_max_over_scale: float | None = None
     n_points: int | None = None
     initial: np.ndarray | None = None
@@ -77,7 +77,7 @@ class ExperimentConfig:
     spectrum: SpectrumModel | None = None
     csv_name: str | None = None
     manifest_name: str | None = None
-    raw: dict = field(default_factory=dict)
+    raw: dict = Field(default_factory=dict)
 
     def grid(self) -> np.ndarray:
         if self.n_points < 1:

@@ -18,11 +18,10 @@ the Markovian and exponential kernels, else a certified fixed-Talbot
 inversion.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import seeding
+from ._record import record
 from .errors import BadParametersError, DomainError, TruncationError
 from .kernels import WaitingTimeDistribution, _check_count, _check_positive
 from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, KrausMap, apply_kraus, as_matrix, linear_entropy
@@ -37,7 +36,7 @@ def default_observables(dim: int) -> dict:
     return {}
 
 
-@dataclass(frozen=True)
+@record
 class Trajectory:
     """Realization `index` of the run seeded `seed`: event times plus
     observable series on the grid."""
@@ -50,7 +49,7 @@ class Trajectory:
     states: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
+@record
 class EnsembleStats:
     """Per-grid-point mean and standard error over realizations."""
 
@@ -290,7 +289,7 @@ def ensemble_average(
     )
 
 
-@dataclass(frozen=True)
+@record
 class RenewalProbabilities:
     """Table P_n(t) for n = 0..n_max on a grid, with the truncation tail."""
 

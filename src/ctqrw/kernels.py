@@ -22,8 +22,8 @@ Built-in variants (units in seconds):
   finite numeric complete-monotonicity probe and handled by fixed-Talbot
   inversion.
 
-Each variant is a frozen dataclass carrying its own formulas; the module
-functions add only what all variants share.
+Each variant is a frozen record (``_record.record``) carrying its own
+formulas; the module functions add only what all variants share.
 
 The decay factors h_lam and the renewal count law come from one family of
 transforms, ``1/(u + lam Ktilde(u))``: the count law of the dual waiting
@@ -39,13 +39,13 @@ names its dual kernel and tabulates its count law there.
 import functools
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import laplace, special
 from ._csvformat import _SPLIT
+from ._record import Field, asdict, record
 from .errors import (
     BadParametersError,
     DangerousKernelError,
@@ -112,7 +112,7 @@ def _real(name: str, value) -> float:
 def _check_positive(owner=None, **values):
     """Raise :class:`BadParametersError` unless every value is a real number
     (:func:`_real`), finite and > 0; the comparisons fail for NaN.  A frozen
-    dataclass `owner` gets each value back as a Python float, under its
+    record `owner` gets each value back as a Python float, under its
     name, so its fields and repr are plain."""
     for name, value in values.items():
         value = _real(name, value)
@@ -386,7 +386,7 @@ class MemoryKernel:
         raise UnsupportedKernelError("short-time laws exist for built-in kernels")
 
 
-@dataclass(frozen=True)
+@record
 class MarkovianKernel(MemoryKernel):
     """Delta kernel K(t) = rate * delta(t); rate A1 in 1/sec."""
 
@@ -425,7 +425,7 @@ class MarkovianKernel(MemoryKernel):
         return 1.0, 2.0 * self.rate
 
 
-@dataclass(frozen=True)
+@record
 class ExponentialKernel(MemoryKernel):
     """K(t) = amplitude * exp(-decay * t); amplitude A_eps in 1/sec^2, decay gamma in 1/sec."""
 
@@ -482,7 +482,7 @@ class ExponentialKernel(MemoryKernel):
         return 2.0, self.amplitude
 
 
-@dataclass(frozen=True)
+@record
 class FractionalKernel(MemoryKernel):
     """Ktilde(u) = amplitude * u^(1-alpha); amplitude A_alpha in 1/sec^alpha, 0 < alpha <= 1."""
 
@@ -536,7 +536,7 @@ class FractionalKernel(MemoryKernel):
         return self.alpha, 2.0 * self.amplitude / math.gamma(1.0 + self.alpha)
 
 
-@dataclass(frozen=True)
+@record
 class LaplaceKernel(MemoryKernel):
     """Kernel given through its Laplace transform Ktilde(u).
 
@@ -606,7 +606,7 @@ class WaitingTimeDistribution:
             raise DomainError(f"the renewal count law leaves the float range: {exc}") from None
 
 
-@dataclass(frozen=True)
+@record
 class ExponentialWaiting(WaitingTimeDistribution):
     """w(t) = rate * exp(-rate t)."""
 
@@ -632,7 +632,7 @@ class ExponentialWaiting(WaitingTimeDistribution):
         return MarkovianKernel(self.rate)
 
 
-@dataclass(frozen=True)
+@record
 class HypoexponentialWaiting(WaitingTimeDistribution):
     """Sum of two independent exponentials with rates r1, r2.
 
@@ -670,7 +670,7 @@ class HypoexponentialWaiting(WaitingTimeDistribution):
         return ExponentialKernel(self.r1 * self.r2, self.r1 + self.r2)
 
 
-@dataclass(frozen=True)
+@record
 class MittagLefflerWaiting(WaitingTimeDistribution):
     """Survival E_alpha(-amplitude * t^alpha); heavy tail ~ t^-(1+alpha)."""
 
@@ -719,15 +719,15 @@ class MittagLefflerWaiting(WaitingTimeDistribution):
         return -np.log(first) * bracket ** (1.0 / a) / self.amplitude ** (1.0 / a)
 
 
-@dataclass(frozen=True)
+@record
 class EmpiricalWaiting(WaitingTimeDistribution):
     """Tabulated density on a grid, naming the `kernel` it was inverted
     from (none for a table built by hand: no transform or series route)."""
 
     times: np.ndarray
     pdf: np.ndarray
-    cdf: np.ndarray = field(init=False)
-    kernel: MemoryKernel | None = field(default=None, repr=False)
+    cdf: np.ndarray = Field(init=False)
+    kernel: MemoryKernel | None = Field(default=None, repr=False)
 
     def __post_init__(self):
         """`times` and `pdf`: finite 1-d arrays of one length >= 2, `times`
@@ -833,7 +833,7 @@ def kernel_from_waiting(waiting: WaitingTimeDistribution):
 # classification
 
 
-@dataclass(frozen=True)
+@record
 class KernelVerdict:
     """Outcome of the stochastic-interpretability test.
 
@@ -846,7 +846,7 @@ class KernelVerdict:
 
     verdict: str
     certificate: str
-    witness: dict = field(default_factory=dict)
+    witness: dict = Field(default_factory=dict)
 
     @property
     def is_safe(self) -> bool:

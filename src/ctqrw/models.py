@@ -7,12 +7,12 @@ time random walk, and the generalized intrinsic-decoherence channel with
 random Hamiltonian phases.
 """
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import engine, seeding, solvers
+from ._record import Field, record
 from .errors import BadMomentsError, BadParametersError
 from .kernels import MemoryKernel, WaitingTimeDistribution, _check_count, _check_positive
 from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, GeneratorMatrix, KrausMap, as_matrix, dissipator
@@ -21,7 +21,7 @@ from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, GeneratorMatrix, KrausMap, as_ma
 # qubit reservoirs
 
 
-@dataclass(frozen=True)
+@record
 class Depolarizing:
     """Scattering by sigma_x / sigma_y with probabilities p_x + p_y = 1."""
 
@@ -33,12 +33,12 @@ class Depolarizing:
             raise BadParametersError("need p_x, p_y >= 0 with p_x + p_y = 1")
 
 
-@dataclass(frozen=True)
+@record
 class Dephasing:
     """Scattering by sigma_z: coherences flip sign, populations untouched."""
 
 
-@dataclass(frozen=True)
+@record
 class Thermal:
     """Generalized amplitude damping with strength kappa and level weights.
 
@@ -98,7 +98,7 @@ def _pauli_transfer(emap: KrausMap) -> np.ndarray:
     return 0.5 * np.einsum("kab,ibc,lcd,iad->kl", _PAULI, c, _PAULI, c.conj()).real - np.eye(4)
 
 
-@dataclass(frozen=True)
+@record
 class QubitSolution:
     """Closed-form trajectory of a qubit model.
 
@@ -119,7 +119,7 @@ class QubitSolution:
     coherence_down: np.ndarray
     h_pop: np.ndarray
     h_coh: np.ndarray
-    g: dict | None = field(default=None)
+    g: dict | None = Field(default=None)
 
 
 def qubit_closed_solution(model: QubitModel, kernel: MemoryKernel, rho0, grid) -> QubitSolution:
@@ -232,14 +232,14 @@ def _normals(u: np.ndarray) -> np.ndarray:
     return ndtri(np.maximum(u, _ZERO_CELL))
 
 
-@dataclass(frozen=True)
+@record
 class GaussianJumps(MarkLaw):
     """Complex Gaussian jumps with moments <b>, <b^2>, <|b|^2>."""
 
     mean: complex = 0.0
     mean_sq: complex = 0.0
     mean_abs_sq: float = 1.0
-    _factor: np.ndarray = field(init=False, repr=False, compare=False)
+    _factor: np.ndarray = Field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not np.isfinite([self.mean, self.mean_sq, self.mean_abs_sq]).all():
@@ -273,7 +273,7 @@ class GaussianJumps(MarkLaw):
         return np.exp(1j * phase - 0.5 * quad)
 
 
-@dataclass(frozen=True)
+@record
 class PointMassJumps(MarkLaw):
     """Deterministic jump by beta0 at every event."""
 
@@ -295,7 +295,7 @@ class PointMassJumps(MarkLaw):
         return np.exp(1j * (k.real * self.beta0.real + k.imag * self.beta0.imag))
 
 
-@dataclass(frozen=True)
+@record
 class LevyJumps(MarkLaw):
     """Isotropic heavy-tailed jumps, characteristic exp(-sigma^mu |k|^mu).
 
@@ -372,7 +372,7 @@ def fourier_mode_rate(jumps: JumpLaw, k) -> np.ndarray:
     return 1.0 - jumps.characteristic(np.asarray(k, dtype=complex))
 
 
-@dataclass(frozen=True)
+@record
 class WignerWalkConfig:
     jumps: JumpLaw
     kernel: MemoryKernel
@@ -380,7 +380,7 @@ class WignerWalkConfig:
     initial: complex = 0.0
 
 
-@dataclass(frozen=True)
+@record
 class WignerWalkResult:
     """Mean event count and excitation estimate of a walk; the walkers'
     positions and radial histogram are built on first access, from the
@@ -391,7 +391,7 @@ class WignerWalkResult:
     n_estimate: np.ndarray | None  # n(0) + <|b|^2> <N(t)>, finite-moment laws
     config: WignerWalkConfig
     base_seed: int
-    waiting: WaitingTimeDistribution = field(repr=False)  # the kernel's, built once
+    waiting: WaitingTimeDistribution = Field(repr=False)  # the kernel's, built once
 
     @cached_property
     def positions(self) -> np.ndarray:
@@ -465,7 +465,7 @@ def _mark_paths(base_seed: int, counts: np.ndarray, law: MarkLaw) -> np.ndarray:
 # generalized intrinsic decoherence
 
 
-@dataclass(frozen=True)
+@record
 class DeltaPhase(MarkLaw):
     """P(tau) = delta(tau - tau_b): every event applies exp(-i H tau_b)."""
 
@@ -482,7 +482,7 @@ class DeltaPhase(MarkLaw):
         return np.full(u.shape[:-1], float(self.tau_b))
 
 
-@dataclass(frozen=True)
+@record
 class ExponentialPhase(MarkLaw):
     """P(tau) = exp(-tau/tau_b)/tau_b on tau > 0."""
 
@@ -500,7 +500,7 @@ class ExponentialPhase(MarkLaw):
         return -self.tau_b * np.log1p(-u[..., 0])
 
 
-@dataclass(frozen=True)
+@record
 class LogFormalPhase(MarkLaw):
     """Formal-rate preset gamma = ln(1 + i omega tau_b).
 
@@ -524,7 +524,7 @@ class LogFormalPhase(MarkLaw):
 PhaseDistribution = DeltaPhase | ExponentialPhase | LogFormalPhase
 
 
-@dataclass(frozen=True)
+@record
 class SpectrumModel:
     """Hamiltonian spectrum (hbar = 1) plus the event-phase distribution."""
 
@@ -552,7 +552,7 @@ class SpectrumModel:
         return g
 
 
-@dataclass(frozen=True)
+@record
 class IntrinsicResult:
     grid: np.ndarray
     states: np.ndarray

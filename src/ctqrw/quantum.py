@@ -14,10 +14,9 @@ Conventions (fixed once, asserted in tests):
   ``sum_lam c_lam exp(-lam tau) P_lam``.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import record
 from .errors import (
     BadParametersError,
     BadWeightsError,
@@ -61,7 +60,7 @@ def _hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-@dataclass(frozen=True)
+@record
 class DensityMatrix:
     """A validated d x d density matrix (Hermitian, unit trace, PSD)."""
 
@@ -129,7 +128,7 @@ def linear_entropy(rho):
     return float(out) if m.ndim == 2 else out
 
 
-@dataclass(frozen=True)
+@record
 class KrausMap:
     """A CP trace-preserving map ``rho -> sum_i C_i rho C_i^dag``."""
 
@@ -175,7 +174,7 @@ def apply_kraus(emap: KrausMap, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class GeneratorMatrix:
     """A d^2 x d^2 superoperator generator acting on column-stacked operators.
 
@@ -236,7 +235,7 @@ def dissipator(v: np.ndarray) -> np.ndarray:
     return 2.0 * np.kron(v.conj(), v) - np.kron(vdv.T, ident) - np.kron(ident, vdv)
 
 
-@dataclass(frozen=True)
+@record
 class ChoiMatrix:
     """Choi matrix of a map on a d-dimensional system (Hermitian d^2 x d^2)."""
 
@@ -311,7 +310,7 @@ def exp_generator_to_kraus(gen: GeneratorMatrix, kappa: float) -> KrausMap:
     return KrausMap(operators=tuple(kraus_from_choi(choi)))
 
 
-@dataclass(frozen=True)
+@record
 class DampingBasis:
     """Biorthogonal eigendecomposition of a generator.
 

@@ -30,12 +30,11 @@ solution route.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import laplace
+from ._record import record
 from .engine import check_grid
 from .errors import (
     DimMismatchError,
@@ -113,6 +112,15 @@ def _scaled_exp_moments(a: float) -> np.ndarray:
     return np.array([(1.0 - e) / a, (a - 1.0 + e) / a**2, (a * a - 2.0 * a + 2.0 - 2.0 * e) / a**3])
 
 
+# Gauss-Legendre nodes and weights: leggauss(8) bit for bit, written out to keep numpy.polynomial unloaded
+_GL8_NODES, _GL8_WEIGHTS = np.array([
+    [-0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+     0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362],
+    [0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+     0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706],
+])
+
+
 def _regular_kernel_moments(kernel, h: float, n: int) -> np.ndarray:
     """B_p[m] = h int_0^1 R((m + 1 - theta) h) theta^p dtheta, p = 0, 1, 2,
     where R(x) = int_0^x K is the integrated kernel (exact for the
@@ -127,9 +135,8 @@ def _regular_kernel_moments(kernel, h: float, n: int) -> np.ndarray:
         for p in range(3):
             b[p] = h * (a_eps / g) * (1.0 / (p + 1) - decay * ev[p])
         return b
-    nodes, wts = leggauss(8)
-    theta = 0.5 * (nodes + 1.0)
-    w = 0.5 * wts
+    theta = 0.5 * (_GL8_NODES + 1.0)
+    w = 0.5 * _GL8_WEIGHTS
     lags = (m[:, None] + 1.0 - theta[None, :]) * h
     r_vals = laplace.invert(lambda u: kernel.laplace(u) / u, lags.ravel()).reshape(lags.shape)
     for p in range(3):
@@ -388,7 +395,7 @@ def telegraph_ode_solve(gen: GeneratorMatrix, kernel: ExponentialKernel, rho0, g
 # subordination route
 
 
-@dataclass(frozen=True)
+@record
 class DeltaLine:
     """Symbolic P(t, tau) = delta(tau - location) (Markovian kernel)."""
 
@@ -473,7 +480,7 @@ def subordination_solve(kernel: MemoryKernel, basis: DampingBasis, rho0, grid):
 # short-time entropy and CP audit
 
 
-@dataclass(frozen=True)
+@record
 class ShortTimeEntropy:
     """Leading-order linear-entropy law delta(t) ~ prefactor * t^exponent."""
 

@@ -37,7 +37,6 @@ import functools
 import math
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError
 from .laplace import like_input
@@ -150,7 +149,15 @@ def _tanhsinh_nodes(step: float = 1.0 / 14.0, t_max: float = 3.6):
 
 
 _TS_NODES, _TS_WEIGHTS = _tanhsinh_nodes()
-_GL_NODES, _GL_WEIGHTS = leggauss(12)
+# Gauss-Legendre nodes and weights: leggauss(12) bit for bit, written out to keep numpy.polynomial unloaded
+_GL_NODES, _GL_WEIGHTS = np.array([
+    [-0.9815606342467192, -0.9041172563704748, -0.7699026741943047, -0.5873179542866175,
+     -0.3678314989981802, -0.1252334085114689, 0.1252334085114689, 0.3678314989981802,
+     0.5873179542866175, 0.7699026741943047, 0.9041172563704748, 0.9815606342467192],
+    [0.04717533638651141, 0.10693932599531907, 0.16007832854334642, 0.20316742672306573,
+     0.2334925365383546, 0.2491470458134027, 0.2491470458134027, 0.2334925365383546,
+     0.20316742672306573, 0.16007832854334642, 0.10693932599531907, 0.04717533638651141],
+])
 
 
 def _spectral_vectorized(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:

@@ -743,23 +743,63 @@ def test_main_entry_point(tmp_path):
     assert code == 0
 
 
-def _fresh_python(code: str) -> str:
-    """Run `code` in a new interpreter that finds this ctqrw; returns stdout."""
+def _fresh_run(*args: str, path: tuple = ()):
+    """Run a new interpreter with `args`, finding this ctqrw and the
+    directories `path`; returns the completed process, which exited 0."""
     import subprocess
     import sys
 
     import ctqrw
 
     src = os.path.dirname(os.path.dirname(ctqrw.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, *path, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
-    return out.stdout.strip()
+    return out
+
+
+def _fresh_python(code: str) -> str:
+    """Run `code` in a new interpreter that finds this ctqrw; returns stdout."""
+    return _fresh_run("-c", code).stdout.strip()
 
 
 def test_cli_import_loads_no_scipy():
     code = "import sys, ctqrw.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     assert _fresh_python(code) == "[]"
+
+
+@pytest.mark.parametrize("module", ["ctqrw", "ctqrw.cli"])
+def test_import_loads_no_dataclasses_polynomial_or_argparse(module):
+    # records share one set of methods, the Gauss-Legendre tables are
+    # literals and argparse is main's own import: importing ctqrw runs none
+    code = f"import sys, {module}; print([m for m in ('dataclasses', 'numpy.polynomial', 'argparse') if m in sys.modules])"
+    assert _fresh_python(code) == "[]"
+
+
+def test_cli_command_loads_no_dataclasses_or_polynomial(tmp_path):
+    # python -m ctqrw.cli runs main, so argparse loads; the rest does not
+    for name, text in MANIFEST_KINDS.items():
+        path = write(tmp_path, text, f"{name}.ini")
+        out = _fresh_run("-X", "importtime", "-m", "ctqrw.cli", "--config", path, "--out-dir", str(tmp_path / name))
+        loaded = {line.split("|")[-1].strip() for line in out.stderr.splitlines() if line.startswith("import time:")}
+        assert "argparse" in loaded and not loaded & {"dataclasses", "numpy.polynomial"}, name
+
+
+def test_manifest_schema_is_read_without_importlib_resources(tmp_path):
+    # without site's start-up imports (python -S), importlib.resources would
+    # pull in pathlib, tempfile, shutil and more; the schema is read beside
+    # cli.py instead, and the manifest is still checked against it
+    numpy_dir = os.path.dirname(os.path.dirname(np.__file__))
+    path = write(tmp_path, GOOD_ENSEMBLE)
+    code = (
+        "import sys\n"
+        "import ctqrw.cli\n"
+        f"code = ctqrw.cli.run({path!r}, {str(tmp_path / 'out')!r})\n"
+        "print(code, [m for m in ('importlib.resources', 'pathlib', 'tempfile') if m in sys.modules])"
+    )
+    assert _fresh_run("-S", "-c", code, path=(numpy_dir,)).stdout.strip() == "0 []"
+    manifest = json.loads((tmp_path / "out" / parse_config(path).manifest_name).read_text())
+    assert manifest["experiment"] == "ensemble"
 
 
 def test_cli_runs_load_no_jsonschema_metadata_or_mpmath(tmp_path):
